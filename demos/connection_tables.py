@@ -10,7 +10,7 @@ function.
 from wavefield.connection import (
     derivative_overlaps,
     gamma_tensor,
-    quadrature_oracle,
+    oracle_deviation,
     recursion_residual,
     rescale_tensor,
 )
@@ -32,14 +32,10 @@ for (n2, n3), v in g3.sorted_items():
 print("sum rule max defect: %.2e"
       % max(abs(s - (1.0 if n2 == 0 else 0.0)) for n2, s in sums.items()))
 
-# oracle convergence on one representative entry
-tup, val = g3.sorted_items()[len(g3.sorted_items()) // 2]
-factors = [(0, 0)] + [(n, 0) for n in tup]
-print("\nentry Gamma%s = %+.15f" % (tup, val))
-print("# level  |oracle - table|")
+# oracle convergence over the whole table
+print("\n# level  max |oracle - table|")
 for level in (6, 8, 10, 12):
-    est = quadrature_oracle(fp, factors, level)
-    print("%6d  %.3e" % (level, abs(est - val)))
+    print("%6d  %.3e" % (level, oracle_deviation(g3, fp, level)))
 
 # rescaling: one scale step multiplies D by 4 and Gamma3 by 2^(1/2)
 d1 = rescale_tensor(d, 1)

@@ -14,7 +14,7 @@ Submodules:
 
 __version__ = "0.1.0"
 
-from .filters import FilterPair, make_filters, wavelet_filter  # noqa: F401
+from .filters import FilterPair, make_filters  # noqa: F401
 from .scaling import (  # noqa: F401
     derivative_samples,
     integer_values,
@@ -66,7 +66,7 @@ from .diagnostics import (  # noqa: F401
 from .errors import WavefieldError  # noqa: F401
 
 __all__ = [
-    "FilterPair", "make_filters", "wavelet_filter",
+    "FilterPair", "make_filters",
     "derivative_samples", "integer_values", "moments",
     "scaling_samples", "wavelet_samples",
     "CoeffPyramid", "CoeffVector", "max_levels", "multilevel",

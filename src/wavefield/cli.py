@@ -28,7 +28,7 @@ from .connection import (
     derivative_overlaps,
     gamma_tensor,
     load_tensor,
-    quadrature_oracle,
+    oracle_deviation,
     rescale_tensor,
     save_tensor,
     validate_tensor,
@@ -272,25 +272,12 @@ def _cmd_dwt(args):
 
 # ---------------------------------------------------------------- coeffs
 
-def _oracle_report(t, kind, order, level):
-    fp = make_filters(order)
-    worst = 0.0
-    for tup, v in t.sorted_items():
-        if kind == "d":
-            factors = [(0, 1), (tup[0], 1)]
-        else:
-            factors = [(0, 0)] + [(n, 0) for n in tup]
-        est = quadrature_oracle(fp, factors, level, scale=t.scale)
-        worst = max(worst, abs(est - v))
-    return worst
-
-
 def _cmd_coeffs(args):
     t, cache_path = _cached_tensor(args.kind, args.order, args.scale,
                                    _cache_dir(args))
     if args.verify_oracle is not None:
         level = args.verify_oracle
-        dev = _oracle_report(t, args.kind, args.order, level)
+        dev = oracle_deviation(t, make_filters(args.order), level)
         if args.format == "json":
             text = json.dumps(
                 {"kind": args.kind, "order": args.order, "scale": args.scale,
@@ -532,9 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eigs", type=int, required=True)
     sp.add_argument("--dump-matrix", metavar="PATH",
                     help="also write the sparse matrix (coordinate format)")
-    sp.add_argument("--threads", type=int, default=os.cpu_count(),
-                    help="worker cap; assembly is vectorized and "
-                    "deterministic at any thread count")
     sp.set_defaults(func=_cmd_hamiltonian)
 
     sp = sub.add_parser("flow", parents=[common],

@@ -6,11 +6,15 @@ scaling functions.  Compact support makes each tensor a finite table over
 integer offset tuples relative to the first index.  The tables are NOT
 computed by quadrature: substituting the refinement equation into the
 integral turns each table into the eigenvalue-1 fixed point of a finite
-linear map, solved here as a bordered least-squares system with one
-inhomogeneous normalization row.  A plain-quadrature oracle on refined
-dyadic samples provides the independent cross-check; for the rough low
-orders its Aitken-extrapolated form (extrapolated_oracle) reaches the
-accuracy that the plain sum at the same level cannot.
+linear map.  One engine builds every table: _gamma_map assembles the
+m-factor refinement map, D's map is the m=2 map times 4 (the chain rule
+puts a factor 2 on each differentiated factor), and the fixed point is
+solved as a bordered least-squares system with one inhomogeneous
+normalization row.  A plain-quadrature oracle on refined dyadic samples
+provides the independent cross-check: oracle_deviation reports the raw
+level-L deviation, and for the rough low orders its Aitken-extrapolated
+form (extrapolated_oracle) reaches the accuracy that the plain sum at the
+same level cannot.
 
 Normalizations:
   D:        sum_n n^2 D_{0n} = -2   (twice-differentiated quadratic
@@ -52,6 +56,7 @@ __all__ = [
     "rescale_tensor",
     "recursion_residual",
     "quadrature_oracle",
+    "oracle_deviation",
     "aitken_limit",
     "extrapolated_oracle",
     "resolve_d_exponent",
@@ -63,7 +68,8 @@ __all__ = [
     "D_RESCALE_EXPONENT",
 ]
 
-_KINDS = ("derivative-D", "gamma-2", "gamma-3", "gamma-4")
+# table kind -> number of factors m in the underlying integrand
+_KINDS = {"derivative-D": 2, "gamma-2": 2, "gamma-3": 3, "gamma-4": 4}
 
 # per-unit-scale exponent for D; derived from the change of variables and
 # settled against the scale-1 oracle (resolve_d_exponent), which rejects
@@ -108,7 +114,7 @@ class CoeffTensor:
     @property
     def arity(self):
         """Number of factors m in the underlying integrand."""
-        return 2 if self.kind in ("derivative-D", "gamma-2") else int(self.kind[-1])
+        return _KINDS[self.kind]
 
     def value(self, offsets):
         return self.entries.get(tuple(offsets), 0.0)
@@ -162,7 +168,8 @@ def _gamma_map(h, m, offsets):
 
     Row for offset tuple n: 2^{(m-2)/2} sum_{l1..lm} h_{l1}..h_{lm} x at
     child tuple (2 n_i + l_{i+1} - l_1).  Assembled per l_1 with a dense
-    tuple->index lookup cube and bincount accumulation.
+    tuple->index lookup cube and bincount accumulation.  D's map is the
+    m=2 matrix times 4.
     """
     taps = len(h)
     radius = taps - 2
@@ -194,14 +201,25 @@ def _gamma_map(h, m, offsets):
     return a_flat.reshape(nt, nt)
 
 
-@lru_cache(maxsize=32)
-def _gamma_cached(order, m):
-    fp = make_filters(order)
+@lru_cache(maxsize=48)
+def _solved_table(kind, order):
+    """Scale-0 table of one kind: the fixed point of its refinement map.
+
+    gamma-m uses the m-factor map and the full-sum normalization; D uses
+    the m=2 map times 4 (s'(x) = 2 sqrt(2) sum_l h_l s'(2x - l) puts a
+    factor 2 on each factor) and sum_n n^2 D_n = -2.
+    """
+    m = _KINDS[kind]
     offsets = _admissible_offsets(2 * order - 2, m)
-    a_mat = _gamma_map(fp.h, m, offsets)
-    x = _solve_bordered(a_mat, np.ones(len(offsets)), 1.0, f"gamma-{m}")
+    a_mat = _gamma_map(make_filters(order).h, m, offsets)
+    if kind == "derivative-D":
+        a_mat *= 4.0
+        norm_row, norm_value = np.array(offsets, dtype=float)[:, 0] ** 2, -2.0
+    else:
+        norm_row, norm_value = np.ones(len(offsets)), 1.0
+    x = _solve_bordered(a_mat, norm_row, norm_value, kind)
     entries = {tup: float(v) for tup, v in zip(offsets, x)}
-    return CoeffTensor(f"gamma-{m}", order, 0, entries)
+    return CoeffTensor(kind, order, 0, entries)
 
 
 def gamma_tensor(fp: FilterPair, m: int) -> CoeffTensor:
@@ -213,7 +231,7 @@ def gamma_tensor(fp: FilterPair, m: int) -> CoeffTensor:
         raise IndexRangeError("gamma arity must be 2, 3 or 4", m=m)
     if m == 2:
         return CoeffTensor("gamma-2", fp.order, 0, {(0,): 1.0})
-    return _gamma_cached(fp.order, m)
+    return _solved_table(f"gamma-{m}", fp.order)
 
 
 def derivative_overlaps(fp: FilterPair) -> CoeffTensor:
@@ -222,26 +240,7 @@ def derivative_overlaps(fp: FilterPair) -> CoeffTensor:
         raise NonDifferentiableOrderError(
             "derivative overlaps need order >= 3", order=fp.order
         )
-    return _derivative_cached(fp.order)
-
-
-@lru_cache(maxsize=16)
-def _derivative_cached(order):
-    fp = make_filters(order)
-    h = fp.h
-    radius = 2 * fp.order - 2
-    offs = np.arange(-radius, radius + 1)
-    pos = {n: i for i, n in enumerate(offs)}
-    a_mat = np.zeros((len(offs), len(offs)))
-    for i, n in enumerate(offs):
-        for l1 in range(len(h)):
-            for l2 in range(len(h)):
-                j = pos.get(2 * n + l2 - l1)
-                if j is not None:
-                    a_mat[i, j] += 4.0 * h[l1] * h[l2]
-    x = _solve_bordered(a_mat, offs.astype(float) ** 2, -2.0, "derivative-D")
-    entries = {(int(n),): float(v) for n, v in zip(offs, x)}
-    return CoeffTensor("derivative-D", fp.order, 0, entries)
+    return _solved_table("derivative-D", fp.order)
 
 
 def recursion_residual(t: CoeffTensor, fp: FilterPair) -> float:
@@ -284,6 +283,13 @@ def recursion_residual(t: CoeffTensor, fp: FilterPair) -> float:
     return float(np.abs(acc - vals).max())
 
 
+def _scale_factor(t: CoeffTensor, k: int) -> float:
+    """Factor carrying a scale-0 table of t's kind to scale k."""
+    if t.kind == "derivative-D":
+        return 2.0 ** (D_RESCALE_EXPONENT * k)
+    return 2.0 ** (k * (t.arity - 2) / 2.0)
+
+
 def rescale_tensor(t: CoeffTensor, k: int) -> CoeffTensor:
     """Carry a scale-0 table to scale k.
 
@@ -291,10 +297,7 @@ def rescale_tensor(t: CoeffTensor, k: int) -> CoeffTensor:
     """
     if t.scale != 0:
         raise AlreadyScaledError("tensor is not at scale 0", scale=t.scale)
-    if t.kind == "derivative-D":
-        fac = 2.0 ** (D_RESCALE_EXPONENT * k)
-    else:
-        fac = 2.0 ** (k * (t.arity - 2) / 2.0)
+    fac = _scale_factor(t, k)
     entries = {tup: v * fac for tup, v in t.entries.items()}
     return CoeffTensor(t.kind, t.order, k, entries)
 
@@ -401,9 +404,30 @@ def aitken_limit(sums):
 
 
 def _oracle_factors(t: CoeffTensor, offsets):
+    """quadrature_oracle factors of the integrand behind entry offsets."""
     if t.kind == "derivative-D":
         return [(0, 1), (offsets[0], 1)]
     return [(0, 0)] + [(n, 0) for n in offsets]
+
+
+def _oracle_sums(t: CoeffTensor, fp: FilterPair, offsets, level, scale):
+    """Level-L quadrature_oracle sums of t's integrands at the given offsets."""
+    return np.array([
+        quadrature_oracle(fp, _oracle_factors(t, tup), level, scale=scale)
+        for tup in offsets
+    ])
+
+
+def oracle_deviation(t: CoeffTensor, fp: FilterPair, level: int) -> float:
+    """Largest deviation of the table from its plain level-L oracle sums.
+
+    The raw Riemann-sum check, at the table's own scale; for the rough
+    low orders see extrapolated_oracle.
+    """
+    offsets = sorted(t.entries)
+    vals = np.array([t.entries[tup] for tup in offsets])
+    sums = _oracle_sums(t, fp, offsets, level, t.scale)
+    return float(np.abs(sums - vals).max(initial=0.0))
 
 
 def extrapolated_oracle(t: CoeffTensor, fp: FilterPair, level: int) -> dict:
@@ -414,25 +438,25 @@ def extrapolated_oracle(t: CoeffTensor, fp: FilterPair, level: int) -> dict:
     geometric sequence and otherwise keeps the raw level-L sum (a
     fallback).  Built on quadrature_oracle alone, so it stays independent
     of the fixed-point solver.  Returns the largest raw level-L deviation
-    ('raw'), the largest extrapolated deviation ('extrapolated'), the
-    number of fallback entries ('fallbacks') and of entries ('entries').
+    ('raw', the oracle_deviation figure), the largest extrapolated
+    deviation ('extrapolated'), the number of fallback entries
+    ('fallbacks') and of entries ('entries').
     """
     if not 4 <= level <= 16:
         raise IndexRangeError("extrapolated oracle level must lie in 4..16",
                               level=level)
-    items = t.sorted_items()
-    vals = np.array([v for _, v in items])
+    offsets = sorted(t.entries)
+    vals = np.array([t.entries[tup] for tup in offsets])
     sums = np.array([
-        [quadrature_oracle(fp, _oracle_factors(t, tup), lev, scale=t.scale)
-         for tup, _ in items]
+        _oracle_sums(t, fp, offsets, lev, t.scale)
         for lev in range(level - 3, level + 1)
-    ]).reshape(4, len(items))
+    ]).reshape(4, len(offsets))
     limits, fell_back = aitken_limit(sums)
     return {
         "raw": float(np.abs(sums[3] - vals).max(initial=0.0)),
         "extrapolated": float(np.abs(limits - vals).max(initial=0.0)),
         "fallbacks": int(fell_back.sum()),
-        "entries": len(items),
+        "entries": len(offsets),
     }
 
 
@@ -444,15 +468,11 @@ def resolve_d_exponent(fp: FilterPair, level: int = 12) -> dict:
     unambiguous.  Returns the winning exponent and both deviations.
     """
     t = derivative_overlaps(fp)
-    devs = {}
-    for expo in (1, 2):
-        worst = 0.0
-        for (n,), v in t.sorted_items():
-            if n < 0:
-                continue
-            oracle = quadrature_oracle(fp, [(0, 1), (n, 1)], level, scale=1)
-            worst = max(worst, abs(v * 2.0**expo - oracle))
-        devs[expo] = worst
+    offsets = [tup for tup in sorted(t.entries) if tup[0] >= 0]
+    vals = np.array([t.entries[tup] for tup in offsets])
+    oracle = _oracle_sums(t, fp, offsets, level, 1)
+    devs = {expo: float(np.abs(vals * 2.0**expo - oracle).max())
+            for expo in (1, 2)}
     winner = min(devs, key=devs.get)
     return {
         "exponent": winner,
@@ -493,7 +513,7 @@ def validate_tensor(t: CoeffTensor, gamma3: CoeffTensor | None = None):
         if worst > 1e-12:
             raise CorruptTableError("derivative table not even", deviation=worst)
         total = sum(t.entries.values())
-        if abs(total) > 1e-10 * 2.0 ** (D_RESCALE_EXPONENT * t.scale):
+        if abs(total) > 1e-10 * _scale_factor(t, t.scale):
             raise CorruptTableError("derivative row sum nonzero", total=total)
         wrapped = wrap_matrix(t, 4 * t.order)
         low = float(np.linalg.eigvalsh(wrapped)[0])
@@ -503,7 +523,7 @@ def validate_tensor(t: CoeffTensor, gamma3: CoeffTensor | None = None):
             )
         return
     worst = _perm_asymmetry(t)
-    if worst > 1e-12 * 2.0 ** (t.scale * (t.arity - 2) / 2.0):
+    if worst > 1e-12 * _scale_factor(t, t.scale):
         raise CorruptTableError("table not permutation symmetric", deviation=worst)
     if t.kind == "gamma-3" and t.scale == 0:
         for n2 in range(-radius, radius + 1):
@@ -594,7 +614,7 @@ def load_tensor(path) -> CoeffTensor:
     body = raw[6:]
     if len(body) != count:
         raise ParseError("entry count mismatch", declared=count, found=len(body))
-    width = 1 if kind in ("derivative-D", "gamma-2") else int(kind[-1]) - 1
+    width = _KINDS[kind] - 1
     entries = {}
     for lineno, line in enumerate(body, start=7):
         parts = line.split()

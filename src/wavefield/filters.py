@@ -51,11 +51,6 @@ class FilterPair:
         self.h.setflags(write=False)
         self.g.setflags(write=False)
 
-    @property
-    def support_width(self):
-        # both filters occupy taps 0 .. 2K-1
-        return 2 * self.order
-
 
 def _extremal_roots(K):
     """Roots of the extremal-phase factor outside the unit circle, sorted.
@@ -171,11 +166,6 @@ def make_filters(K):
         raise UnsupportedOrderError(f"order {K} outside supported range 1..{K_MAX}")
     h = _make_h(int(K))
     return FilterPair(order=int(K), h=h, g=wavelet_taps(h))
-
-
-def wavelet_filter(fp):
-    """High-pass taps of the pair (the alternating flip of h)."""
-    return wavelet_taps(fp.h)
 
 
 def constraint_residuals(h):

@@ -20,7 +20,6 @@ x^m = sum_n c_n(m) s(x - n) pointwise for m < K.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -53,24 +52,6 @@ class DyadicSamples:
 
     def grid(self):
         return np.arange(len(self.values)) / 2.0**self.level
-
-    def value_at(self, numerator, denominator_level):
-        """Sample at numerator / 2**denominator_level, zero off support."""
-        if denominator_level > self.level:
-            raise InsufficientResolutionError(
-                f"grid level {self.level} cannot resolve 2^-{denominator_level}"
-            )
-        i = numerator << (self.level - denominator_level)
-        if 0 <= i < len(self.values):
-            return float(self.values[i])
-        return 0.0
-
-
-@dataclass(frozen=True)
-class BasisIndex:
-    kind: str  # 'scaling' | 'wavelet'
-    scale: int
-    translation: int
 
 
 def integer_values(fp):
@@ -177,41 +158,6 @@ def wavelet_samples(fp, level):
         ok = (src >= 0) & (src < len(sv))
         out[i[ok]] += np.sqrt(2.0) * fp.g[l] * sv[src[ok]]
     return DyadicSamples(K, level, 0, out)
-
-
-def evaluate_basis(idx, samples, x, fp=None):
-    """Evaluate 2^{k/2} s(2^k x - n) (or the wavelet analogue) at dyadic x.
-
-    x must be resolvable on the samples' grid after the affine map; callers
-    holding only coarse samples must refine first.
-    """
-    xf = Fraction(x)
-    k, n = idx.scale, idx.translation
-    u = Fraction(2) ** k * xf - n  # argument of the unit-scale function
-    amp = 2.0 ** (k / 2.0)
-    if idx.kind == "scaling":
-        return amp * _dyadic_eval(samples, u)
-    if idx.kind == "wavelet":
-        if fp is None:
-            fp = make_filters(samples.order)
-        # w(u) = sqrt(2) sum_l g_l s(2u - l)
-        acc = 0.0
-        for l in range(2 * samples.order):
-            acc += fp.g[l] * _dyadic_eval(samples, 2 * u - l)
-        return amp * np.sqrt(2.0) * acc
-    raise ValueError(f"unknown basis kind {idx.kind!r}")
-
-
-def _dyadic_eval(samples, u):
-    q = u * 2**samples.level
-    if q.denominator != 1:
-        raise InsufficientResolutionError(
-            f"{u} not on the level-{samples.level} grid; refine first"
-        )
-    i = q.numerator
-    if 0 <= i < len(samples.values):
-        return float(samples.values[i])
-    return 0.0
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,7 @@ from wavefield.connection import (
     derivative_overlaps,
     extrapolated_oracle,
     gamma_tensor,
-    quadrature_oracle,
+    oracle_deviation,
     recursion_residual,
     rescale_tensor,
     resolve_d_exponent,
@@ -71,18 +71,6 @@ def _record(num, ok, t0, detail):
     _LINES.append(line)
     print(line)
     assert ok, line
-
-
-def _oracle_dev(fp, t, level):
-    worst = 0.0
-    for tup, v in t.sorted_items():
-        if t.kind == "derivative-D":
-            factors = [(0, 1), (tup[0], 1)]
-        else:
-            factors = [(0, 0)] + [(n, 0) for n in tup]
-        est = quadrature_oracle(fp, factors, level, scale=t.scale)
-        worst = max(worst, abs(est - v))
-    return worst
 
 
 def test_criterion_01_filter_constraints():
@@ -237,7 +225,7 @@ def test_criterion_07_scaling_identities():
     for m in (3, 4):
         base = gamma_tensor(fp, m)
         for k in (1, 2):
-            worst = max(worst, _oracle_dev(fp, rescale_tensor(base, k), 12))
+            worst = max(worst, oracle_deviation(rescale_tensor(base, k), fp, 12))
     res = resolve_d_exponent(fp, 12)
     dt = time.perf_counter() - t0
     ok = worst < 1e-6 and res["exponent"] == 2 \

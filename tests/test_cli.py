@@ -228,15 +228,10 @@ def test_hamiltonian_rejects_low_order(capsys, cachedir):
 
 
 def test_hamiltonian_deterministic(tmp_path, cachedir):
-    outs = []
-    for i in range(2):
-        dst = tmp_path / f"d{i}.csv"
-        rc = run(["hamiltonian", "--order", "3", "--modes", "2",
-                  "--nmax", "8", "--mass2", "1.0", "--lambda", "0.25",
-                  "--eigs", "3", "--output", str(dst)])
-        assert rc == 0
-        outs.append(dst.read_bytes())
-    assert outs[0] == outs[1]
+    cold, warm = cold_and_warm_bytes(
+        ["hamiltonian", "--order", "3", "--modes", "2", "--nmax", "8",
+         "--mass2", "1.0", "--lambda", "0.25", "--eigs", "3"], tmp_path)
+    assert cold == warm
 
 
 # ------------------------------------------------------------- flow
@@ -425,6 +420,52 @@ def test_cache_flag_overrides_env(tmp_path, capsys, cachedir):
     assert rc == 0
     assert (other / "d-K3-s0-v1.tbl").exists()
     assert not (cachedir / "d-K3-s0-v1.tbl").exists()
+
+
+# ------------------------------------------------------------- determinism
+
+def cold_and_warm_bytes(argv, tmp_path):
+    """Primary output of argv run against an empty table cache, then again
+    against the cache the first run filled."""
+    cache = tmp_path / "pin-cache"
+    outs = []
+    for run_name in ("cold", "warm"):
+        dst = tmp_path / f"pin-{run_name}.out"
+        assert run(argv + ["--cache", str(cache), "--output", str(dst)]) == 0
+        outs.append(dst.read_bytes())
+    return outs
+
+
+PINNED = {
+    "filters": ["filters", "--order", "3"],
+    "scalfun": ["scalfun", "--order", "3", "--level", "5"],
+    "dwt": ["dwt", "--order", "2", "--levels", "2", "--input", "{vector}",
+            "--direction", "forward"],
+    "coeffs-table": ["coeffs", "--order", "3", "--kind", "gamma4"],
+    "coeffs-oracle-csv": ["coeffs", "--order", "3", "--kind", "d",
+                          "--verify-oracle", "10"],
+    "coeffs-oracle-json": ["coeffs", "--order", "3", "--kind", "d",
+                           "--verify-oracle", "10", "--format", "json"],
+    "flow": ["flow", "--input", "{matrix}", "--generator", "diag",
+             "--lambda-end", "0.5"],
+    "diagnose": ["diagnose", "--order", "3", "--scale", "2",
+                 "--probe", "partition"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_subcommand_deterministic(name, tmp_path, cachedir):
+    # every subcommand but hamiltonian (pinned above) gives the same bytes
+    # whether or not its tables come from the cache
+    rng = np.random.default_rng(3)
+    vector = tmp_path / "v.csv"
+    vector.write_text("\n".join("%.17g" % v for v in rng.normal(size=16)))
+    a = rng.normal(size=(6, 6))
+    matrix = tmp_path / "h.coo"
+    _write_coo(matrix, (a + a.T) / 2)
+    argv = [arg.format(vector=vector, matrix=matrix) for arg in PINNED[name]]
+    cold, warm = cold_and_warm_bytes(argv, tmp_path)
+    assert cold and cold == warm
 
 
 @pytest.mark.skipif(shutil.which("wavefield") is None,

@@ -10,6 +10,7 @@ from wavefield.connection import (
     extrapolated_oracle,
     gamma_tensor,
     load_tensor,
+    oracle_deviation,
     quadrature_oracle,
     recursion_residual,
     rescale_tensor,
@@ -29,15 +30,6 @@ from wavefield.errors import (
     ShapeError,
 )
 from wavefield.filters import make_filters
-
-
-def oracle_dev(fp, t, level):
-    worst = 0.0
-    for tup, v in t.entries.items():
-        factors = [(0, 1), (tup[0], 1)] if t.kind == "derivative-D" else \
-            [(0, 0)] + [(n, 0) for n in tup]
-        worst = max(worst, abs(quadrature_oracle(fp, factors, level) - v))
-    return worst
 
 
 def residual_loop(t, fp):
@@ -120,7 +112,7 @@ def test_gamma_against_quadrature(K, m, bound):
     # low-order scaling function is barely Holder continuous, so the
     # quadrature converges slowly; higher K is far below the bound
     fp = make_filters(K)
-    assert oracle_dev(fp, gamma_tensor(fp, m), 12) < bound
+    assert oracle_deviation(gamma_tensor(fp, m), fp, 12) < bound
 
 
 @pytest.mark.parametrize("K,m", [(3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (3, 4)])
@@ -204,8 +196,11 @@ def test_extrapolated_oracle_level_range():
 def test_derivative_table_k3_exact_values():
     fp = make_filters(3)
     t = derivative_overlaps(fp)
-    # central entry has the known rational value 295/56
-    assert abs(t.value((0,)) - 295.0 / 56.0) < 1e-12
+    # the order-3 row is rational (Beylkin 1992); D_n = D_{-n}
+    exact = {0: 295 / 56, 1: -356 / 105, 2: 92 / 105, 3: -4 / 35, 4: -3 / 560}
+    assert sorted(t.entries) == [(n,) for n in range(-4, 5)]
+    for (n,), v in t.entries.items():
+        assert abs(v - exact[abs(n)]) < 1e-12, n
     offs = np.array([o for (o,) in t.entries])
     vals = np.array([t.entries[(o,)] for o in offs])
     assert abs(vals.sum()) < 1e-10
@@ -224,7 +219,7 @@ def test_derivative_against_quadrature(K, bound):
     # the finite-difference oracle at level 14 is limited by the Holder
     # exponent of s'; measured 1.79e-3 (K=3), 3.98e-6 (K=4), 1.19e-7 (K=5)
     fp = make_filters(K)
-    assert oracle_dev(fp, derivative_overlaps(fp), 14) < bound
+    assert oracle_deviation(derivative_overlaps(fp), fp, 14) < bound
 
 
 def test_oracle_indicator_norm():
@@ -285,11 +280,7 @@ def test_rescale_rejects_scaled_input():
 def test_rescaled_gamma_matches_scaled_oracle(K, k, bound):
     fp = make_filters(K)
     t = rescale_tensor(gamma_tensor(fp, 3), k)
-    worst = 0.0
-    for tup, v in t.entries.items():
-        factors = [(0, 0)] + [(n, 0) for n in tup]
-        worst = max(worst, abs(quadrature_oracle(fp, factors, 12, scale=k) - v))
-    assert worst < bound
+    assert oracle_deviation(t, fp, 12) < bound
 
 
 def test_rescaled_derivative_matches_scale1_oracle_k4():
@@ -297,10 +288,7 @@ def test_rescaled_derivative_matches_scale1_oracle_k4():
     # comparison threshold; K=3 is Holder-limited to ~7e-3 here
     fp = make_filters(4)
     t = rescale_tensor(derivative_overlaps(fp), 1)
-    worst = 0.0
-    for (n,), v in t.entries.items():
-        worst = max(worst, abs(quadrature_oracle(fp, [(0, 1), (n, 1)], 14, scale=1) - v))
-    assert worst < 1e-4
+    assert oracle_deviation(t, fp, 14) < 1e-4
 
 
 def test_resolve_d_exponent():

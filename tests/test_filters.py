@@ -7,7 +7,6 @@ from wavefield.filters import (
     _extremal_roots,
     constraint_residuals,
     make_filters,
-    wavelet_filter,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -106,12 +105,6 @@ def test_determinism():
     b = make_filters(7)
     assert all(x == y for x, y in zip(a.h, b.h))
     assert all(x == y for x, y in zip(a.g, b.g))
-
-
-def test_wavelet_filter_matches_pair():
-    fp = make_filters(4)
-    g = wavelet_filter(fp)
-    assert all(x == y for x, y in zip(g, fp.g))
 
 
 @pytest.mark.parametrize("K", [0, -1, K_MAX + 1, 2.5, "3"])

@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 
 from wavefield.errors import (
-    InsufficientResolutionError,
     InsufficientVanishingMomentsError,
     NonDifferentiableOrderError,
 )
 from wavefield.filters import make_filters
 from wavefield.scaling import (
-    BasisIndex,
     derivative_samples,
     derivative_values,
-    evaluate_basis,
     integer_values,
     moments,
     refine,
@@ -173,29 +170,6 @@ def test_polynomial_reproduction_on_grid(K, m):
         if a < b:
             acc[a:b] += cn * s[a - lo : b - lo]
     assert np.abs(acc - x**m).max() < 1e-8
-
-
-def test_evaluate_basis_scaling_kind():
-    fp = make_filters(2)
-    iv = integer_values(fp)
-    v = evaluate_basis(BasisIndex("scaling", 0, 5), iv, 6)
-    assert abs(v - iv.values[1]) < 1e-15
-    v = evaluate_basis(BasisIndex("scaling", 3, 0), iv, 0.125)
-    assert abs(v - 2.0**1.5 * iv.values[1]) < 1e-12
-
-
-def test_evaluate_basis_haar_wavelet():
-    fp = make_filters(1)
-    s1 = refine(integer_values(fp), 1, fp)
-    assert abs(evaluate_basis(BasisIndex("wavelet", 0, 0), s1, 0.25, fp) - 1) < 1e-12
-    assert abs(evaluate_basis(BasisIndex("wavelet", 0, 0), s1, 0.75, fp) + 1) < 1e-12
-
-
-def test_evaluate_basis_needs_resolution():
-    fp = make_filters(2)
-    iv = integer_values(fp)
-    with pytest.raises(InsufficientResolutionError):
-        evaluate_basis(BasisIndex("scaling", 0, 0), iv, 0.25)
 
 
 def test_wavelet_samples_haar():
