@@ -21,6 +21,7 @@ import sys
 import time
 
 import numpy as np
+import scipy.sparse
 
 from . import __version__
 from .connection import (
@@ -87,7 +88,8 @@ def _cached_tensor(kind: str, order: int, scale: int, cache: str):
     """Fetch a coefficient table through the on-disk cache.
 
     Cache key is (kind, order, scale, format-version); a hit is re-read
-    and re-validated, a miss is computed, stored, and returned.
+    and re-validated, a miss is computed, validated and stored by
+    save_tensor, and returned.
 
     The standalone invariants do not pin every entry of a four-point
     table (an edit to the central entry keeps it permutation symmetric),
@@ -389,13 +391,7 @@ def _cmd_flow(args):
             indent=2,
         ) + "\n"
     else:
-        dense = final.h_matrix
-        nz = [(r, c, dense[r, c])
-              for r in range(dense.shape[0])
-              for c in range(dense.shape[1]) if dense[r, c] != 0.0]
-        lines = [f"{dense.shape[0]} {len(nz)}"]
-        lines += [f"{r} {c} {_fmt(v)}" for r, c, v in nz]
-        text = "\n".join(lines) + "\n"
+        text = _matrix_coo_text(scipy.sparse.csr_matrix(final.h_matrix))
     return text, files, [args.input]
 
 

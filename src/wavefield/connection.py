@@ -14,7 +14,9 @@ normalization row.  A plain-quadrature oracle on refined dyadic samples
 provides the independent cross-check: oracle_deviation reports the raw
 level-L deviation, and for the rough low orders its Aitken-extrapolated
 form (extrapolated_oracle) reaches the accuracy that the plain sum at the
-same level cannot.
+same level cannot.  validate_tensor checks every kind against one
+permutation rule (D's evenness is its n -> -n case) and runs on write
+(save_tensor) as well as on read (load_tensor).
 
 Normalizations:
   D:        sum_n n^2 D_{0n} = -2   (twice-differentiated quadratic
@@ -243,6 +245,20 @@ def derivative_overlaps(fp: FilterPair) -> CoeffTensor:
     return _solved_table("derivative-D", fp.order)
 
 
+def _offset_cube(t: CoeffTensor, pad: int):
+    """t's entries on a zero-padded dense cube over offsets -reach..reach,
+    reach = 2 max|n| + pad: wide enough for every rebased permutation of
+    a full index tuple (pad 0) and every refinement-map child (pad taps-1).
+    Returns the offsets and values in entry order, the cube and reach."""
+    width = t.arity - 1
+    offs = np.array(list(t.entries), dtype=np.int64).reshape(-1, width)
+    vals = np.array(list(t.entries.values()), dtype=float)
+    reach = 2 * int(np.abs(offs).max(initial=0)) + pad
+    cube = np.zeros((2 * reach + 1,) * width)
+    cube[tuple((offs + reach).T)] = vals
+    return offs, vals, cube, reach
+
+
 def recursion_residual(t: CoeffTensor, fp: FilterPair) -> float:
     """Max deviation when the refinement map is applied to the table.
 
@@ -258,18 +274,10 @@ def recursion_residual(t: CoeffTensor, fp: FilterPair) -> float:
         raise ShapeError("tensor/filter order mismatch", tensor=t.order, filter=fp.order)
     if not t.entries:
         return 0.0
-    h = fp.h
-    taps = len(h)
-    m = t.arity
-    width = m - 1
-    offs = np.array(list(t.entries), dtype=np.int64).reshape(-1, width)
-    vals = np.array(list(t.entries.values()))
-    reach = 2 * int(np.abs(offs).max()) + taps - 1
-    side = 2 * reach + 1
-    cube = np.zeros((side,) * width)
-    cube[tuple((offs + reach).T)] = vals
+    h, taps, m = fp.h, len(fp.h), t.arity
+    offs, vals, cube, reach = _offset_cube(t, taps - 1)
     flat = cube.ravel()
-    strides = side ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    strides = cube.shape[0] ** np.arange(m - 2, -1, -1, dtype=np.int64)
     base = (2 * offs + reach) @ strides
     acc = np.zeros(len(vals))
     pref = 2.0 ** ((m - 2) / 2.0)
@@ -482,23 +490,14 @@ def resolve_d_exponent(fp: FilterPair, level: int = 12) -> dict:
     }
 
 
-def _perm_asymmetry(t: CoeffTensor) -> float:
-    """Max mismatch of entries under permutations of the full index tuple."""
-    worst = 0.0
-    m = t.arity
-    for tup, v in t.entries.items():
-        full = (0,) + tup
-        for perm in itertools.permutations(full):
-            rebased = tuple(perm[i] - perm[0] for i in range(1, m))
-            worst = max(worst, abs(v - t.entries.get(rebased, 0.0)))
-    return worst
-
-
 def validate_tensor(t: CoeffTensor, gamma3: CoeffTensor | None = None):
     """Re-check every intrinsic invariant; raises corrupt-table on failure.
 
-    The gamma-4 partition rule needs the matching gamma-3 table and is
-    checked only when one is supplied.
+    Every kind is invariant under the m! permutations of its full index
+    tuple (0, n2..nm), rebased to a leading 0, within 1e-12 times the
+    scale-0 -> t.scale factor; for D the one non-trivial permutation is
+    n -> -n, so evenness is this rule.  The gamma-4 partition rule needs
+    the matching gamma-3 table and is checked only when one is supplied.
     """
     radius = t.support_radius
     for tup in t.entries:
@@ -506,12 +505,17 @@ def validate_tensor(t: CoeffTensor, gamma3: CoeffTensor | None = None):
             raise CorruptTableError(
                 "offset outside support radius", offset=tup, radius=radius
             )
+    offs, vals, cube, reach = _offset_cube(t, 0)
+    full = np.hstack([np.zeros((len(offs), 1), dtype=np.int64), offs])
+    perms = full[:, list(itertools.permutations(range(t.arity)))]
+    rebased = perms[..., 1:] - perms[..., :1] + reach
+    worst = float(np.abs(vals[:, None] - cube[tuple(np.moveaxis(rebased, -1, 0))])
+                  .max(initial=0.0))
+    if worst > 1e-12 * _scale_factor(t, t.scale):
+        what = ("derivative table not even" if t.kind == "derivative-D"
+                else "table not permutation symmetric")
+        raise CorruptTableError(what, deviation=worst)
     if t.kind == "derivative-D":
-        worst = max(
-            abs(v - t.entries.get((-n,), 0.0)) for (n,), v in t.entries.items()
-        )
-        if worst > 1e-12:
-            raise CorruptTableError("derivative table not even", deviation=worst)
         total = sum(t.entries.values())
         if abs(total) > 1e-10 * _scale_factor(t, t.scale):
             raise CorruptTableError("derivative row sum nonzero", total=total)
@@ -521,24 +525,22 @@ def validate_tensor(t: CoeffTensor, gamma3: CoeffTensor | None = None):
             raise CorruptTableError(
                 "periodized derivative matrix not PSD", smallest_eigenvalue=low
             )
-        return
-    worst = _perm_asymmetry(t)
-    if worst > 1e-12 * _scale_factor(t, t.scale):
-        raise CorruptTableError("table not permutation symmetric", deviation=worst)
+    side = 2 * radius + 1
+    # bincount adds sequentially in entry order, like a sum over the dict
     if t.kind == "gamma-3" and t.scale == 0:
-        for n2 in range(-radius, radius + 1):
-            acc = sum(v for (a, b), v in t.entries.items() if a == n2)
-            target = 1.0 if n2 == 0 else 0.0
-            if abs(acc - target) > 1e-10:
-                raise CorruptTableError(
-                    "three-point sum rule violated", n2=n2, total=acc
-                )
+        totals = np.bincount(offs[:, 0] + radius, weights=vals, minlength=side)
+        bad = np.flatnonzero(np.abs(totals - (np.arange(side) == radius)) > 1e-10)
+        if bad.size:
+            raise CorruptTableError(
+                "three-point sum rule violated",
+                n2=int(bad[0]) - radius, total=float(totals[bad[0]]),
+            )
     if t.kind == "gamma-4" and gamma3 is not None and t.scale == 0:
-        worst = 0.0
-        pairs = {tup[:2] for tup in t.entries}
-        for pair in pairs:
-            acc = sum(v for tup, v in t.entries.items() if tup[:2] == pair)
-            worst = max(worst, abs(acc - gamma3.value(pair)))
+        pair = (offs[:, 0] + radius) * side + offs[:, 1] + radius
+        totals = np.bincount(pair, weights=vals, minlength=side * side)
+        keys, first = np.unique(pair, return_index=True)
+        ref = np.array([gamma3.value(p) for p in offs[first, :2].tolist()])
+        worst = float(np.abs(totals[keys] - ref).max(initial=0.0))
         if worst > 1e-10:
             raise CorruptTableError(
                 "four-point partition rule violated", deviation=worst
@@ -546,7 +548,8 @@ def validate_tensor(t: CoeffTensor, gamma3: CoeffTensor | None = None):
 
 
 def save_tensor(t: CoeffTensor, path):
-    """Versioned text table; written atomically (temp file + rename)."""
+    """Validate t, then write a versioned text table atomically (temp + rename)."""
+    validate_tensor(t)
     lines = [
         f"wavefield-tensor {FORMAT_VERSION}",
         f"kind {t.kind}",
@@ -640,16 +643,13 @@ def load_tensor(path) -> CoeffTensor:
 def wrap_matrix(t: CoeffTensor, n_modes: int) -> np.ndarray:
     """Periodize a two-factor table onto n_modes translations.
 
-    Offsets congruent mod n_modes alias onto the same entry, so the
-    result is a circulant matrix valid for any n_modes >= 1.
+    Offsets congruent mod n_modes alias onto the same entry
+    (wrap_tensor_dense), so the result is a circulant matrix valid for
+    any n_modes >= 1.
     """
     if t.arity != 2:
         raise ShapeError("wrap_matrix needs a two-factor table", kind=t.kind)
-    if n_modes < 1:
-        raise ShapeError("need at least one mode", n_modes=n_modes)
-    row = np.zeros(n_modes)
-    for (n,), v in t.entries.items():
-        row[n % n_modes] += v
+    row = wrap_tensor_dense(t, n_modes)
     i = np.arange(n_modes)
     return row[(i[None, :] - i[:, None]) % n_modes]
 

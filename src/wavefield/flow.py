@@ -24,6 +24,7 @@ import numpy as np
 from .connection import CoeffTensor, wrap_matrix, wrap_tensor_dense
 from .errors import ShapeError, StiffnessError
 from .filters import FilterPair
+from .transform import _step_indices
 
 __all__ = [
     "StageMatrix",
@@ -114,11 +115,11 @@ def stage_matrix(fp: FilterPair, n: int) -> StageMatrix:
     if n < 2 * fp.order or n % 2:
         raise ShapeError("stage needs even N >= 2K", n=n, order=fp.order)
     half = n // 2
+    rows = np.arange(half)[:, None]
+    cols = _step_indices(half, len(fp.h), n)
     w = np.zeros((n, n))
-    for m in range(half):
-        for l in range(len(fp.h)):
-            w[m, (2 * m + l) % n] += fp.h[l]
-            w[half + m, (2 * m + l) % n] += fp.g[l]
+    np.add.at(w, (rows, cols), fp.h)
+    np.add.at(w, (half + rows, cols), fp.g)
     return StageMatrix(n, w)
 
 

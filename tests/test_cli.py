@@ -171,6 +171,16 @@ def test_coeffs_symmetric_edit_caught(capsys, cachedir):
     assert err.startswith("corrupt-table:")
 
 
+def test_coeffs_refused_table_never_cached(capsys, cachedir):
+    # the K=10 D solve is even only to 1.0e-12, above the 1e-12 bound;
+    # save_tensor refuses it, so every run fails the same way
+    for _ in range(2):
+        rc, _, err = invoke(["coeffs", "--order", "10", "--kind", "d"], capsys)
+        assert rc == 1
+        assert err.startswith("corrupt-table:")
+    assert not list(cachedir.glob("d-K10-*.tbl"))
+
+
 def test_coeffs_verify_oracle(capsys, cachedir):
     rc, out, _ = invoke(
         ["coeffs", "--order", "3", "--kind", "gamma3",
@@ -442,6 +452,9 @@ PINNED = {
     "dwt": ["dwt", "--order", "2", "--levels", "2", "--input", "{vector}",
             "--direction", "forward"],
     "coeffs-table": ["coeffs", "--order", "3", "--kind", "gamma4"],
+    # the rescaled table's evenness bound scales with it (4^k for D)
+    "coeffs-d-scale2": ["coeffs", "--order", "4", "--kind", "d",
+                        "--scale", "2"],
     "coeffs-oracle-csv": ["coeffs", "--order", "3", "--kind", "d",
                           "--verify-oracle", "10"],
     "coeffs-oracle-json": ["coeffs", "--order", "3", "--kind", "d",

@@ -1,7 +1,10 @@
 import itertools
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavefield.connection import (
     CoeffTensor,
@@ -48,6 +51,27 @@ def residual_loop(t, fp):
                 acc += w * t.entries[child]
         worst = max(worst, abs(acc - v))
     return worst
+
+
+def perm_loop(t):
+    """Entry-by-entry permutation walk, the reference for validate_tensor's
+    permutation rule: max mismatch of each entry against its rebased
+    permutations of the full index tuple (0, n2..nm)."""
+    worst = 0.0
+    m = t.arity
+    for tup, v in t.entries.items():
+        full = (0,) + tup
+        for perm in itertools.permutations(full):
+            rebased = tuple(perm[i] - perm[0] for i in range(1, m))
+            worst = max(worst, abs(v - t.entries.get(rebased, 0.0)))
+    return worst
+
+
+def table(kind, K, k=0):
+    """Order-K table at scale k: D for kind "d", else Gamma-kind."""
+    fp = make_filters(K)
+    t = derivative_overlaps(fp) if kind == "d" else gamma_tensor(fp, kind)
+    return rescale_tensor(t, k)
 
 
 def shifted(t, offsets, delta):
@@ -387,6 +411,59 @@ def test_degenerate_map_is_rejected():
 
     with pytest.raises(DegenerateFixedPointError):
         _solve_bordered(np.eye(4), np.ones(4), 1.0, "synthetic")
+
+
+@pytest.mark.parametrize("kind,K,k,offsets", [
+    ("d", 3, 0, (2,)), ("d", 4, 2, (-1,)), (3, 2, 0, (1, 1)),
+    (3, 3, 1, (1, -1)), (4, 3, 0, (1, 0, -1)), (4, 2, 2, (2, 1, 0)),
+])
+def test_permutation_deviation_matches_loop_reference(kind, K, k, offsets):
+    # D's evenness is its permutation rule; the raised deviation is the
+    # dict walk's figure bit for bit
+    bad = shifted(table(kind, K, k), offsets, 1e-9)
+    with pytest.raises(CorruptTableError) as exc:
+        validate_tensor(bad)
+    assert exc.value.context["deviation"] == perm_loop(bad)
+
+
+def test_sum_rules_match_dict_sums():
+    # the fully symmetric central entry leaves the permutation rule intact,
+    # so the array-form sum rules report the dict sums they replaced
+    g3 = shifted(table(3, 3), (0, 0), 1e-9)
+    with pytest.raises(CorruptTableError, match="three-point") as exc:
+        validate_tensor(g3)
+    assert exc.value.context == {
+        "n2": 0, "total": sum(v for (a, _), v in g3.entries.items() if a == 0)}
+    g4 = shifted(table(4, 3), (0, 0, 0), 1e-9)
+    with pytest.raises(CorruptTableError, match="four-point") as exc:
+        validate_tensor(g4, table(3, 3))
+    worst = max(
+        abs(sum(v for tup, v in g4.entries.items() if tup[:2] == pair)
+            - table(3, 3).value(pair))
+        for pair in {tup[:2] for tup in g4.entries})
+    assert exc.value.context["deviation"] == worst
+
+
+def test_save_refuses_invalid_table(tmp_path):
+    bad = shifted(table("d", 3), (1,), 1e-9)
+    with pytest.raises(CorruptTableError):
+        save_tensor(bad, tmp_path / "d.tbl")
+    assert list(tmp_path.iterdir()) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind_order=st.sampled_from(
+    [("d", K) for K in (3, 4, 5)] + [(m, K) for m in (3, 4) for K in (2, 3, 4)]),
+    k=st.integers(0, 4))
+def test_save_load_round_trip_any_scale(kind_order, k):
+    # whatever save_tensor accepts, load_tensor reads back unchanged
+    t = table(*kind_order, k)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "t.tbl")
+        save_tensor(t, path)
+        back = load_tensor(path)
+    assert (back.kind, back.order, back.scale) == (t.kind, t.order, k)
+    assert back.entries == t.entries
 
 
 def test_validate_rejects_out_of_support():
