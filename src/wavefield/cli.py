@@ -62,6 +62,18 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
+def _csv(header: str, rows) -> str:
+    """CSV table: ints and strings through str, every other value through _fmt."""
+    lines = [header]
+    lines += [",".join(str(v) if isinstance(v, (int, str)) else _fmt(v)
+                       for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -126,14 +138,9 @@ def _cached_tensor(kind: str, order: int, scale: int, cache: str):
 def _cmd_filters(args):
     fp = make_filters(args.order)
     if args.format == "json":
-        text = json.dumps(
-            {"order": fp.order, "h": list(fp.h), "g": list(fp.g)}, indent=2
-        ) + "\n"
+        text = _json({"order": fp.order, "h": list(fp.h), "g": list(fp.g)})
     else:
-        lines = ["tap,h,g"]
-        for i in range(len(fp.h)):
-            lines.append(f"{i},{_fmt(fp.h[i])},{_fmt(fp.g[i])}")
-        text = "\n".join(lines) + "\n"
+        text = _csv("tap,h,g", zip(range(len(fp.h)), fp.h, fp.g))
     return text, {}, []
 
 
@@ -146,19 +153,14 @@ def _cmd_scalfun(args):
     )
     xs = samp.grid()
     if args.format == "json":
-        text = json.dumps(
-            {
-                "order": args.order,
-                "level": args.level,
-                "derivative": bool(args.derivative),
-                "rows": [[float(x), float(v)] for x, v in zip(xs, samp.values)],
-            },
-            indent=2,
-        ) + "\n"
+        text = _json({
+            "order": args.order,
+            "level": args.level,
+            "derivative": bool(args.derivative),
+            "rows": [[float(x), float(v)] for x, v in zip(xs, samp.values)],
+        })
     else:
-        lines = ["x,value"]
-        lines += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, samp.values)]
-        text = "\n".join(lines) + "\n"
+        text = _csv("x,value", zip(xs, samp.values))
     return text, {}, []
 
 
@@ -237,19 +239,16 @@ def _cmd_dwt(args):
         vals = _parse_plain_values(text_in, args.input)
         pyr = multilevel(CoeffVector(0, vals), fp, args.levels, "forward")
         if args.format == "json":
-            out = json.dumps(
-                {
-                    "order": args.order,
-                    "levels": pyr.levels,
-                    "coarse": {"scale": pyr.coarse.scale,
-                               "values": list(map(float, pyr.coarse.values))},
-                    "details": [
-                        {"scale": d.scale, "values": list(map(float, d.values))}
-                        for d in pyr.details
-                    ],
-                },
-                indent=2,
-            ) + "\n"
+            out = _json({
+                "order": args.order,
+                "levels": pyr.levels,
+                "coarse": {"scale": pyr.coarse.scale,
+                           "values": list(map(float, pyr.coarse.values))},
+                "details": [
+                    {"scale": d.scale, "values": list(map(float, d.values))}
+                    for d in pyr.details
+                ],
+            })
         else:
             out = _serialize_pyramid(pyr, args.order)
     else:
@@ -262,11 +261,8 @@ def _cmd_dwt(args):
             )
         vec = multilevel(pyr, fp, args.levels, "inverse")
         if args.format == "json":
-            out = json.dumps(
-                {"order": args.order, "scale": vec.scale,
-                 "values": list(map(float, vec.values))},
-                indent=2,
-            ) + "\n"
+            out = _json({"order": args.order, "scale": vec.scale,
+                         "values": list(map(float, vec.values))})
         else:
             out = "\n".join(_fmt(v) for v in vec.values) + "\n"
     return out, {}, [args.input]
@@ -281,14 +277,12 @@ def _cmd_coeffs(args):
         level = args.verify_oracle
         dev = oracle_deviation(t, make_filters(args.order), level)
         if args.format == "json":
-            text = json.dumps(
-                {"kind": args.kind, "order": args.order, "scale": args.scale,
-                 "level": level, "max_oracle_deviation": dev},
-                indent=2,
-            ) + "\n"
+            text = _json({"kind": args.kind, "order": args.order,
+                          "scale": args.scale, "level": level,
+                          "max_oracle_deviation": dev})
         else:
-            text = ("kind,order,scale,level,max_oracle_deviation\n"
-                    f"{args.kind},{args.order},{args.scale},{level},{_fmt(dev)}\n")
+            text = _csv("kind,order,scale,level,max_oracle_deviation",
+                        [(args.kind, args.order, args.scale, level, dev)])
         return text, {}, []
     # without verification the table itself is the output, in its
     # canonical container format
@@ -317,18 +311,14 @@ def _cmd_hamiltonian(args):
     op = build_phi4_hamiltonian(cfg, params, d_t, g4_t, basis)
     pairs = lanczos_lowest(op, args.eigs)
     if args.format == "json":
-        text = json.dumps(
-            {
-                "dimension": basis.dimension,
-                "eigenvalues": [e for e, _ in pairs],
-                "residuals": [r for _, r in pairs],
-            },
-            indent=2,
-        ) + "\n"
+        text = _json({
+            "dimension": basis.dimension,
+            "eigenvalues": [e for e, _ in pairs],
+            "residuals": [r for _, r in pairs],
+        })
     else:
-        lines = ["index,eigenvalue,residual"]
-        lines += [f"{i},{_fmt(e)},{_fmt(r)}" for i, (e, r) in enumerate(pairs)]
-        text = "\n".join(lines) + "\n"
+        text = _csv("index,eigenvalue,residual",
+                    ((i, e, r) for i, (e, r) in enumerate(pairs)))
     files = {}
     if args.dump_matrix:
         files[args.dump_matrix] = _matrix_coo_text(op.matrix)
@@ -376,20 +366,16 @@ def _cmd_flow(args):
     final, trajectory, report = srg_flow(state, args.lambda_end)
     files = {}
     if args.log:
-        rows = ["lambda,offdiag_frobenius,max_eigen_drift"]
-        rows += [f"{_fmt(l)},{_fmt(o)},{_fmt(d)}" for l, o, d in trajectory]
-        files[args.log] = "\n".join(rows) + "\n"
+        files[args.log] = _csv("lambda,offdiag_frobenius,max_eigen_drift",
+                               trajectory)
     if args.format == "json":
-        text = json.dumps(
-            {
-                "lambda": final.lam,
-                "generator": genspec,
-                "accepted_steps": report["accepted"],
-                "sign_convention_flipped": report["sign_convention_flipped"],
-                "matrix": [[float(v) for v in row] for row in final.h_matrix],
-            },
-            indent=2,
-        ) + "\n"
+        text = _json({
+            "lambda": final.lam,
+            "generator": genspec,
+            "accepted_steps": report["accepted"],
+            "sign_convention_flipped": report["sign_convention_flipped"],
+            "matrix": [[float(v) for v in row] for row in final.h_matrix],
+        })
     else:
         text = _matrix_coo_text(scipy.sparse.csr_matrix(final.h_matrix))
     return text, files, [args.input]
@@ -435,19 +421,14 @@ def _cmd_diagnose(args):
             scale=args.scale,
         )
     if args.format == "json":
-        text = json.dumps(
-            {
-                "order": args.order,
-                "probe": args.probe,
-                "function": getattr(fn, "label", None),
-                "rows": [[k, v] for k, v in rows],
-            },
-            indent=2,
-        ) + "\n"
+        text = _json({
+            "order": args.order,
+            "probe": args.probe,
+            "function": getattr(fn, "label", None),
+            "rows": [[k, v] for k, v in rows],
+        })
     else:
-        lines = ["k,value"]
-        lines += [f"{k},{_fmt(v)}" for k, v in rows]
-        text = "\n".join(lines) + "\n"
+        text = _csv("k,value", rows)
     return text, {}, []
 
 
@@ -553,8 +534,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
-    if isinstance(getattr(args, "function", None), str):
-        args.function = _parse_probe_function(args.function)
     t0 = time.perf_counter()
     try:
         primary, extra_files, input_paths = args.func(args)
@@ -603,3 +582,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

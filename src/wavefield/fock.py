@@ -245,20 +245,20 @@ def _quartic_terms(t_dense, coupling, gamma, modes, terms):
     return terms
 
 
-def _dedup(rows, cols, vals, dim):
-    """Sum duplicate triplets with a stable ordering (mergesort lexsort),
-    so mirrored triplet lists reduce to bit-identical sums."""
-    if len(rows) == 0:
-        return rows, cols, vals
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals)
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    keys = rows * dim + cols
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    sums = np.add.reduceat(vals, starts)
-    return rows[starts], cols[starts], sums
+def _dedup(pos, vals, dim):
+    """Sum the values at equal flat positions row * dim + col: the
+    assembler's one sort.
+
+    The sort is stable, so each sum adds its entries in input order,
+    which fixes every matrix value bit for bit.  Returns (rows, cols,
+    sums) in (row, col) order."""
+    if len(pos) == 0:
+        return pos, pos, vals
+    order = np.argsort(pos, kind="stable")
+    pos, vals = pos[order], vals[order]
+    starts = np.flatnonzero(np.r_[True, pos[1:] != pos[:-1]])
+    pos = pos[starts]
+    return pos // dim, pos % dim, np.add.reduceat(vals, starts)
 
 
 def build_phi4_hamiltonian(cfg: LatticeConfig, p: ModelParams, d_tensor: CoeffTensor,
@@ -285,35 +285,23 @@ def build_phi4_hamiltonian(cfg: LatticeConfig, p: ModelParams, d_tensor: CoeffTe
         t_dense = wrap_tensor_dense(g4_tensor, n_modes)
         terms = _quartic_terms(t_dense, p.coupling, p.gamma, n_modes, terms)
 
+    # A key and its conjugate collect the same weights in the same order,
+    # so their coefficients are bitwise equal and the key <= conj pass
+    # covers both; only creators == annihilators lands on the diagonal.
     dim = basis.dimension
-    rows_d, cols_d, vals_d = [], [], []  # diagonal-shift terms
-    rows_o, cols_o, vals_o = [], [], []  # strictly one triangle
+    parts = []
     for key, coeff in terms.items():
-        conj = (key[1], key[0])
-        if key > conj:
-            continue  # the conjugate pass covers it with the same amplitude
-        if coeff == 0.0 and terms.get(conj, 0.0) == 0.0:
+        if key > (key[1], key[0]) or coeff == 0.0:
             continue
         src, tgt, amp = _apply_term(basis, key[0], key[1])
-        if len(src) == 0:
-            continue
-        if key == conj:
-            rows_d.append(tgt)
-            cols_d.append(src)
-            vals_d.append(coeff * amp)
-        else:
-            rows_o.append(tgt)
-            cols_o.append(src)
-            vals_o.append(coeff * amp)
-
-    def cat(parts):
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-    rd, cd, vd = _dedup(cat(rows_d), cat(cols_d), cat(vals_d), dim)
-    ro, co, vo = _dedup(cat(rows_o), cat(cols_o), cat(vals_o), dim)
-    rows = np.concatenate([rd, ro, co])
-    cols = np.concatenate([cd, co, ro])
-    vals = np.concatenate([vd, vo, vo])
+        parts.append((tgt * dim + src, coeff * amp))
+    pos, vals = map(np.concatenate, zip(*parts))
+    del parts  # free the per-term arrays before the sort: lower peak memory
+    r, c, v = _dedup(pos, vals, dim)
+    off = r != c
+    rows = np.concatenate([r, c[off]])
+    cols = np.concatenate([c, r[off]])
+    vals = np.concatenate([v, v[off]])
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
     return FockOperator(basis, mat)
 

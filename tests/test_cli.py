@@ -1,8 +1,9 @@
 """End-to-end checks of the command line driver.
 
 Handlers run in-process through run(argv) so these stay fast; one
-subprocess test confirms the installed entry point wiring, and another
-runs the entry point that pyproject.toml declares without an install.
+subprocess test confirms the installed entry point wiring, and others
+run the entry point that pyproject.toml declares and
+`python -m wavefield.cli` without an install.
 """
 
 import importlib
@@ -17,6 +18,7 @@ import sys
 import numpy as np
 import pytest
 
+import wavefield
 from wavefield.cli import run
 
 
@@ -366,6 +368,42 @@ def test_diagnose_bad_function_usage_error(capsys, cachedir):
     assert rc == 2
 
 
+# ------------------------------------------------------------- csv vs json
+
+def csv_numbers(text):
+    return [[float(v) for v in ln.split(",")] for ln in text.splitlines()[1:]]
+
+
+def test_json_numbers_equal_csv(capsys, cachedir):
+    # both formats print the same float64 values, exactly
+    def both(argv):
+        docs = []
+        for fmt in ("csv", "json"):
+            rc, out, _ = invoke(argv + ["--format", fmt], capsys)
+            assert rc == 0
+            docs.append(out)
+        return csv_numbers(docs[0]), json.loads(docs[1])
+
+    for extra in ([], ["--derivative"]):
+        rows, doc = both(["scalfun", "--order", "3", "--level", "4"] + extra)
+        assert doc["derivative"] == bool(extra)
+        assert rows == doc["rows"]
+
+    rows, doc = both(["hamiltonian", "--order", "3", "--modes", "2",
+                      "--nmax", "4", "--mass2", "1.0", "--lambda", "0.3",
+                      "--eigs", "3"])
+    assert doc["dimension"] == 25
+    assert [r[0] for r in rows] == [0, 1, 2]
+    assert [r[1] for r in rows] == doc["eigenvalues"]
+    assert [r[2] for r in rows] == doc["residuals"]
+
+    for probe in ("partition", "projection", "commutator"):
+        rows, doc = both(["diagnose", "--order", "3", "--scale", "3",
+                          "--probe", probe])
+        assert doc["probe"] == probe and doc["function"] == "gauss:12.0,1.0"
+        assert rows and rows == doc["rows"]
+
+
 # ------------------------------------------------------------- plumbing
 
 def test_usage_errors_exit_two(capsys, cachedir):
@@ -449,6 +487,8 @@ def cold_and_warm_bytes(argv, tmp_path):
 PINNED = {
     "filters": ["filters", "--order", "3"],
     "scalfun": ["scalfun", "--order", "3", "--level", "5"],
+    "scalfun-json": ["scalfun", "--order", "3", "--level", "5",
+                     "--derivative", "--format", "json"],
     "dwt": ["dwt", "--order", "2", "--levels", "2", "--input", "{vector}",
             "--direction", "forward"],
     "coeffs-table": ["coeffs", "--order", "3", "--kind", "gamma4"],
@@ -463,6 +503,8 @@ PINNED = {
              "--lambda-end", "0.5"],
     "diagnose": ["diagnose", "--order", "3", "--scale", "2",
                  "--probe", "partition"],
+    "diagnose-json": ["diagnose", "--order", "3", "--scale", "3",
+                      "--probe", "projection", "--format", "json"],
 }
 
 
@@ -491,6 +533,19 @@ def test_entry_point_version():
     assert proc.stdout.strip() == "0.1.0"
 
 
+def src_env():
+    src_dir = pathlib.Path(wavefield.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=str(src_dir))
+
+
+def test_module_runs_as_script(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "wavefield.cli", "filters", "--order", "2"],
+        capture_output=True, text=True, cwd=tmp_path, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "tap,h,g"
+
+
 def test_declared_entry_point_version():
     tomllib = pytest.importorskip("tomllib")
     pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -498,12 +553,10 @@ def test_declared_entry_point_version():
         target = tomllib.load(fh)["project"]["scripts"]["wavefield"]
     module, func = target.split(":")
     assert callable(getattr(importlib.import_module(module), func))
-    package = importlib.import_module(module.split(".")[0])
-    src_dir = pathlib.Path(package.__file__).resolve().parents[1]
     code = ("import importlib, sys; sys.argv = ['wavefield', '--version']; "
             f"sys.exit(importlib.import_module({module!r}).{func}())")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(src_dir)))
+                          env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0.1.0"

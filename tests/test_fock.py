@@ -1,7 +1,17 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from wavefield.connection import derivative_overlaps, gamma_tensor, rescale_tensor
+from wavefield.connection import (
+    derivative_overlaps,
+    gamma_tensor,
+    rescale_tensor,
+    wrap_matrix,
+    wrap_tensor_dense,
+)
 from wavefield.errors import (
     ConvergenceFailureError,
     IndexRangeError,
@@ -22,6 +32,7 @@ from wavefield.fock import (
     lanczos_lowest,
     mode_operator,
 )
+from wavefield.fock import _apply_term, _quadratic_terms, _quartic_terms
 
 FP3 = make_filters(3)
 D3 = derivative_overlaps(FP3)
@@ -30,6 +41,63 @@ G43 = gamma_tensor(FP3, 4)
 
 def dense(op):
     return op.matrix.toarray()
+
+
+def model_terms(cfg, p, d_tensor, g4_tensor):
+    terms = _quadratic_terms(wrap_matrix(d_tensor, cfg.modes), p.mass_squared,
+                             p.gamma, cfg.modes)
+    if p.coupling != 0.0:
+        terms = _quartic_terms(wrap_tensor_dense(g4_tensor, cfg.modes),
+                               p.coupling, p.gamma, cfg.modes, terms)
+    return terms
+
+
+def assemble_reference(cfg, p, d_tensor, g4_tensor, basis):
+    """Two-list triplet assembly, the reference for build_phi4_hamiltonian:
+    diagonal-shift and off-diagonal terms are summed by separate stable
+    sorts, then the off-diagonal sums are mirrored."""
+
+    def dedup(rows, cols, vals):
+        if len(rows) == 0:
+            return rows, cols, vals
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        keys = rows * basis.dimension + cols
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        return rows[starts], cols[starts], np.add.reduceat(vals, starts)
+
+    terms = model_terms(cfg, p, d_tensor, g4_tensor)
+    diag, off = ([], [], []), ([], [], [])
+    for key, coeff in terms.items():
+        conj = (key[1], key[0])
+        if key > conj:
+            continue
+        if coeff == 0.0 and terms.get(conj, 0.0) == 0.0:
+            continue
+        src, tgt, amp = _apply_term(basis, key[0], key[1])
+        if len(src) == 0:
+            continue
+        for part, x in zip(diag if key == conj else off, (tgt, src, coeff * amp)):
+            part.append(x)
+
+    def cat(parts):
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+    rd, cd, vd = dedup(*map(cat, diag))
+    ro, co, vo = dedup(*map(cat, off))
+    dim = basis.dimension
+    return sp.coo_matrix(
+        (np.concatenate([vd, vo, vo]),
+         (np.concatenate([rd, ro, co]), np.concatenate([cd, co, ro]))),
+        shape=(dim, dim),
+    ).tocsr()
+
+
+@lru_cache(maxsize=None)
+def scaled_tables(K, k):
+    fp = make_filters(K)
+    return (rescale_tensor(derivative_overlaps(fp), k),
+            rescale_tensor(gamma_tensor(fp, 4), k))
 
 
 def test_basis_enumeration_mode0_fastest():
@@ -276,3 +344,26 @@ def test_parity_and_block_diagnostics():
         LatticeConfig(3, 0, 2), ModelParams(1.0, 0.3, 1.2), D3, G43, FockBasis(2, 4)
     )
     assert block_leakage_counts(h2)["parity_violations"] == 0
+
+
+def bits(a):
+    return np.asarray(a).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(K=st.sampled_from((3, 4)), k=st.integers(0, 1), modes=st.integers(1, 4),
+       nmax=st.integers(1, 3), mass2=st.sampled_from((0.5, 1.0, 2.0)),
+       lam=st.sampled_from((0.0, 0.3)))
+def test_assembly_bitwise_matches_two_list_reference(K, k, modes, nmax, mass2, lam):
+    cfg = LatticeConfig(K, k, modes)
+    p = ModelParams(mass2, lam)
+    d_t, g4_t = scaled_tables(K, k)
+    basis = FockBasis(modes, nmax)
+    got = build_phi4_hamiltonian(cfg, p, d_t, g4_t, basis).matrix
+    ref = assemble_reference(cfg, p, d_t, g4_t, basis)
+    for attr in ("data", "indices", "indptr"):
+        assert bits(getattr(got, attr)) == bits(getattr(ref, attr))
+    # a key and its conjugate collect the same weights in the same order
+    terms = model_terms(cfg, p, d_t, g4_t)
+    for (cr, an), coeff in terms.items():
+        assert bits(terms[(an, cr)]) == bits(coeff)
