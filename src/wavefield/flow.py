@@ -130,6 +130,14 @@ def split_tensors(d_fine: CoeffTensor | None, g4_fine: CoeffTensor,
     d_fine may be None (order 1 has no derivative table); the quadratic
     blocks are then omitted.  Both tensors must be wrapped on n modes at
     the same fine scale.
+
+    The quartic blocks use the stage's shift-by-two symmetry: row a+1 of
+    W is row a rolled by two fine sites and the periodic tensor is
+    invariant under a joint shift of its indices, so every block obeys
+    T[a+1, b+1, c+1, d+1] = T[a, b, c, d] (mod N/2).  Only the a = 0
+    slab is contracted, against the (N)^3 wrapped cube; the block is its
+    cyclic expansion.  Memory is O(N^3) plus the five (N/2)^4 blocks; the
+    periodic N^4 tensor is never formed.
     """
     stage = stage_matrix(fp, n)
     half = n // 2
@@ -154,21 +162,24 @@ def split_tensors(d_fine: CoeffTensor | None, g4_fine: CoeffTensor,
         ss, sw = t[:half, :half], t[:half, half:]
         ws, ww = t[half:, :half], t[half:, half:]
 
+    # The a = 0 slab: row 0 has taps only at columns 0..2K-1 and the
+    # periodic tensor is full[i, j, k, l] = dense[j-i, k-i, l-i], so
+    # T[0, b, c, d] = sum_tap w0[tap] (rows x rows x rows) . roll(dense, tap):
+    # the tap sum folds into one weighted cube per kind of first row.
     dense = wrap_tensor_dense(g4_fine, n)
-    i = np.arange(n)
-    full = dense[
-        (i[None, :, None, None] - i[:, None, None, None]) % n,
-        (i[None, None, :, None] - i[:, None, None, None]) % n,
-        (i[None, None, None, :] - i[:, None, None, None]) % n,
-    ]
     rows = {"s": stage.coarse_rows, "w": stage.detail_rows}
+    cubes = {p: sum(r[0, tap] * np.roll(dense, tap, axis=(0, 1, 2))
+                    for tap in range(2 * fp.order))
+             for p, r in rows.items()}
+    a = np.arange(half)
+    shift = ((a[None, :] - a[:, None]) % half)[:, :, None, None]
     quartic = {}
     for pat in _PATTERNS4:
-        quartic[pat] = np.einsum(
-            "ai,bj,ck,dl,ijkl->abcd",
-            rows[pat[0]], rows[pat[1]], rows[pat[2]], rows[pat[3]], full,
-            optimize=True,
-        )
+        slab = np.einsum("bp,cq,dr,pqr->bcd", *(rows[p] for p in pat[1:]),
+                         cubes[pat[0]], optimize=True)
+        # T[a, b, c, d] = T[0, b-a, c-a, d-a] (mod N/2)
+        quartic[pat] = slab[shift, np.swapaxes(shift, 1, 2),
+                            np.swapaxes(shift, 1, 3)]
     return SplitTensors(fp.order, scale, n, ss, sw, ws, ww, quartic)
 
 

@@ -1,7 +1,11 @@
 """Stage matrices, two-scale tensor splitting, and the SRG integrator."""
 
+import tracemalloc
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavefield.connection import (
     derivative_overlaps,
@@ -32,6 +36,33 @@ def dense_wrap4(t, n):
         (i[None, None, :, None] - i[:, None, None, None]) % n,
         (i[None, None, None, :] - i[:, None, None, None]) % n,
     ]
+
+
+def split_reference(d_fine, g4_fine, fp, n):
+    """Oracle for split_tensors: congruence for D, and one W row per index
+    contracted against the whole periodic n^4 four-point tensor, with no
+    use of the shift-by-two symmetry."""
+    w = stage_matrix(fp, n).matrix
+    half = n // 2
+    quad = None
+    if d_fine is not None:
+        t = w @ wrap_matrix(d_fine, n) @ w.T
+        quad = (t[:half, :half], t[:half, half:], t[half:, :half], t[half:, half:])
+    full = dense_wrap4(g4_fine, n)
+    rows = {"s": w[:half], "w": w[half:]}
+    quartic = {
+        pat: np.einsum("ai,bj,ck,dl,ijkl->abcd",
+                       *(rows[p] for p in pat), full, optimize=True)
+        for pat in ("ssss", "sssw", "ssww", "swww", "wwww")
+    }
+    return quad, quartic
+
+
+@lru_cache(maxsize=None)
+def scaled_tables(order, k):
+    fp = make_filters(order)
+    d = rescale_tensor(derivative_overlaps(fp), k) if order >= 3 else None
+    return d, rescale_tensor(gamma_tensor(fp, 4), k)
 
 
 class TestStageMatrix:
@@ -67,6 +98,18 @@ class TestStageMatrix:
             stage_matrix(fp, 7)
         with pytest.raises(ShapeError):
             stage_matrix(fp, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.integers(1, 6), data=st.data())
+def test_stage_orthogonal_and_shift_by_two(order, data):
+    # split_tensors relies on this: one stage commutes with a two-site shift
+    n = data.draw(st.sampled_from(range(2 * order, 41, 2)), label="n")
+    stage = stage_matrix(make_filters(order), n)
+    w = stage.matrix
+    assert np.abs(w @ w.T - np.eye(n)).max() < 1e-14
+    for block in (stage.coarse_rows, stage.detail_rows):
+        assert np.array_equal(block[1:], np.roll(block[:-1], 2, axis=1))
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +167,43 @@ class TestSplitTensors:
             split_tensors(d1, rescale_tensor(gamma_tensor(fp3, 4), 2), fp3, 16)
         with pytest.raises(ShapeError):
             split_tensors(d1, g41, fp3, 15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(order=st.integers(1, 4), k=st.integers(0, 1), with_d=st.booleans(),
+       data=st.data())
+def test_split_matches_full_tensor_reference(order, k, with_d, data):
+    n = data.draw(st.sampled_from(range(2 * order, 25, 2)), label="n")
+    fp = make_filters(order)
+    d, g4 = scaled_tables(order, k)
+    if not with_d:
+        d = None
+    sp = split_tensors(d, g4, fp, n)
+    quad, quartic = split_reference(d, g4, fp, n)
+    if d is None:
+        assert sp.ss is None and sp.ww is None
+    else:
+        for got, ref in zip((sp.ss, sp.sw, sp.ws, sp.ww), quad):
+            assert np.array_equal(got, ref)
+    assert sorted(sp.quartic) == sorted(quartic)
+    for pat, ref in quartic.items():
+        bound = 1e-14 * max(1.0, np.abs(ref).max())
+        assert np.abs(sp.quartic[pat] - ref).max() <= bound, pat
+
+
+def test_split_memory_stays_near_its_output():
+    # no n^4 array: the transient peak stays within a quarter of the blocks
+    fp = make_filters(3)
+    d, g4 = scaled_tables(3, 1)
+    tracemalloc.start()
+    try:
+        sp = split_tensors(d, g4, fp, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = sum(b.nbytes for b in (sp.ss, sp.sw, sp.ws, sp.ww))
+    out += sum(b.nbytes for b in sp.quartic.values())
+    assert peak <= 1.25 * out, (peak, out)
 
 
 class TestFlowState:

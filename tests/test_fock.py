@@ -309,6 +309,21 @@ def test_lanczos_unreachable_tolerance():
         lanczos_lowest(h, 2, tol=1e-30)
 
 
+def test_lanczos_arpack_no_convergence(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def stalled(*args, **kwargs):
+        raise spla.ArpackNoConvergence("stalled", np.array([0.5]), np.zeros((200, 1)))
+
+    monkeypatch.setattr(spla, "eigsh", stalled)
+    op = FockOperator(FockBasis(1, 199), sp.csr_matrix(np.diag(np.arange(200.0))))
+    assert op.matrix.shape[0] > 128  # iterative path
+    with pytest.raises(ConvergenceFailureError) as exc:
+        lanczos_lowest(op, 3)
+    assert exc.value.eigenvalues == [0.5]
+    assert exc.value.context == {"count": 3}
+
+
 def test_ground_energy_variational_in_cutoff():
     cfg = LatticeConfig(3, 0, 2)
     p = ModelParams(1.0, 0.1, 1.0)

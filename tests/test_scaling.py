@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from wavefield.errors import (
+    DegenerateRefinementError,
     InsufficientVanishingMomentsError,
     NonDifferentiableOrderError,
 )
 from wavefield.filters import make_filters
 from wavefield.scaling import (
+    _eigenvector,
     derivative_samples,
     derivative_values,
     integer_values,
@@ -35,6 +37,15 @@ def test_k2_integer_values_closed_form():
     assert abs(iv.values[1] - (1 + SQ3) / 2) < 1e-12
     assert abs(iv.values[2] - (1 - SQ3) / 2) < 1e-12
     assert iv.values[0] == 0.0 and iv.values[3] == 0.0
+
+
+@pytest.mark.parametrize("taps,count", [
+    (np.zeros(4), 0),  # no eigenvalue 1 at all
+    (np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0), 2),  # M = I: a double one
+])
+def test_refinement_without_simple_eigenvalue(taps, count):
+    with pytest.raises(DegenerateRefinementError, match=f"multiplicity {count}"):
+        _eigenvector(taps, 2, 1.0)
 
 
 def test_k3_integer_sum_is_one():
