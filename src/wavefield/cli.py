@@ -117,6 +117,7 @@ def _cached_tensor(kind: str, order: int, scale: int, cache: str):
             validate_tensor(t, load_tensor(partner))
         return t, path
     fp = make_filters(order)
+    g3 = None
     if kind == "d":
         t = derivative_overlaps(fp)
     elif kind == "gamma3":
@@ -124,12 +125,13 @@ def _cached_tensor(kind: str, order: int, scale: int, cache: str):
     else:
         t = gamma_tensor(fp, 4)
         g3 = gamma_tensor(fp, 3)
-        validate_tensor(t, g3)
-        if not os.path.exists(partner):
-            save_tensor(g3, partner)
     if scale:
+        if g3 is not None:
+            validate_tensor(t, g3)  # the partition rule reads scale-0 tables
         t = rescale_tensor(t, scale)
-    save_tensor(t, path)
+    save_tensor(t, path, g3)
+    if g3 is not None and not os.path.exists(partner):
+        save_tensor(g3, partner)
     return t, path
 
 

@@ -547,9 +547,13 @@ def validate_tensor(t: CoeffTensor, gamma3: CoeffTensor | None = None):
             )
 
 
-def save_tensor(t: CoeffTensor, path):
-    """Validate t, then write a versioned text table atomically (temp + rename)."""
-    validate_tensor(t)
+def save_tensor(t: CoeffTensor, path, gamma3: CoeffTensor | None = None):
+    """Validate t, then write a versioned text table atomically (temp + rename).
+
+    gamma3 is passed on to validate_tensor, which then also checks a
+    scale-0 gamma-4 table against the four-point partition rule.
+    """
+    validate_tensor(t, gamma3)
     lines = [
         f"wavefield-tensor {FORMAT_VERSION}",
         f"kind {t.kind}",

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import wavefield
+from wavefield import cli, connection
 from wavefield.cli import run
 
 
@@ -171,6 +172,46 @@ def test_coeffs_symmetric_edit_caught(capsys, cachedir):
     rc, _, err = invoke(["coeffs", "--order", "3", "--kind", "gamma4"], capsys)
     assert rc == 1
     assert err.startswith("corrupt-table:")
+
+
+def test_cold_gamma4_validated_once(cachedir, monkeypatch):
+    # a cold scale-0 miss checks the table, partition rule included, only
+    # inside save_tensor; at scale 1 the rule runs on the scale-0 table
+    seen = []
+    real = connection.validate_tensor
+
+    def counting(t, gamma3=None):
+        seen.append((t.kind, t.scale, gamma3 is not None))
+        return real(t, gamma3)
+
+    monkeypatch.setattr(connection, "validate_tensor", counting)
+    monkeypatch.setattr(cli, "validate_tensor", counting)
+    for scale in (0, 1):
+        seen.clear()
+        assert run(["coeffs", "--order", "3", "--kind", "gamma4", "--scale",
+                    str(scale), "--output", "/dev/null"]) == 0
+        g4 = [call for call in seen if call[0] == "gamma-4"]
+        assert g4 == [("gamma-4", 0, True)] + [("gamma-4", 1, True)] * scale
+
+
+@pytest.mark.parametrize("scale", [0, 1])
+def test_cold_gamma4_partition_rule_refuses(capsys, cachedir, monkeypatch, scale):
+    # (0,0,0) keeps permutation symmetry, so only the partition rule sees it
+    real = cli.gamma_tensor
+
+    def tampered(fp, m):
+        t = real(fp, m)
+        if m == 4:
+            t = connection.CoeffTensor(t.kind, t.order, t.scale,
+                                       {**t.entries, (0, 0, 0): 9.9})
+        return t
+
+    monkeypatch.setattr(cli, "gamma_tensor", tampered)
+    rc, _, err = invoke(["coeffs", "--order", "3", "--kind", "gamma4",
+                         "--scale", str(scale)], capsys)
+    assert rc == 1
+    assert err.startswith("corrupt-table:")
+    assert not list(cachedir.glob("gamma4-*.tbl"))
 
 
 def test_coeffs_refused_table_never_cached(capsys, cachedir):

@@ -19,6 +19,7 @@ from wavefield.filters import make_filters
 from wavefield.flow import (
     FlowState,
     StepControl,
+    _wegner_rhs,
     coupling_matrix,
     split_tensors,
     srg_flow,
@@ -56,6 +57,26 @@ def split_reference(d_fine, g4_fine, fp, n):
         for pat in ("ssss", "sssw", "ssww", "swww", "wwww")
     }
     return quad, quartic
+
+
+def rhs_reference(h, spec, partition):
+    """Oracle for the flow's right-hand side: the Wegner generator G(H)
+    built as a dense matrix and [H, [H, G]] from four n x n products,
+    with no use of the structure of G."""
+    if spec == "wegner-diagonal":
+        g = np.diag(np.diag(h))
+    else:
+        g = np.zeros_like(h)
+        p = partition
+        g[:p, :p] = h[:p, :p]
+        g[p:, p:] = h[p:, p:]
+    c = h @ g - g @ h
+    return h @ c - c @ h
+
+
+def random_symmetric(seed, n, scale=1.0):
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    return 0.5 * scale * (a + a.T)
 
 
 @lru_cache(maxsize=None)
@@ -301,6 +322,51 @@ class TestSrgFlow:
         h0 = 0.5 * (a + a.T)
         with pytest.raises(StiffnessError):
             srg_flow(FlowState(0.0, h0), 50.0, StepControl(max_steps=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from((1e-3, 1.0, 3.0)))
+def test_structured_rhs_matches_four_product_reference(n, seed, scale):
+    h = random_symmetric(seed, n, scale)
+    bound = 1e-13 * max(1.0, np.linalg.norm(h)) ** 2
+    cases = [("wegner-diagonal", None)]
+    cases += [("wegner-block", p) for p in range(1, n)]
+    for spec, part in cases:
+        got = _wegner_rhs(h, spec, part)
+        assert np.abs(got - rhs_reference(h, spec, part)).max() <= bound, part
+        assert np.array_equal(got, got.T), part
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 10), seed=st.integers(0, 2**32 - 1),
+       lam=st.floats(0.01, 0.3), block=st.booleans(), data=st.data())
+def test_flow_conserves_spectrum_trace_and_norm(n, seed, lam, block, data):
+    h0 = random_symmetric(seed, n)
+    if block:
+        spec, part = "wegner-block", data.draw(st.integers(1, n - 1), label="partition")
+    else:
+        spec, part = "wegner-diagonal", None
+    # about 20x the most attempts these flows need: an error estimate that
+    # is not of fifth order shrinks the steps until the budget runs out
+    ctl = StepControl(max_steps=10000)
+    h1 = srg_flow(FlowState(0.0, h0, spec, part), lam, ctl)[0].h_matrix
+    bound = 1e-12 * max(1.0, np.linalg.norm(h0))
+    assert np.abs(np.linalg.eigvalsh(h1) - np.linalg.eigvalsh(h0)).max() <= bound
+    assert abs(np.trace(h1) - np.trace(h0)) <= bound
+    assert abs(np.linalg.norm(h1) - np.linalg.norm(h0)) <= bound
+
+
+@pytest.mark.parametrize("seed,genspec,part", [(202, "wegner-diagonal", None),
+                                               (202, "wegner-block", 6),
+                                               (7, "wegner-diagonal", None)])
+def test_flow_converged_at_default_tol(seed, genspec, part):
+    # tightening tol may move the answer by roundoff only: a generator
+    # held fixed inside each step would leave an O(1e-3) error here
+    state = FlowState(0.0, random_symmetric(seed, 16), genspec, part)
+    loose = srg_flow(state, 1.0)[0].h_matrix
+    tight = srg_flow(state, 1.0, StepControl(tol=1e-15))[0].h_matrix
+    assert np.abs(loose - tight).max() < 1e-10
 
 
 class TestTwoScaleDecoupling:
