@@ -12,9 +12,14 @@ orderings, drop all contraction terms.  That makes <vac|H|vac> = 0 a
 structural identity, not a numerical one.
 
 Assembly collects ladder monomials into aggregated (creators,
-annihilators) terms, applies each term to all occupation states at once,
-and mirrors every off-diagonal block explicitly, so the stored matrix is
-exactly symmetric (entry by entry, not within a tolerance).
+annihilators) terms; the quartic part is one array pass over every
+(site, offset, split) row, its weights summed per term in row order.
+Each term acts only on the box of occupation states where it is nonzero
+and stays under the cutoff, with sources in ascending order.  One stable
+sort sums the triplets per matrix entry in term order, which fixes every
+value bit for bit, and every off-diagonal sum is mirrored explicitly, so
+the stored matrix is exactly symmetric (entry by entry, not within a
+tolerance).
 
 The volume truncation wraps tensor offsets modulo the mode count.  The
 wrapped sums are well defined for any N >= 1; for N < 2K distinct
@@ -138,29 +143,56 @@ class FockOperator:
     matrix: sp.csr_matrix = field(repr=False)
 
 
+@lru_cache(maxsize=16)
+def _state_grid(modes, cutoff):
+    """Basis indices with one axis per mode; axis modes-1-j holds mode j,
+    so C order runs mode 0 fastest."""
+    grid = np.arange((cutoff + 1) ** modes, dtype=np.int64).reshape((cutoff + 1,) * modes)
+    grid.setflags(write=False)
+    return grid
+
+
 def _apply_term(basis, creators, annihilators):
     """Matrix triplets of prod a^+_{creators} prod a_{annihilators}.
 
-    Returns (source, target, amplitude) over all basis states where the
-    amplitude is nonzero and the target stays under the cutoff.
+    Returns (source, target, amplitude) over the basis states where the
+    amplitude is nonzero and the target stays under the cutoff.  Those
+    states form a box, a_j <= occ_j <= cutoff - max(0, c_j - a_j) with a_j
+    and c_j the counts of mode j among the annihilators and the creators,
+    enumerated with mode 0 fastest, so the sources ascend.  The sqrt
+    factors multiply in operator order, annihilators first.
     """
-    occ = basis.occupations()
-    dim = occ.shape[0]
-    amp = np.ones(dim)
-    work = occ.astype(np.int64).copy()
+    modes, cutoff = basis.modes, basis.cutoff
+    box = [slice(None)] * modes
+    low = {}
+    for j in set(creators + annihilators):
+        a, c = annihilators.count(j), creators.count(j)
+        top = cutoff - max(0, c - a)
+        if top < a:
+            return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
+        box[modes - 1 - j] = slice(a, top + 1)
+        low[j] = a
+    src = _state_grid(modes, cutoff)[tuple(box)]
+    roots = np.sqrt(np.arange(cutoff + 1))
+    # level[j] counts the net ladder steps applied to mode j so far; factor(j)
+    # is the sqrt of mode j's current occupation along its axis of the box
+    level = dict.fromkeys(low, 0)
+
+    def factor(j):
+        first = low[j] + level[j]
+        return roots[first:first + src.shape[modes - 1 - j]].reshape((-1,) + (1,) * j)
+
+    amp = 1.0
     for j in annihilators:
-        amp = amp * np.sqrt(np.maximum(work[:, j], 0))
-        work[:, j] -= 1
+        amp = amp * factor(j)
+        level[j] -= 1
     for j in creators:
-        work[:, j] += 1
-        amp = amp * np.sqrt(np.maximum(work[:, j], 0))
-    valid = amp != 0.0
-    for j in set(creators):
-        valid &= work[:, j] <= basis.cutoff
-    strides = basis.strides
-    shift = int(sum(strides[j] for j in creators) - sum(strides[j] for j in annihilators))
-    src = np.nonzero(valid)[0]
-    return src, src + shift, amp[valid]
+        level[j] += 1
+        amp = amp * factor(j)
+    amp = np.broadcast_to(amp, src.shape).ravel()
+    src = src.ravel()
+    shift = sum((cutoff + 1) ** j for j in creators) - sum((cutoff + 1) ** j for j in annihilators)
+    return src, src + shift, amp
 
 
 def mode_operator(basis: FockBasis, mode: int, which: str, gamma: float = 1.0) -> FockOperator:
@@ -227,21 +259,46 @@ def _quadratic_terms(w_mat, mass_squared, gamma, modes):
 
 
 def _quartic_terms(t_dense, coupling, gamma, modes, terms):
-    """Fold lambda sum Gamma :Phi Phi Phi Phi: into the term table."""
-    inv2 = coupling / (2.0 * gamma) ** 2
-    splits = [
-        tuple((1 << b) & s != 0 for b in range(4)) for s in range(16)
-    ]
+    """Fold lambda sum Gamma :Phi Phi Phi Phi: into the term table.
+
+    Row (n, offset, split) of the expansion, in that loop order, hands the
+    sites (n, n+o2, n+o3, n+o4) mod modes to sorted creators (the split's
+    set bits) and sorted annihilators, with weight Gamma[offset] scaled.
+    Weights add up per key in row order (np.add.at is a sequential fold)
+    onto the value already in the table; new keys join the table in order
+    of first occurrence.
+    """
     nz = np.argwhere(t_dense != 0.0)
-    for n in range(modes):
-        for o2, o3, o4 in nz:
-            tup = (n, (n + o2) % modes, (n + o3) % modes, (n + o4) % modes)
-            w = t_dense[o2, o3, o4] * inv2
-            for pick in splits:
-                cr = tuple(sorted(tup[i] for i in range(4) if pick[i]))
-                an = tuple(sorted(tup[i] for i in range(4) if not pick[i]))
-                key = (cr, an)
-                terms[key] = terms.get(key, 0.0) + w
+    if len(nz) == 0:
+        return terms
+    w = t_dense[tuple(nz.T)] * (coupling / (2.0 * gamma) ** 2)
+    sites = np.empty((modes, len(nz), 4), np.int64)
+    sites[..., 0] = np.arange(modes)[:, None]
+    sites[..., 1:] = (sites[..., :1] + nz) % modes
+    sites = sites.reshape(-1, 4)
+    # ops[row, split] holds the sorted creators, then the sorted annihilators
+    ops = np.empty((len(sites), 16, 4), np.int64)
+    n_cr = np.empty(16, np.int64)
+    for s in range(16):
+        cr = [b for b in range(4) if s >> b & 1]
+        an = [b for b in range(4) if not s >> b & 1]
+        n_cr[s] = len(cr)
+        ops[:, s, :len(cr)] = np.sort(sites[:, cr], axis=1)
+        ops[:, s, len(cr):] = np.sort(sites[:, an], axis=1)
+    ops = ops.reshape(-1, 4)
+    n_cr = np.tile(n_cr, len(sites))
+    code = n_cr
+    for col in ops.T:
+        code = code * modes + col
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # unique codes in order of first occurrence
+    rows = first[order]
+    keys = [(tuple(op[:c]), tuple(op[c:]))
+            for op, c in zip(ops[rows].tolist(), n_cr[rows].tolist())]
+    acc = np.array([terms.get(key, 0.0) for key in keys], dtype=np.float64)
+    np.add.at(acc, np.argsort(order)[inverse], np.repeat(np.tile(w, modes), 16))
+    for key, coeff in zip(keys, acc):
+        terms[key] = coeff
     return terms
 
 
@@ -250,12 +307,19 @@ def _dedup(pos, vals, dim):
     assembler's one sort.
 
     The sort is stable, so each sum adds its entries in input order,
-    which fixes every matrix value bit for bit.  Returns (rows, cols,
-    sums) in (row, col) order."""
+    which fixes every matrix value bit for bit.  Where (position, input
+    index) packs into one int64, a plain sort of those unique keys gives
+    the stable order at about a third of the cost of a stable argsort.
+    Returns (rows, cols, sums) in (row, col) order."""
     if len(pos) == 0:
         return pos, pos, vals
-    order = np.argsort(pos, kind="stable")
-    pos, vals = pos[order], vals[order]
+    width = (len(pos) - 1).bit_length()
+    if (dim * dim - 1).bit_length() + width <= 63:
+        key = np.sort((pos << width) | np.arange(len(pos)))
+        pos, vals = key >> width, vals[key & ((1 << width) - 1)]
+    else:
+        order = np.argsort(pos, kind="stable")
+        pos, vals = pos[order], vals[order]
     starts = np.flatnonzero(np.r_[True, pos[1:] != pos[:-1]])
     pos = pos[starts]
     return pos // dim, pos % dim, np.add.reduceat(vals, starts)

@@ -32,7 +32,7 @@ from wavefield.fock import (
     lanczos_lowest,
     mode_operator,
 )
-from wavefield.fock import _apply_term, _quadratic_terms, _quartic_terms
+from wavefield.fock import _dedup, _quadratic_terms, _quartic_terms
 
 FP3 = make_filters(3)
 D3 = derivative_overlaps(FP3)
@@ -43,12 +43,53 @@ def dense(op):
     return op.matrix.toarray()
 
 
+def quartic_reference(t_dense, coupling, gamma, modes, terms):
+    """Dict-loop fold of lambda sum Gamma :Phi Phi Phi Phi:, the reference
+    for the array form in _quartic_terms."""
+    inv2 = coupling / (2.0 * gamma) ** 2
+    splits = [
+        tuple((1 << b) & s != 0 for b in range(4)) for s in range(16)
+    ]
+    nz = np.argwhere(t_dense != 0.0)
+    for n in range(modes):
+        for o2, o3, o4 in nz:
+            tup = (n, (n + o2) % modes, (n + o3) % modes, (n + o4) % modes)
+            w = t_dense[o2, o3, o4] * inv2
+            for pick in splits:
+                cr = tuple(sorted(tup[i] for i in range(4) if pick[i]))
+                an = tuple(sorted(tup[i] for i in range(4) if not pick[i]))
+                key = (cr, an)
+                terms[key] = terms.get(key, 0.0) + w
+    return terms
+
+
+def apply_reference(basis, creators, annihilators):
+    """All-states masked ladder action, the reference for _apply_term."""
+    occ = basis.occupations()
+    dim = occ.shape[0]
+    amp = np.ones(dim)
+    work = occ.astype(np.int64).copy()
+    for j in annihilators:
+        amp = amp * np.sqrt(np.maximum(work[:, j], 0))
+        work[:, j] -= 1
+    for j in creators:
+        work[:, j] += 1
+        amp = amp * np.sqrt(np.maximum(work[:, j], 0))
+    valid = amp != 0.0
+    for j in set(creators):
+        valid &= work[:, j] <= basis.cutoff
+    strides = basis.strides
+    shift = int(sum(strides[j] for j in creators) - sum(strides[j] for j in annihilators))
+    src = np.nonzero(valid)[0]
+    return src, src + shift, amp[valid]
+
+
 def model_terms(cfg, p, d_tensor, g4_tensor):
     terms = _quadratic_terms(wrap_matrix(d_tensor, cfg.modes), p.mass_squared,
                              p.gamma, cfg.modes)
     if p.coupling != 0.0:
-        terms = _quartic_terms(wrap_tensor_dense(g4_tensor, cfg.modes),
-                               p.coupling, p.gamma, cfg.modes, terms)
+        terms = quartic_reference(wrap_tensor_dense(g4_tensor, cfg.modes),
+                                  p.coupling, p.gamma, cfg.modes, terms)
     return terms
 
 
@@ -74,7 +115,7 @@ def assemble_reference(cfg, p, d_tensor, g4_tensor, basis):
             continue
         if coeff == 0.0 and terms.get(conj, 0.0) == 0.0:
             continue
-        src, tgt, amp = _apply_term(basis, key[0], key[1])
+        src, tgt, amp = apply_reference(basis, key[0], key[1])
         if len(src) == 0:
             continue
         for part, x in zip(diag if key == conj else off, (tgt, src, coeff * amp)):
@@ -365,20 +406,113 @@ def bits(a):
     return np.asarray(a).tobytes()
 
 
+def assert_csr_bitwise(got, ref):
+    for attr in ("data", "indices", "indptr"):
+        assert getattr(got, attr).dtype == getattr(ref, attr).dtype
+        assert bits(getattr(got, attr)) == bits(getattr(ref, attr))
+
+
+def small_lattice(max_dim=1024):
+    """(modes, nmax) with modes 1..6, so modes < 2K (aliased offsets) for
+    both orders drawn below, and dim <= max_dim."""
+    return st.integers(1, 6).flatmap(lambda m: st.tuples(
+        st.just(m),
+        st.integers(1, max(n for n in (1, 2, 3) if (n + 1) ** m <= max_dim))))
+
+
 @settings(max_examples=30, deadline=None)
-@given(K=st.sampled_from((3, 4)), k=st.integers(0, 1), modes=st.integers(1, 4),
-       nmax=st.integers(1, 3), mass2=st.sampled_from((0.5, 1.0, 2.0)),
-       lam=st.sampled_from((0.0, 0.3)))
-def test_assembly_bitwise_matches_two_list_reference(K, k, modes, nmax, mass2, lam):
+@given(K=st.sampled_from((3, 4)), k=st.integers(0, 1), lattice=small_lattice(),
+       mass2=st.sampled_from((0.5, 1.0, 2.0)), lam=st.sampled_from((0.0, 0.3)))
+def test_assembly_bitwise_matches_two_list_reference(K, k, lattice, mass2, lam):
+    modes, nmax = lattice
     cfg = LatticeConfig(K, k, modes)
     p = ModelParams(mass2, lam)
     d_t, g4_t = scaled_tables(K, k)
     basis = FockBasis(modes, nmax)
     got = build_phi4_hamiltonian(cfg, p, d_t, g4_t, basis).matrix
-    ref = assemble_reference(cfg, p, d_t, g4_t, basis)
-    for attr in ("data", "indices", "indptr"):
-        assert bits(getattr(got, attr)) == bits(getattr(ref, attr))
+    assert_csr_bitwise(got, assemble_reference(cfg, p, d_t, g4_t, basis))
     # a key and its conjugate collect the same weights in the same order
     terms = model_terms(cfg, p, d_t, g4_t)
     for (cr, an), coeff in terms.items():
         assert bits(terms[(an, cr)]) == bits(coeff)
+
+
+def test_assembly_bitwise_at_bench_size():
+    cfg = LatticeConfig(3, 0, 6)
+    p = ModelParams(1.0, 0.3)
+    basis = FockBasis(6, 3)
+    assert basis.dimension == 4096
+    got = build_phi4_hamiltonian(cfg, p, D3, G43, basis).matrix
+    assert_csr_bitwise(got, assemble_reference(cfg, p, D3, G43, basis))
+
+
+@settings(max_examples=20, deadline=None)
+@given(K=st.sampled_from((3, 4)), k=st.integers(0, 1), modes=st.integers(1, 8),
+       mass2=st.sampled_from((0.5, 1.0, 2.0)), lam=st.sampled_from((0.1, 0.3, 1.0)),
+       gamma=st.sampled_from((0.7, 1.0, 1.9)))
+def test_quartic_terms_match_dict_loop(K, k, modes, mass2, lam, gamma):
+    d_t, g4_t = scaled_tables(K, k)
+    w_mat, t_dense = wrap_matrix(d_t, modes), wrap_tensor_dense(g4_t, modes)
+    # the second fold lands on keys the first one already holds
+    got = _quadratic_terms(w_mat, mass2, gamma, modes)
+    ref = _quadratic_terms(w_mat, mass2, gamma, modes)
+    for c in (lam, 0.5 * lam):
+        got = _quartic_terms(t_dense, c, gamma, modes, got)
+        ref = quartic_reference(t_dense, c, gamma, modes, ref)
+    assert list(got) == list(ref)
+    assert [bits(v) for v in got.values()] == [bits(v) for v in ref.values()]
+
+
+def test_dedup_packed_sort_matches_stable_argsort():
+    # dim 2**31 leaves no room to pack the input index next to the
+    # position, so that call takes the stable-argsort path
+    rng = np.random.default_rng(5)
+    pos = rng.integers(0, 40, 600)
+    vals = rng.standard_normal(600) * 10.0 ** rng.uniform(-8, 8, 600)
+    r, c, sums = _dedup(pos, vals, 40)
+    r_wide, c_wide, sums_wide = _dedup(pos, vals, 2**31)
+    np.testing.assert_array_equal(r * 40 + c, r_wide * 2**31 + c_wide)
+    assert bits(sums) == bits(sums_wide)
+    order = np.argsort(pos, kind="stable")
+    starts = np.flatnonzero(np.r_[True, np.diff(pos[order]) != 0])
+    assert bits(sums) == bits(np.add.reduceat(vals[order], starts))
+
+
+def mode_operator_reference(basis, mode, which, gamma):
+    dim = basis.dimension
+
+    def mat(creators, annihilators, coeff):
+        src, tgt, amp = apply_reference(basis, creators, annihilators)
+        return sp.coo_matrix((coeff * amp, (tgt, src)), shape=(dim, dim)).tocsr()
+
+    if which == "annihilate":
+        return mat((), (mode,), 1.0)
+    if which == "create":
+        return mat((mode,), (), 1.0)
+    if which == "phi":
+        c = 1.0 / np.sqrt(2.0 * gamma)
+        return mat((), (mode,), c) + mat((mode,), (), c)
+    c = np.sqrt(gamma / 2.0)
+    return mat((mode,), (), c) + mat((), (mode,), -c)
+
+
+@pytest.mark.parametrize("which", ["annihilate", "create", "phi", "pi_times_i"])
+def test_mode_operator_bitwise_matches_all_states_reference(which):
+    for modes, cutoff in ((1, 1), (1, 6), (3, 2), (4, 3)):
+        basis = FockBasis(modes, cutoff)
+        for mode in range(modes):
+            got = mode_operator(basis, mode, which, gamma=1.7).matrix
+            assert_csr_bitwise(got, mode_operator_reference(basis, mode, which, 1.7))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ARPACK (which='SA', one start vector) returns one copy of the +-k "
+    "doublet at 0.111594 and the fifth eigenvalue 0.248957 in place of the "
+    "second; the fix lands together with regenerated bench reference spectra"))
+def test_lanczos_keeps_both_copies_of_a_doublet():
+    basis = FockBasis(4, 3)
+    h = build_phi4_hamiltonian(LatticeConfig(3, 0, 4), ModelParams(1.0, 0.1), D3, G43, basis)
+    assert basis.dimension == 256  # iterative path
+    got = np.array([e for e, _ in lanczos_lowest(h, 4)])
+    ref = np.linalg.eigvalsh(dense(h))[:4]
+    assert np.abs(got - ref).max() < 1e-8
