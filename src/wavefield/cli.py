@@ -105,33 +105,26 @@ def _cached_tensor(kind: str, order: int, scale: int, cache: str):
 
     The standalone invariants do not pin every entry of a four-point
     table (an edit to the central entry keeps it permutation symmetric),
-    so gamma4 is stored together with its gamma3 partner and checked
-    against the four-point partition rule whenever both sit in the cache.
+    so gamma4 is fetched after its partner, the cached scale-0 gamma3
+    table, and checked against the four-point partition rule on every
+    fetch, hit or miss, at every scale.
     """
     os.makedirs(cache, exist_ok=True)
     path = os.path.join(cache, f"{kind}-K{order}-s{scale}-v{FORMAT_VERSION}.tbl")
-    partner = os.path.join(cache, f"gamma3-K{order}-s0-v{FORMAT_VERSION}.tbl")
+    g3 = _cached_tensor("gamma3", order, 0, cache)[0] if kind == "gamma4" else None
     if os.path.exists(path):
         t = load_tensor(path)
-        if kind == "gamma4" and scale == 0 and os.path.exists(partner):
-            validate_tensor(t, load_tensor(partner))
+        if g3 is not None:
+            validate_tensor(t, g3)
         return t, path
     fp = make_filters(order)
-    g3 = None
     if kind == "d":
         t = derivative_overlaps(fp)
-    elif kind == "gamma3":
-        t = gamma_tensor(fp, 3)
     else:
-        t = gamma_tensor(fp, 4)
-        g3 = gamma_tensor(fp, 3)
+        t = gamma_tensor(fp, 3 if kind == "gamma3" else 4)
     if scale:
-        if g3 is not None:
-            validate_tensor(t, g3)  # the partition rule reads scale-0 tables
         t = rescale_tensor(t, scale)
     save_tensor(t, path, g3)
-    if g3 is not None and not os.path.exists(partner):
-        save_tensor(g3, partner)
     return t, path
 
 

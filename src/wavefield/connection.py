@@ -14,9 +14,9 @@ normalization row.  A plain-quadrature oracle on refined dyadic samples
 provides the independent cross-check: oracle_deviation reports the raw
 level-L deviation, and for the rough low orders its Aitken-extrapolated
 form (extrapolated_oracle) reaches the accuracy that the plain sum at the
-same level cannot.  validate_tensor checks every kind against one
-permutation rule (D's evenness is its n -> -n case) and runs on write
-(save_tensor) as well as on read (load_tensor).
+same level cannot.  validate_tensor checks every rule at every scale, one
+permutation rule for every kind (D's evenness is its n -> -n case) and the
+gamma-3/gamma-4 sum rules, on write (save_tensor) and read (load_tensor).
 
 Normalizations:
   D:        sum_n n^2 D_{0n} = -2   (twice-differentiated quadratic
@@ -493,11 +493,11 @@ def resolve_d_exponent(fp: FilterPair, level: int = 12) -> dict:
 def validate_tensor(t: CoeffTensor, gamma3: CoeffTensor | None = None):
     """Re-check every intrinsic invariant; raises corrupt-table on failure.
 
-    Every kind is invariant under the m! permutations of its full index
-    tuple (0, n2..nm), rebased to a leading 0, within 1e-12 times the
-    scale-0 -> t.scale factor; for D the one non-trivial permutation is
-    n -> -n, so evenness is this rule.  The gamma-4 partition rule needs
-    the matching gamma-3 table and is checked only when one is supplied.
+    Every rule holds at every scale, its bound times the scale-0 -> t.scale
+    factor f.  Every kind is invariant under the m! permutations of its full
+    index tuple (0, n2..nm), rebased to a leading 0 (D: evenness).  gamma-3
+    sums over n3 to f delta_{n2,0}; gamma-4 sums over n4 to the gamma3
+    partner carried to t.scale, checked when one (at any scale) is supplied.
     """
     radius = t.support_radius
     for tup in t.entries:
@@ -505,19 +505,20 @@ def validate_tensor(t: CoeffTensor, gamma3: CoeffTensor | None = None):
             raise CorruptTableError(
                 "offset outside support radius", offset=tup, radius=radius
             )
+    fac = _scale_factor(t, t.scale)
     offs, vals, cube, reach = _offset_cube(t, 0)
     full = np.hstack([np.zeros((len(offs), 1), dtype=np.int64), offs])
     perms = full[:, list(itertools.permutations(range(t.arity)))]
     rebased = perms[..., 1:] - perms[..., :1] + reach
     worst = float(np.abs(vals[:, None] - cube[tuple(np.moveaxis(rebased, -1, 0))])
                   .max(initial=0.0))
-    if worst > 1e-12 * _scale_factor(t, t.scale):
+    if worst > 1e-12 * fac:
         what = ("derivative table not even" if t.kind == "derivative-D"
                 else "table not permutation symmetric")
         raise CorruptTableError(what, deviation=worst)
     if t.kind == "derivative-D":
         total = sum(t.entries.values())
-        if abs(total) > 1e-10 * _scale_factor(t, t.scale):
+        if abs(total) > 1e-10 * fac:
             raise CorruptTableError("derivative row sum nonzero", total=total)
         wrapped = wrap_matrix(t, 4 * t.order)
         low = float(np.linalg.eigvalsh(wrapped)[0])
@@ -527,21 +528,23 @@ def validate_tensor(t: CoeffTensor, gamma3: CoeffTensor | None = None):
             )
     side = 2 * radius + 1
     # bincount adds sequentially in entry order, like a sum over the dict
-    if t.kind == "gamma-3" and t.scale == 0:
+    if t.kind == "gamma-3":
         totals = np.bincount(offs[:, 0] + radius, weights=vals, minlength=side)
-        bad = np.flatnonzero(np.abs(totals - (np.arange(side) == radius)) > 1e-10)
+        delta = fac * (np.arange(side) == radius)
+        bad = np.flatnonzero(np.abs(totals - delta) > 1e-10 * fac)
         if bad.size:
             raise CorruptTableError(
                 "three-point sum rule violated",
                 n2=int(bad[0]) - radius, total=float(totals[bad[0]]),
             )
-    if t.kind == "gamma-4" and gamma3 is not None and t.scale == 0:
+    if t.kind == "gamma-4" and gamma3 is not None:
         pair = (offs[:, 0] + radius) * side + offs[:, 1] + radius
         totals = np.bincount(pair, weights=vals, minlength=side * side)
         keys, first = np.unique(pair, return_index=True)
         ref = np.array([gamma3.value(p) for p in offs[first, :2].tolist()])
+        ref = ref * (fac / _scale_factor(gamma3, gamma3.scale))
         worst = float(np.abs(totals[keys] - ref).max(initial=0.0))
-        if worst > 1e-10:
+        if worst > 1e-10 * fac:
             raise CorruptTableError(
                 "four-point partition rule violated", deviation=worst
             )
@@ -551,7 +554,7 @@ def save_tensor(t: CoeffTensor, path, gamma3: CoeffTensor | None = None):
     """Validate t, then write a versioned text table atomically (temp + rename).
 
     gamma3 is passed on to validate_tensor, which then also checks a
-    scale-0 gamma-4 table against the four-point partition rule.
+    gamma-4 table against the four-point partition rule.
     """
     validate_tensor(t, gamma3)
     lines = [

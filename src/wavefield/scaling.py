@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (
     DegenerateRefinementError,
+    IndexRangeError,
     InsufficientResolutionError,
     InsufficientVanishingMomentsError,
     NonDifferentiableOrderError,
@@ -177,7 +178,7 @@ def _moment_cached(K, m):
 def moments(fp, m):
     """<x^m> = integral x^m s(x) dx by the exact scaling-equation recursion."""
     if m < 0 or m > 2 * fp.order:
-        raise ValueError(f"moment order {m} outside 0..{2 * fp.order}")
+        raise IndexRangeError("moment order out of range", m=m, max=2 * fp.order)
     return _moment_cached(fp.order, m)
 
 

@@ -158,25 +158,26 @@ def test_coeffs_corrupt_cache(capsys, cachedir):
     assert err.startswith("corrupt-table:")
 
 
-def test_coeffs_symmetric_edit_caught(capsys, cachedir):
+@pytest.mark.parametrize("scale", [0, 1])
+def test_coeffs_symmetric_edit_caught(capsys, cachedir, scale):
     # the (0,0,0) entry is permutation invariant, so only the partition
-    # rule against the stored gamma3 partner can flag this edit
-    assert run(["coeffs", "--order", "3", "--kind", "gamma4",
-                "--output", "/dev/null"]) == 0
-    path = cachedir / "gamma4-K3-s0-v1.tbl"
+    # rule against the cached gamma3 partner can flag this edit
+    argv = ["coeffs", "--order", "3", "--kind", "gamma4", "--scale", str(scale)]
+    assert run(argv + ["--output", "/dev/null"]) == 0
+    path = cachedir / f"gamma4-K3-s{scale}-v1.tbl"
     assert (cachedir / "gamma3-K3-s0-v1.tbl").exists()
     lines = path.read_text().splitlines()
     k = next(i for i, ln in enumerate(lines) if ln.startswith("0 0 0 "))
     lines[k] = "0 0 0 9.9"
     path.write_text("\n".join(lines) + "\n")
-    rc, _, err = invoke(["coeffs", "--order", "3", "--kind", "gamma4"], capsys)
+    rc, _, err = invoke(argv, capsys)
     assert rc == 1
     assert err.startswith("corrupt-table:")
 
 
 def test_cold_gamma4_validated_once(cachedir, monkeypatch):
-    # a cold scale-0 miss checks the table, partition rule included, only
-    # inside save_tensor; at scale 1 the rule runs on the scale-0 table
+    # a cold miss checks the table, partition rule included, only inside
+    # save_tensor, and only at the requested scale
     seen = []
     real = connection.validate_tensor
 
@@ -191,7 +192,7 @@ def test_cold_gamma4_validated_once(cachedir, monkeypatch):
         assert run(["coeffs", "--order", "3", "--kind", "gamma4", "--scale",
                     str(scale), "--output", "/dev/null"]) == 0
         g4 = [call for call in seen if call[0] == "gamma-4"]
-        assert g4 == [("gamma-4", 0, True)] + [("gamma-4", 1, True)] * scale
+        assert g4 == [("gamma-4", scale, True)]
 
 
 @pytest.mark.parametrize("scale", [0, 1])
@@ -533,6 +534,12 @@ PINNED = {
     "dwt": ["dwt", "--order", "2", "--levels", "2", "--input", "{vector}",
             "--direction", "forward"],
     "coeffs-table": ["coeffs", "--order", "3", "--kind", "gamma4"],
+    # the partition and sum rules hold at every scale (sqrt 2 at odd
+    # scales for gamma3)
+    "coeffs-gamma4-scale1": ["coeffs", "--order", "3", "--kind", "gamma4",
+                             "--scale", "1"],
+    "coeffs-gamma3-scale1": ["coeffs", "--order", "3", "--kind", "gamma3",
+                             "--scale", "1"],
     # the rescaled table's evenness bound scales with it (4^k for D)
     "coeffs-d-scale2": ["coeffs", "--order", "4", "--kind", "d",
                         "--scale", "2"],

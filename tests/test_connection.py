@@ -426,20 +426,27 @@ def test_permutation_deviation_matches_loop_reference(kind, K, k, offsets):
     assert exc.value.context["deviation"] == perm_loop(bad)
 
 
-def test_sum_rules_match_dict_sums():
+@pytest.mark.parametrize("k,kp", [(0, 0)] + [(k, kp) for k in (1, 2, 3)
+                                              for kp in (0, k)])
+def test_sum_rules_match_dict_sums(k, kp):
     # the fully symmetric central entry leaves the permutation rule intact,
-    # so the array-form sum rules report the dict sums they replaced
-    g3 = shifted(table(3, 3), (0, 0), 1e-9)
+    # so the array-form sum rules report the dict sums they replaced, at
+    # every scale and against a partner at scale 0 or at the table's scale
+    partner = table(3, 3, kp)
+    validate_tensor(table(3, 3, k))
+    validate_tensor(table(4, 3, k), partner)
+    g3 = shifted(table(3, 3, k), (0, 0), 1e-9)
     with pytest.raises(CorruptTableError, match="three-point") as exc:
         validate_tensor(g3)
     assert exc.value.context == {
         "n2": 0, "total": sum(v for (a, _), v in g3.entries.items() if a == 0)}
-    g4 = shifted(table(4, 3), (0, 0, 0), 1e-9)
+    g4 = shifted(table(4, 3, k), (0, 0, 0), 1e-9)
     with pytest.raises(CorruptTableError, match="four-point") as exc:
-        validate_tensor(g4, table(3, 3))
+        validate_tensor(g4, partner)
+    ratio = 2.0 ** k / 2.0 ** (kp / 2)
     worst = max(
         abs(sum(v for tup, v in g4.entries.items() if tup[:2] == pair)
-            - table(3, 3).value(pair))
+            - partner.value(pair) * ratio)
         for pair in {tup[:2] for tup in g4.entries})
     assert exc.value.context["deviation"] == worst
 

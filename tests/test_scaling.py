@@ -3,6 +3,7 @@ import pytest
 
 from wavefield.errors import (
     DegenerateRefinementError,
+    IndexRangeError,
     InsufficientVanishingMomentsError,
     NonDifferentiableOrderError,
 )
@@ -146,6 +147,13 @@ def test_moments():
     assert moments(make_filters(3), 0) == 1.0
     assert abs(moments(make_filters(1), 1) - 0.5) < 1e-14
     assert abs(moments(make_filters(2), 1) - (3 - SQ3) / 2) < 1e-14
+
+
+@pytest.mark.parametrize("m", [-1, 7])
+def test_moment_order_out_of_range(m):
+    with pytest.raises(IndexRangeError) as exc:
+        moments(make_filters(3), m)
+    assert exc.value.context == {"m": m, "max": 6}
 
 
 def test_reproduction_coeffs_low_orders():
