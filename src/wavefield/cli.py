@@ -105,26 +105,29 @@ def _cached_tensor(kind: str, order: int, scale: int, cache: str):
 
     The standalone invariants do not pin every entry of a four-point
     table (an edit to the central entry keeps it permutation symmetric),
-    so gamma4 is fetched after its partner, the cached scale-0 gamma3
-    table, and checked against the four-point partition rule on every
-    fetch, hit or miss, at every scale.
+    so gamma4 is checked against its partner, the cached scale-0 gamma3
+    table, by the four-point partition rule on every fetch, hit or miss,
+    at every scale.  The partner is fetched after the gamma4 table is read
+    or solved, so an order the solver refuses caches nothing.
     """
     os.makedirs(cache, exist_ok=True)
     path = os.path.join(cache, f"{kind}-K{order}-s{scale}-v{FORMAT_VERSION}.tbl")
-    g3 = _cached_tensor("gamma3", order, 0, cache)[0] if kind == "gamma4" else None
-    if os.path.exists(path):
+    hit = os.path.exists(path)
+    if hit:
         t = load_tensor(path)
-        if g3 is not None:
-            validate_tensor(t, g3)
-        return t, path
-    fp = make_filters(order)
-    if kind == "d":
-        t = derivative_overlaps(fp)
     else:
-        t = gamma_tensor(fp, 3 if kind == "gamma3" else 4)
-    if scale:
-        t = rescale_tensor(t, scale)
-    save_tensor(t, path, g3)
+        fp = make_filters(order)
+        if kind == "d":
+            t = derivative_overlaps(fp)
+        else:
+            t = gamma_tensor(fp, 3 if kind == "gamma3" else 4)
+        if scale:
+            t = rescale_tensor(t, scale)
+    g3 = _cached_tensor("gamma3", order, 0, cache)[0] if kind == "gamma4" else None
+    if not hit:
+        save_tensor(t, path, g3)
+    elif g3 is not None:
+        validate_tensor(t, g3)
     return t, path
 
 

@@ -6,15 +6,19 @@ scaling functions.  Compact support makes each tensor a finite table over
 integer offset tuples relative to the first index.  The tables are NOT
 computed by quadrature: substituting the refinement equation into the
 integral turns each table into the eigenvalue-1 fixed point of a finite
-linear map.  One engine builds every table: _gamma_map assembles the
-m-factor refinement map, D's map is the m=2 map times 4 (the chain rule
-puts a factor 2 on each differentiated factor), and the fixed point is
-solved as a bordered least-squares system with one inhomogeneous
-normalization row.  A plain-quadrature oracle on refined dyadic samples
-provides the independent cross-check: oracle_deviation reports the raw
-level-L deviation, and for the rough low orders its Aitken-extrapolated
-form (extrapolated_oracle) reaches the accuracy that the plain sum at the
-same level cannot.  validate_tensor checks every rule at every scale, one
+linear map.  One engine builds every table: _bordered_system writes the
+m-factor refinement map A, less the identity, straight into one
+preallocated array with the inhomogeneous normalization row below it;
+D's map is the m=2 map times 4 (the chain rule puts a factor 2 on each
+differentiated factor).  _solve_bordered solves that bordered system by
+least squares.  An order whose system would exceed _MAX_SYSTEM_BYTES
+(gamma-4 from order 8) is refused before anything is allocated.
+
+A plain-quadrature oracle on refined dyadic samples provides the
+independent cross-check: oracle_deviation reports the raw level-L
+deviation, and for the rough low orders its Aitken-extrapolated form
+(extrapolated_oracle) reaches the accuracy that the plain sum at the same
+level cannot.  validate_tensor checks every rule at every scale, one
 permutation rule for every kind (D's evenness is its n -> -n case) and the
 gamma-3/gamma-4 sum rules, on write (save_tensor) and read (load_tensor).
 
@@ -47,6 +51,7 @@ from .errors import (
     NonDifferentiableOrderError,
     ParseError,
     ShapeError,
+    UnsupportedOrderError,
 )
 from .filters import FilterPair, make_filters
 from .scaling import scaling_samples
@@ -79,6 +84,14 @@ _KINDS = {"derivative-D": 2, "gamma-2": 2, "gamma-3": 3, "gamma-4": 4}
 D_RESCALE_EXPONENT = 2
 
 FORMAT_VERSION = 1
+
+# the bordered fixed-point system of one table may take at most this many
+# bytes (gamma-4 at order 7 takes 490 MB, at order 8 1.19 GB); lstsq works
+# on a copy of it, so the solve peaks near twice this
+_MAX_SYSTEM_BYTES = 512 * 2**20
+
+# elements per row chunk of the refinement-map assembly
+_CHUNK = 1 << 16
 
 # Aitken extrapolation of the oracle is trusted only where the ratios of
 # successive level differences agree to this fraction (among the tables
@@ -137,17 +150,83 @@ def _admissible_offsets(radius, m):
     return out
 
 
-def _solve_bordered(a_mat, norm_row, norm_value, what):
-    """Solve (A - I) x = 0 with one appended normalization row.
+def _bordered_system(kind, order):
+    """The bordered fixed-point system of one table kind, built in place.
+
+    Returns B, an (nt+1) x nt array holding A - I above the normalization
+    row, the right-hand side (zeros, then the normalization value) and the
+    offset tuples in row order.  Row n of the refinement map A is
+    w sum_{l1..lm} h_{l1}..h_{lm} x at the child tuple (2 n_i + l_{i+1} - l_1),
+    with w = 2^{(m-2)/2} for gamma-m and w = 4 for D, the m=2 map (the
+    chain rule puts a factor 2 on each differentiated factor; a power of
+    two, so folding it into w equals scaling the summed map).  D's
+    normalization row is n^2 with value -2, gamma-m's the full sum with
+    value 1.
+
+    Children are found by flat index in a tuple -> row lookup table, and
+    rows go in chunks, so no temporary grows with nt^2.  For one l_1 the
+    children of a row are distinct, so each l_1 adds at most once to any
+    entry, in ascending l_1.  Raises unsupported-order before allocating
+    when B would exceed _MAX_SYSTEM_BYTES.
+    """
+    m = _KINDS[kind]
+    radius = 2 * order - 2
+    offsets = _admissible_offsets(radius, m)
+    nt = len(offsets)
+    nbytes = (nt + 1) * nt * 8
+    if nbytes > _MAX_SYSTEM_BYTES:
+        raise UnsupportedOrderError(
+            "bordered fixed-point system exceeds the memory limit",
+            kind=kind, order=order, unknowns=nt, bytes=nbytes,
+        )
+    h = make_filters(order).h
+    taps, width = len(h), m - 1
+    pref = 4.0 if kind == "derivative-D" else 2.0 ** ((m - 2) / 2.0)
+
+    # every child component 2 n_i + l - l_1 lies within +-reach
+    off_arr = np.array(offsets, dtype=np.int64)
+    reach = 2 * radius + taps - 1
+    side = 2 * reach + 1
+    strides = side ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    lut = np.full(side**width, -1, dtype=np.int64)
+    lut[(off_arr + reach) @ strides] = np.arange(nt)
+    base = (2 * off_arr + reach) @ strides
+
+    lgrids = np.meshgrid(*([np.arange(taps)] * width), indexing="ij")
+    lcombo = np.stack([g.ravel() for g in lgrids], axis=1)
+    hprod = np.prod(h[lcombo], axis=1)
+    shift = lcombo @ strides
+    l1_step = int(strides.sum())
+
+    b = np.zeros((nt + 1, nt))
+    flat = b.reshape(-1)
+    step = max(1, _CHUNK // len(shift))
+    for lo in range(0, nt, step):
+        rows = np.arange(lo, min(lo + step, nt))
+        child = base[rows, None] + shift
+        for l1 in range(taps):
+            cols = lut[child - l1 * l1_step]
+            keep = cols >= 0
+            w = np.broadcast_to(pref * h[l1] * hprod, cols.shape)
+            flat[(rows[:, None] * nt + cols)[keep]] += w[keep]
+    flat[: nt * nt : nt + 1] -= 1.0
+    rhs = np.zeros(nt + 1)
+    if kind == "derivative-D":
+        b[nt] = np.array(offsets, dtype=float)[:, 0] ** 2
+        rhs[nt] = -2.0
+    else:
+        b[nt] = 1.0
+        rhs[nt] = 1.0
+    return b, rhs, offsets
+
+
+def _solve_bordered(b, rhs, what):
+    """Least-squares solution of the bordered system B x = rhs.
 
     Least squares keeps the solve robust near degeneracy; an eigenvalue-1
     multiplicity above one leaves the bordered matrix rank-deficient,
     which shows up as a vanishing smallest singular value.
     """
-    n = a_mat.shape[0]
-    b = np.vstack([a_mat - np.eye(n), np.asarray(norm_row, dtype=float)[None, :]])
-    rhs = np.zeros(n + 1)
-    rhs[-1] = norm_value
     x, _, _, sv = np.linalg.lstsq(b, rhs, rcond=None)
     if sv[-1] < 1e-8 * max(1.0, sv[0]):
         raise DegenerateFixedPointError(
@@ -165,61 +244,11 @@ def _solve_bordered(a_mat, norm_row, norm_value, what):
     return x
 
 
-def _gamma_map(h, m, offsets):
-    """Dense matrix of the m-factor refinement map on the offset set.
-
-    Row for offset tuple n: 2^{(m-2)/2} sum_{l1..lm} h_{l1}..h_{lm} x at
-    child tuple (2 n_i + l_{i+1} - l_1).  Assembled per l_1 with a dense
-    tuple->index lookup cube and bincount accumulation.  D's map is the
-    m=2 matrix times 4.
-    """
-    taps = len(h)
-    radius = taps - 2
-    nt = len(offsets)
-    width = m - 1
-    pref = 2.0 ** ((m - 2) / 2.0)
-
-    off_arr = np.array(offsets, dtype=np.int64)
-    reach = 2 * radius + taps - 1
-    side = 2 * reach + 1
-    lut = np.full((side,) * width, -1, dtype=np.int64)
-    for i, tup in enumerate(offsets):
-        lut[tuple(t + reach for t in tup)] = i
-
-    lgrids = np.meshgrid(*([np.arange(taps)] * width), indexing="ij")
-    lcombo = np.stack([g.ravel() for g in lgrids], axis=1)
-    hprod = np.prod(h[lcombo], axis=1)
-
-    a_flat = np.zeros(nt * nt)
-    rows = np.repeat(np.arange(nt, dtype=np.int64), lcombo.shape[0])
-    for l1 in range(taps):
-        child = 2 * off_arr[:, None, :] + (lcombo - l1)[None, :, :] + reach
-        cols = lut[tuple(child[..., i] for i in range(width))].ravel()
-        w = np.broadcast_to(pref * h[l1] * hprod, (nt, lcombo.shape[0])).ravel()
-        keep = cols >= 0
-        a_flat += np.bincount(
-            rows[keep] * nt + cols[keep], weights=w[keep], minlength=nt * nt
-        )
-    return a_flat.reshape(nt, nt)
-
-
 @lru_cache(maxsize=48)
 def _solved_table(kind, order):
-    """Scale-0 table of one kind: the fixed point of its refinement map.
-
-    gamma-m uses the m-factor map and the full-sum normalization; D uses
-    the m=2 map times 4 (s'(x) = 2 sqrt(2) sum_l h_l s'(2x - l) puts a
-    factor 2 on each factor) and sum_n n^2 D_n = -2.
-    """
-    m = _KINDS[kind]
-    offsets = _admissible_offsets(2 * order - 2, m)
-    a_mat = _gamma_map(make_filters(order).h, m, offsets)
-    if kind == "derivative-D":
-        a_mat *= 4.0
-        norm_row, norm_value = np.array(offsets, dtype=float)[:, 0] ** 2, -2.0
-    else:
-        norm_row, norm_value = np.ones(len(offsets)), 1.0
-    x = _solve_bordered(a_mat, norm_row, norm_value, kind)
+    """Scale-0 table of one kind: the fixed point of its refinement map."""
+    b, rhs, offsets = _bordered_system(kind, order)
+    x = _solve_bordered(b, rhs, kind)
     entries = {tup: float(v) for tup, v in zip(offsets, x)}
     return CoeffTensor(kind, order, 0, entries)
 

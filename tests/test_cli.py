@@ -14,6 +14,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -223,6 +224,17 @@ def test_coeffs_refused_table_never_cached(capsys, cachedir):
         assert rc == 1
         assert err.startswith("corrupt-table:")
     assert not list(cachedir.glob("d-K10-*.tbl"))
+
+
+def test_coeffs_order_limit_caches_nothing(capsys, cachedir):
+    # the order-8 gamma4 system would take 1.19 GB; it is refused before
+    # anything is allocated, and before the gamma3 partner is fetched
+    start = time.perf_counter()
+    rc, out, err = invoke(["coeffs", "--order", "8", "--kind", "gamma4"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1 and out == ""
+    assert err.startswith("unsupported-order:")
+    assert not list(cachedir.glob("*.tbl"))
 
 
 def test_coeffs_verify_oracle(capsys, cachedir):

@@ -1,11 +1,19 @@
 import itertools
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wavefield.connection import (
+    _MAX_SYSTEM_BYTES,
+    _admissible_offsets,
+    _bordered_system,
+    _solve_bordered,
+    _solved_table,
+)
 from wavefield.connection import (
     CoeffTensor,
     aitken_limit,
@@ -31,6 +39,7 @@ from wavefield.errors import (
     NonDifferentiableOrderError,
     ParseError,
     ShapeError,
+    UnsupportedOrderError,
 )
 from wavefield.filters import make_filters
 
@@ -406,11 +415,100 @@ def test_wrap_tensor_dense_preserves_total():
 
 
 def test_degenerate_map_is_rejected():
-    # identity map has an eigenvalue-1 space of full dimension
-    from wavefield.connection import _solve_bordered
+    # identity map has an eigenvalue-1 space of full dimension: A - I = 0
+    b = np.vstack([np.zeros((4, 4)), np.ones(4)])
+    rhs = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+    with pytest.raises(DegenerateFixedPointError) as exc:
+        _solve_bordered(b, rhs, "synthetic")
+    assert "not unique" in str(exc.value)
 
-    with pytest.raises(DegenerateFixedPointError):
-        _solve_bordered(np.eye(4), np.ones(4), 1.0, "synthetic")
+
+def test_inconsistent_bordered_system_is_rejected():
+    # A = I/2 has no eigenvalue 1: (A - I) x = 0 forces x = 0, which the
+    # normalization row x1 + x2 = 1 contradicts; least squares leaves
+    # residual 2/9
+    b = np.vstack([-0.5 * np.eye(2), np.ones(2)])
+    with pytest.raises(DegenerateFixedPointError) as exc:
+        _solve_bordered(b, np.array([0.0, 0.0, 1.0]), "synthetic")
+    assert "inconsistent" in str(exc.value)
+    assert exc.value.context["residual"] == pytest.approx(2.0 / 9.0)
+
+
+def bincount_bordered(kind, K):
+    """The bordered system as a dense map built by per-l1 bincount over a
+    child-offset cube, times 4 for D, minus eye, with the normalization
+    row vstacked below: the reference for _bordered_system."""
+    m = {"derivative-D": 2, "gamma-3": 3, "gamma-4": 4}[kind]
+    offsets = list(itertools.product(range(-(2 * K - 2), 2 * K - 1), repeat=m - 1))
+    offsets = [t for t in offsets
+               if all(abs(a - b) <= 2 * K - 2 for a, b in itertools.combinations(t, 2))]
+    h = make_filters(K).h
+    taps, nt, width = len(h), len(offsets), m - 1
+    off_arr = np.array(offsets, dtype=np.int64)
+    reach = 2 * (2 * K - 2) + taps - 1
+    lut = np.full((2 * reach + 1,) * width, -1, dtype=np.int64)
+    for i, tup in enumerate(offsets):
+        lut[tuple(t + reach for t in tup)] = i
+    lgrids = np.meshgrid(*([np.arange(taps)] * width), indexing="ij")
+    lcombo = np.stack([g.ravel() for g in lgrids], axis=1)
+    hprod = np.prod(h[lcombo], axis=1)
+    a_flat = np.zeros(nt * nt)
+    rows = np.repeat(np.arange(nt, dtype=np.int64), lcombo.shape[0])
+    for l1 in range(taps):
+        child = 2 * off_arr[:, None, :] + (lcombo - l1)[None, :, :] + reach
+        cols = lut[tuple(child[..., i] for i in range(width))].ravel()
+        w = np.broadcast_to(2.0 ** ((m - 2) / 2.0) * h[l1] * hprod,
+                            (nt, lcombo.shape[0])).ravel()
+        keep = cols >= 0
+        a_flat += np.bincount(rows[keep] * nt + cols[keep], weights=w[keep],
+                              minlength=nt * nt)
+    a_mat = a_flat.reshape(nt, nt)
+    if kind == "derivative-D":
+        a_mat *= 4.0
+        norm_row = np.array(offsets, dtype=float)[:, 0] ** 2
+    else:
+        norm_row = np.ones(nt)
+    return np.vstack([a_mat - np.eye(nt), norm_row[None, :]]), offsets
+
+
+@pytest.mark.parametrize("kind,K", (
+    [("derivative-D", K) for K in range(3, 13)]
+    + [("gamma-3", K) for K in range(1, 8)]
+    + [("gamma-4", K) for K in range(1, 5)]
+))
+def test_bordered_system_matches_bincount_assembly(kind, K):
+    # bit for bit, so every solved table keeps its bits
+    b, rhs, offsets = _bordered_system(kind, K)
+    ref, ref_offsets = bincount_bordered(kind, K)
+    assert offsets == ref_offsets
+    assert b.dtype == ref.dtype and b.shape == ref.shape
+    assert b.tobytes() == ref.tobytes()
+    assert rhs.tolist() == [0.0] * len(offsets) + [-2.0 if kind == "derivative-D" else 1.0]
+
+
+def test_bordered_solve_peaks_near_two_systems():
+    # the system is built in place: the traced peak stays within twice
+    # the (nt+1) x nt bordered array (the bincount path needed ~5.3 times)
+    nt = len(_admissible_offsets(6, 4))
+    tracemalloc.start()
+    try:
+        _solved_table.__wrapped__("gamma-4", 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (nt + 1) * nt * 8
+
+
+def test_order_limit_refuses_oversized_system():
+    # gamma-4 at order 8 would need 12209 unknowns and a 1.19 GB system
+    with pytest.raises(UnsupportedOrderError) as exc:
+        gamma_tensor(make_filters(8), 4)
+    ctx = exc.value.context
+    assert (ctx["kind"], ctx["order"], ctx["unknowns"]) == ("gamma-4", 8, 12209)
+    assert ctx["bytes"] == 12210 * 12209 * 8 > _MAX_SYSTEM_BYTES
+    # order 7, the largest gamma-4 admitted, fits
+    nt = len(_admissible_offsets(12, 4))
+    assert (nt + 1) * nt * 8 <= _MAX_SYSTEM_BYTES
 
 
 @pytest.mark.parametrize("kind,K,k,offsets", [
