@@ -3,7 +3,7 @@
 
 The three constraint families (normalization, double-shift
 orthonormality, vanishing moments of the wavelet side) should all sit
-at float64 noise after the Newton polish.
+at float64 noise.
 """
 
 import numpy as np

@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 
@@ -51,7 +52,7 @@ from .fock import (
     build_phi4_hamiltonian,
     lanczos_lowest,
 )
-from .flow import FlowState, srg_flow
+from .flow import MAX_FLOW_DIM, FlowState, srg_flow
 from .scaling import derivative_samples, scaling_samples
 from .transform import CoeffPyramid, CoeffVector, multilevel
 
@@ -164,6 +165,19 @@ def _cmd_scalfun(args):
 
 # ---------------------------------------------------------------- dwt
 
+def _checked_finite(values, text, path, column=0):
+    """values, refused if any is nan or inf by one array check; only then is
+    the text scanned for the first non-'#' line with a bad column field."""
+    if np.isfinite(values).all():
+        return values
+    line = next(
+        ln for ln, parts in enumerate(map(str.split, text.splitlines()), 1)
+        if len(parts) > column and not parts[0].startswith("#")
+        and not np.isfinite(float(parts[column]))
+    )
+    raise ParseError("non-finite value in input", path=path, line=line)
+
+
 def _parse_plain_values(text, path):
     vals = []
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -176,7 +190,7 @@ def _parse_plain_values(text, path):
             raise ParseError("non-numeric value in input", path=path, line=ln)
     if not vals:
         raise ParseError("empty input", path=path)
-    return np.array(vals)
+    return _checked_finite(np.array(vals), text, path)
 
 
 def _serialize_pyramid(p: CoeffPyramid, order: int) -> str:
@@ -193,41 +207,58 @@ def _serialize_pyramid(p: CoeffPyramid, order: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+_PYRAMID_META = re.compile(r"# order (\d+) levels (\d+) length (\d+)")
+_PYRAMID_BLOCK = re.compile(r"# (coarse|detail \d+) scale (-?\d+) length (\d+)")
+
+
 def _parse_pyramid(text, path) -> tuple:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "# wavefield-pyramid 1":
-        raise ParseError("missing pyramid header", path=path)
-    head = lines[1].split()
-    if len(head) != 7 or head[:2] != ["#", "order"]:
-        raise ParseError("malformed pyramid metadata", path=path)
-    order, levels = int(head[2]), int(head[4])
-    blocks = []
-    current = None
-    for ln in lines[2:]:
-        if ln.startswith("#"):
-            parts = ln.split()
-            kind = parts[1]
-            if kind not in ("coarse", "detail"):
-                raise ParseError(f"unknown pyramid block '{kind}'", path=path)
-            scale = int(parts[parts.index("scale") + 1])
-            current = (scale, [])
-            blocks.append(current)
+    """Read _serialize_pyramid output back: block 0 is the coarse block,
+    block i the detail i, and every declared length matches its values."""
+    heads = []  # (line, text, number of values before it) of each '#' line
+    vals = []
+    for ln, s in enumerate(map(str.strip, text.splitlines()), 1):
+        if not s:
+            continue
+        if s[0] == "#":
+            heads.append((ln, s, len(vals)))
+        elif len(heads) < 3:
+            raise ParseError("values before any block header", path=path,
+                             line=ln)
         else:
-            if current is None:
-                raise ParseError("values before any block header", path=path)
             try:
-                current[1].append(float(ln))
+                vals.append(float(s))
             except ValueError:
-                raise ParseError("non-numeric pyramid value", path=path)
-    if len(blocks) != levels + 1:
+                raise ParseError("non-numeric pyramid value", path=path,
+                                 line=ln)
+    if len(heads) < 2 or heads[0][1] != "# wavefield-pyramid 1":
+        raise ParseError("missing pyramid header", path=path)
+    meta = _PYRAMID_META.fullmatch(heads[1][1])
+    if meta is None:
+        raise ParseError("malformed pyramid metadata", path=path,
+                         line=heads[1][0])
+    order, levels, length = map(int, meta.groups())
+    if len(heads) - 2 != levels + 1:
         raise ParseError(
-            f"expected {levels + 1} blocks, found {len(blocks)}", path=path
+            f"expected {levels + 1} blocks, found {len(heads) - 2}", path=path
         )
-    coarse = CoeffVector(blocks[0][0], np.array(blocks[0][1]))
-    details = tuple(
-        CoeffVector(scale, np.array(vals)) for scale, vals in blocks[1:]
-    )
-    return order, CoeffPyramid(coarse, details)
+    vals = _checked_finite(np.array(vals), text, path)
+    ends = [first for *_, first in heads[3:]] + [len(vals)]
+    vecs = []
+    for i, ((ln, s, first), end) in enumerate(zip(heads[2:], ends)):
+        name = f"detail {i}" if i else "coarse"
+        block = _PYRAMID_BLOCK.fullmatch(s)
+        if block is None or block[1] != name:
+            raise ParseError(f"expected a '# {name} scale S length N' "
+                             "block header", path=path, line=ln)
+        if end - first != int(block[3]):
+            raise ParseError("block length disagrees with its values",
+                             path=path, line=ln, length=int(block[3]),
+                             values=end - first)
+        vecs.append(CoeffVector(int(block[2]), vals[first:end]))
+    if len(vals) != length:
+        raise ParseError("pyramid length disagrees with its values", path=path,
+                         line=heads[1][0], length=length, values=len(vals))
+    return order, CoeffPyramid(vecs[0], tuple(vecs[1:]))
 
 
 def _cmd_dwt(args):
@@ -326,32 +357,40 @@ def _cmd_hamiltonian(args):
 # ---------------------------------------------------------------- flow
 
 def _parse_coo(text, path) -> np.ndarray:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    lines = [(ln, s) for ln, s in enumerate(map(str.strip, text.splitlines()), 1)
+             if s]
     if not lines:
         raise ParseError("empty matrix file", path=path)
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError("matrix header must be 'dim nnz'", path=path)
+    head_line, head = lines[0]
     try:
-        dim, nnz = int(head[0]), int(head[1])
+        dim, nnz = map(int, head.split())
     except ValueError:
-        raise ParseError("matrix header must be 'dim nnz'", path=path)
+        raise ParseError("matrix header must be 'dim nnz'", path=path,
+                         line=head_line)
+    if dim < 0 or nnz < 0:
+        raise ParseError("matrix header counts must be nonnegative",
+                         path=path, line=head_line)
+    if dim > MAX_FLOW_DIM:
+        raise ShapeError(f"flow matrices are capped at {MAX_FLOW_DIM}",
+                         dim=dim)
     if len(lines) - 1 != nnz:
         raise ParseError(
             f"expected {nnz} entries, found {len(lines) - 1}", path=path
         )
     mat = np.zeros((dim, dim))
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ParseError("matrix entries are 'row col value'", path=path)
+    vals = []
+    for ln, s in lines[1:]:
         try:
-            r, c, v = int(parts[0]), int(parts[1]), float(parts[2])
+            r, c, v = s.split()
+            r, c, v = int(r), int(c), float(v)
         except ValueError:
-            raise ParseError("matrix entries are 'row col value'", path=path)
+            raise ParseError("matrix entries are 'row col value'", path=path,
+                             line=ln)
         if not (0 <= r < dim and 0 <= c < dim):
-            raise ParseError("matrix index out of range", path=path)
+            raise ParseError("matrix index out of range", path=path, line=ln)
         mat[r, c] += v
+        vals.append(v)
+    _checked_finite(np.array(vals), text, path, column=2)
     return mat
 
 
@@ -536,7 +575,8 @@ def run(argv=None) -> int:
     try:
         primary, extra_files, input_paths = args.func(args)
     except WavefieldError as e:
-        print(f"{e.name}: {e}", file=sys.stderr)
+        context = "".join(f" {k}={v}" for k, v in e.context.items())
+        print(f"{e.name}: {e}{context}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - t0
 

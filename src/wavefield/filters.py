@@ -16,9 +16,11 @@ degree of the equivalent Laurent polynomial in z), each root y_k is mapped
 back through z^2 - (2 - 4 y_k) z + 1 = 0 to a reciprocal pair z, 1/z, and
 the representative outside the unit circle is kept. Root products are
 badly conditioned in float64 for K around 8 and beyond (coefficients would
-lose ~10 digits), so the factorization runs in 60-digit arithmetic, gets
-one Gauss-Newton polish on the constraint system, and is rounded to
-float64 once at the end.
+lose ~10 digits), so the factorization runs in 60-digit arithmetic and is
+rounded to float64 once at the end.  No polish follows: for K = 1..12 the
+60-digit taps meet all three constraint families to 2.5e-59 (moments
+scaled as below), and the nearest tap sits 0.0066 ulp from a float64
+rounding boundary, so the float64 taps are the correctly rounded ones.
 
 A note on residuals: the vanishing-moment sums contain terms n^m h_n that
 grow to ~1e10 by K = 10, so the raw float64 sum cannot cancel below
@@ -73,73 +75,19 @@ def _extremal_roots(K):
 
 
 def _spectral_factor_mp(K):
-    """Extremal-phase taps at 60-digit precision; returns a list of mpf."""
+    """Extremal-phase taps at 60-digit precision; returns a list of mpf.
+
+    h(z) ~ ((1+z)/2)^K * prod (z - r), the binomial factor exact.
+    """
     from mpmath import mp, mpf
 
     with mp.workdps(60):
-        if K == 1:
-            r2 = mp.sqrt(2)
-            return [1 / r2, 1 / r2]
-
-        keep = _extremal_roots(K)
-
-        # h(z) ~ ((1+z)/2)^K * prod (z - r) / prod(-r), normalized afterwards
-        poly = [mpf(1)]
-        for _ in range(K):
-            nxt = [mpf(0)] * (len(poly) + 1)
-            for i, c in enumerate(poly):
-                nxt[i] += c / 2
-                nxt[i + 1] += c / 2
-            poly = nxt
-        for r in keep:
-            nxt = [mpf(0)] * (len(poly) + 1)
-            for i, c in enumerate(poly):
-                nxt[i] += c * (-r)
-                nxt[i + 1] += c
-            poly = nxt
+        poly = [mpf(comb(K, i)) / 2**K for i in range(K + 1)]
+        for r in _extremal_roots(K):
+            poly = [b - r * a for a, b in zip(poly + [0], [0] + poly)]
         h = [mp.re(c) for c in poly]
         norm = mp.sqrt(2) / sum(h)
-        h = [c * norm for c in h]
-        return _newton_polish_mp(h, K)
-
-
-def _newton_polish_mp(h, K):
-    """One Gauss-Newton step on the full constraint system, full precision."""
-    from mpmath import mp, mpf, matrix, qr_solve
-
-    n = 2 * K
-    eqs = []  # list of (residual, gradient) rows
-
-    def add(res, grad):
-        eqs.append((res, grad))
-
-    add(sum(h) - mp.sqrt(2), [mpf(1)] * n)
-    for m in range(K):  # orthonormality, m = 0..K-1
-        res = -mpf(1 if m == 0 else 0)
-        grad = [mpf(0)] * n
-        for i in range(n):
-            j = i - 2 * m
-            if 0 <= j < n:
-                res += h[i] * h[j]
-                grad[i] += h[j]
-                grad[j] += h[i]
-        add(res, grad)
-    for m in range(K):  # vanishing moments of the flipped alternating taps
-        res = mpf(0)
-        grad = [mpf(0)] * n
-        for i in range(n):
-            w = mpf(i) ** m * (-1) ** i
-            res += w * h[n - 1 - i]
-            grad[n - 1 - i] += w
-        add(res, grad)
-
-    J = matrix([g for _, g in eqs])
-    F = matrix([r for r, _ in eqs])
-    try:
-        dx = qr_solve(J, F)[0]
-    except ZeroDivisionError:  # defensive; system is full rank in practice
-        return h
-    return [h[i] - dx[i] for i in range(n)]
+        return [c * norm for c in h]
 
 
 @lru_cache(maxsize=None)

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _PATTERNS4 = ("ssss", "sssw", "ssww", "swww", "wwww")
+MAX_FLOW_DIM = 512  # the CLI matrix reader checks it before allocating
 
 
 @dataclass(frozen=True)
@@ -88,8 +89,13 @@ class FlowState:
         h = np.asarray(self.h_matrix, dtype=np.float64)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ShapeError("flow matrix must be square", shape=h.shape)
-        if h.shape[0] > 512:
-            raise ShapeError("flow matrices are capped at 512", dim=h.shape[0])
+        if h.shape[0] == 0:
+            raise ShapeError("flow matrix is empty")
+        if h.shape[0] > MAX_FLOW_DIM:
+            raise ShapeError(f"flow matrices are capped at {MAX_FLOW_DIM}",
+                             dim=h.shape[0])
+        if not np.isfinite(h).all():
+            raise ShapeError("flow matrix must be finite")
         if np.abs(h - h.T).max() > 1e-12 * max(1.0, np.abs(h).max()):
             raise ShapeError("flow matrix must be symmetric")
         if self.lam < 0:

@@ -146,16 +146,16 @@ def wavelet_samples(fp, level):
     w shares the support [0, 2K-1] (under the index convention where w is
     built from level-1 translates of s starting at 0).
     """
-    s = refine(integer_values(fp), level + 1, fp)
+    s = refine(integer_values(fp), level, fp)
     K = fp.order
     n = (2 * K - 1) * 2**level + 1
     out = np.zeros(n)
     sv = s.values
     i = np.arange(n)
     for l in range(2 * K):
-        # at x = i/2^level the argument 2x - l sits at level-(level+1)
-        # sample index (2x - l) * 2^(level+1) = 4i - l * 2^(level+1)
-        src = 4 * i - (l << (level + 1))
+        # at x = i/2^level the argument 2x - l sits on the same grid, at
+        # sample index (2x - l) * 2^level = 2i - l * 2^level
+        src = 2 * i - (l << level)
         ok = (src >= 0) & (src < len(sv))
         out[i[ok]] += np.sqrt(2.0) * fp.g[l] * sv[src[ok]]
     return DyadicSamples(K, level, 0, out)

@@ -133,6 +133,56 @@ def test_dwt_malformed_input(tmp_path, capsys, cachedir):
     assert err.startswith("parse:")
 
 
+PYRAMID_OK = ["# wavefield-pyramid 1", "# order 1 levels 1 length 4",
+              "# coarse scale -1 length 2", "1", "1",
+              "# detail 1 scale -1 length 2", "0", "0"]
+
+
+@pytest.mark.parametrize("line,text,where", [
+    (2, "# order x levels 1 length 4", "line=2"),
+    (3, "# coarse length 2", "line=3"),
+    (6, "# detail 2 scale -1 length 2", "line=6"),
+    (6, "# detail 1 scale -1 length 3", "line=6 length=3 values=2"),
+    (2, "# order 1 levels 1 length 8", "line=2 length=8 values=4"),
+    (5, "inf", "line=5"),
+    (7, "nan", "line=7"),
+])
+def test_dwt_inverse_malformed_pyramid(line, text, where, tmp_path, capsys,
+                                       cachedir):
+    lines = list(PYRAMID_OK)
+    lines[line - 1] = text
+    src = tmp_path / "p.txt"
+    src.write_text("\n".join(lines) + "\n")
+    rc, out, err = invoke(
+        ["dwt", "--order", "1", "--levels", "1", "--input", str(src),
+         "--direction", "inverse"], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("parse:") and err.count("\n") == 1
+    assert err.rstrip().endswith(where)
+
+
+def test_dwt_inverse_short_block(tmp_path, capsys, cachedir):
+    src = tmp_path / "p.txt"
+    src.write_text("\n".join(PYRAMID_OK[:-1]) + "\n")
+    rc, _, err = invoke(
+        ["dwt", "--order", "1", "--levels", "1", "--input", str(src),
+         "--direction", "inverse"], capsys)
+    assert rc == 1
+    assert err.startswith("parse: block length disagrees with its values")
+    assert "line=6 length=2 values=1" in err
+
+
+def test_dwt_forward_refuses_nonfinite(tmp_path, capsys, cachedir):
+    src = tmp_path / "v.csv"
+    src.write_text("1\n\nnan\n")
+    rc, out, err = invoke(
+        ["dwt", "--order", "1", "--levels", "1", "--input", str(src),
+         "--direction", "forward"], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("parse: non-finite value in input")
+    assert err.rstrip().endswith("line=3")
+
+
 # ------------------------------------------------------------- coeffs
 
 def test_coeffs_table_and_cache_hit(capsys, cachedir):
@@ -234,6 +284,9 @@ def test_coeffs_order_limit_caches_nothing(capsys, cachedir):
     assert time.perf_counter() - start < 1.0
     assert rc == 1 and out == ""
     assert err.startswith("unsupported-order:")
+    # the error's context reaches stderr on the same line
+    assert err.count("\n") == 1
+    assert "unknowns=12209 bytes=1192575120" in err
     assert not list(cachedir.glob("*.tbl"))
 
 
@@ -369,6 +422,38 @@ def test_flow_bad_header(tmp_path, capsys, cachedir):
          "--lambda-end", "0.5"], capsys)
     assert rc == 1
     assert err.startswith("parse:")
+
+
+@pytest.mark.parametrize("text,prefix", [
+    ("2 1\n0 0 nan\n", "parse: non-finite value in input"),
+    ("2 2\n0 0 1\n\n1 1 -inf\n", "parse: non-finite value in input"),
+    ("-2 0\n", "parse: matrix header counts must be nonnegative"),
+    ("2 x\n", "parse: matrix header must be 'dim nnz'"),
+    ("2 1\n0 1\n", "parse: matrix entries are 'row col value'"),
+    ("0 0\n", "shape: flow matrix is empty"),
+])
+def test_flow_malformed_matrix(text, prefix, tmp_path, capsys, cachedir):
+    src = tmp_path / "h.coo"
+    src.write_text(text)
+    rc, out, err = invoke(
+        ["flow", "--input", str(src), "--generator", "diag",
+         "--lambda-end", "0.5"], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith(prefix) and err.count("\n") == 1
+    if prefix.startswith("parse"):
+        assert "line=" in err
+
+
+def test_flow_cap_checked_before_allocation(tmp_path, capsys, cachedir):
+    # a dense 10^8 x 10^8 matrix cannot be allocated; the header is refused
+    # before anything is
+    src = tmp_path / "h.coo"
+    src.write_text("100000000 0\n")
+    rc, _, err = invoke(
+        ["flow", "--input", str(src), "--generator", "diag",
+         "--lambda-end", "0.5"], capsys)
+    assert rc == 1
+    assert err.startswith("shape: flow matrices are capped at 512 dim=100000000")
 
 
 # ------------------------------------------------------------- diagnose

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,37 @@ H2 = np.array([
     (3 - SQ3) / (4 * SQ2),
     (1 - SQ3) / (4 * SQ2),
 ])
+
+
+# sha256 of make_filters(K).h.tobytes() and .g.tobytes(), K = 1..12: the
+# float64 taps are the 60-digit factorization rounded once, and must not
+# move by a bit
+TAP_SHA256 = {
+    1: ("a79009788da6562af5d0a823a8d4d5b76d051e4e53baf8b1c65649a4dc454f37",
+        "c876e02b9b9239e30080191a5754295da4bb676c6f7accf335acb2db9d0e6798"),
+    2: ("9871d432a13fcd07b609c12f10fb3a4331ca5d97ce52a1200ac9a4beebc901e0",
+        "da054b5fe9f0b0299230e7236c66a2894e3536a32ca459cd7b9e5d3392da5865"),
+    3: ("ab7704be270d1ec349de058e5dd7931f872d1b23aa417e608136170466522b52",
+        "bfc68bacb0ddd4640fb7dbfdee8393038a610d3044f26e40185c1a13080b5be0"),
+    4: ("f3a232aaa71fadb49e09999caa15c6dbb702e46f8c1521d1726dbb96c934f543",
+        "aad5837c7ea2a38b3b067bcef2496ee42c6f5c07e676cfa6d925a5fce488d491"),
+    5: ("1f01d010e821b82b4b44c8e46b682461270a2883b28e12282c8b68b5dbf1459f",
+        "5789bc3d303aaaada1799f5ba765e75a05eae7c76b896cb138f27b1f1711e50c"),
+    6: ("b44d755cc7930d28ba0b02d9991c30e189052fe2790f899e6a1407ce318dc8b5",
+        "d4a0b7c95b58ec607e296120094383540746f7b2eccbd1440058491e9c1174ec"),
+    7: ("f764cd4efeb83069160a449532bd699003f1455714cc5311667b50d8addb9d06",
+        "e0b9509e77bc64b4744f71ef4ddad2adfa8927c9e78b5041c3c98e4bec155035"),
+    8: ("b34b5ad85f1db83f365cbe8367b4dda006a145ab1e90bb543f395416cbc60289",
+        "8f4c89fc5bbd90ccc3153380af8acc4d6e665f17ebaeb38b45baf1bcc5ef6763"),
+    9: ("ba948319ca42414b3bc94d754da158262c7eb7dbd92b847977f797cc4593b3a0",
+        "6fb2d2aff3826a5c7980ff6feec2ad37087bf542e1f64ace417449edb21e6977"),
+    10: ("241d7fc8a2f1cb01da7f93865fc45f1ab795dd90e3b4a3cbf7ce76bcff0939cd",
+        "2b2b413813e672950575cc89fbc39d980bb4cc2a6a90b0fd6f97d193f9fd2e08"),
+    11: ("c4806d4beca50e75cdf75b3271cffd0568d5b49fdddcdfaee684f4d0143f47f8",
+        "611490d8d106367ba2987d5794f1b02197aa80668ad0986b7c82042fa4f82651"),
+    12: ("8b5703c8acf071ac47b0520834e3e94e4f9e51324c6fc827e7cc8b000f194842",
+        "18945e62f309d5ff053766b77b22e9b542dbb58d346c0f6b2a3f258f202f0fa6"),
+}
 
 
 def _laurent_roots_outside(K):
@@ -47,6 +80,13 @@ def test_roots_in_y_match_laurent_factorization(K):
         assert len(new) == len(ref) == K - 1
         for r in new:
             assert min(abs(r - q) for q in ref) < mp.mpf(10) ** -45
+
+
+@pytest.mark.parametrize("K", range(1, K_MAX + 1))
+def test_taps_bit_pinned(K):
+    fp = make_filters(K)
+    digests = tuple(hashlib.sha256(t.tobytes()).hexdigest() for t in (fp.h, fp.g))
+    assert digests == TAP_SHA256[K]
 
 
 def test_k1_haar():

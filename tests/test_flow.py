@@ -242,6 +242,11 @@ class TestFlowState:
             FlowState(0.0, good, "wegner-block", None)
         with pytest.raises(ShapeError):
             FlowState(0.0, np.eye(1024))
+        with pytest.raises(ShapeError, match="empty"):
+            FlowState(0.0, np.zeros((0, 0)))
+        # an inf diagonal passes the symmetry check, which compares nan
+        with pytest.raises(ShapeError, match="finite"):
+            FlowState(0.0, np.diag([np.inf, 1.0]))
 
     def test_input_copied(self):
         h = np.eye(2)

@@ -206,3 +206,26 @@ def test_wavelet_orthogonal_to_scaling_translates():
         lo, hi = max(0, n * g), min(len(s) + n * g, len(w))
         acc = (w[lo:hi] * s[lo - n * g : hi - n * g]).sum() * 2.0**-level
         assert abs(acc) < 1e-8, n
+
+
+def _wavelet_samples_one_level_deeper(fp, level):
+    """Reference: the cascade refined to level + 1, read at its even samples
+    (verbatim copies of the level samples)."""
+    sv = refine(integer_values(fp), level + 1, fp).values
+    n = (2 * fp.order - 1) * 2**level + 1
+    out = np.zeros(n)
+    i = np.arange(n)
+    for l in range(2 * fp.order):
+        src = 4 * i - (l << (level + 1))
+        ok = (src >= 0) & (src < len(sv))
+        out[i[ok]] += np.sqrt(2.0) * fp.g[l] * sv[src[ok]]
+    return out
+
+
+@pytest.mark.parametrize("K", range(1, 13))
+def test_wavelet_samples_match_deeper_cascade_bitwise(K):
+    fp = make_filters(K)
+    for level in range(0, 11):
+        got = wavelet_samples(fp, level).values
+        ref = _wavelet_samples_one_level_deeper(fp, level)
+        assert got.tobytes() == ref.tobytes(), level

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavefield.errors import DepthError, ShapeError
-from wavefield.filters import make_filters
+from wavefield.filters import K_MAX, make_filters
 from wavefield.scaling import reproduction_coeffs
 from wavefield.transform import (
     CoeffPyramid,
@@ -154,3 +155,22 @@ def test_detail_channel_kills_low_degree_polynomials(m):
     _, d = analysis_step(v, fp)
     interior = d.values[: (N - 2 * K + 1) // 2]
     assert np.abs(interior).max() < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.integers(1, K_MAX), data=st.data())
+def test_multilevel_round_trip_and_parseval(order, data):
+    # any order, power-of-two length >= 2K, any admissible depth
+    n = data.draw(st.sampled_from([2**p for p in range(1, 11) if 2**p >= 2 * order]),
+                  label="n")
+    levels = data.draw(st.integers(0, max_levels(n, order)), label="levels")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    x = np.random.default_rng(seed).standard_normal(n)
+    fp = make_filters(order)
+    pyr = multilevel(CoeffVector(0, x), fp, levels, "forward")
+    assert pyr.levels == levels and len(pyr.flatten()) == n
+    energy = (x**2).sum()
+    assert abs((pyr.flatten() ** 2).sum() - energy) <= 1e-12 * energy
+    back = multilevel(pyr, fp, levels, "inverse")
+    assert back.scale == 0
+    assert np.abs(back.values - x).max() <= 1e-12 * np.abs(x).max()
