@@ -35,7 +35,7 @@ print("sum rule max defect: %.2e"
 # oracle convergence over the whole table
 print("\n# level  max |oracle - table|")
 for level in (6, 8, 10, 12):
-    print("%6d  %.3e" % (level, oracle_deviation(g3, fp, level)))
+    print("%6d  %.3e" % (level, oracle_deviation(g3, level)))
 
 # rescaling: one scale step multiplies D by 4 and Gamma3 by 2^(1/2)
 d1 = rescale_tensor(d, 1)

@@ -41,7 +41,6 @@ from .connection import (  # noqa: F401
 from .fock import (  # noqa: F401
     FockBasis,
     FockOperator,
-    LatticeConfig,
     ModelParams,
     build_phi4_hamiltonian,
     free_reference_spectrum,
@@ -72,7 +71,7 @@ __all__ = [
     "CoeffPyramid", "CoeffVector", "max_levels", "multilevel",
     "CoeffTensor", "derivative_overlaps", "gamma_tensor", "load_tensor",
     "quadrature_oracle", "rescale_tensor", "save_tensor", "validate_tensor",
-    "FockBasis", "FockOperator", "LatticeConfig", "ModelParams",
+    "FockBasis", "FockOperator", "ModelParams",
     "build_phi4_hamiltonian", "free_reference_spectrum", "lanczos_lowest",
     "FlowState", "SplitTensors", "StepControl",
     "split_tensors", "srg_flow", "stage_matrix",

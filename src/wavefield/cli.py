@@ -47,7 +47,6 @@ from .errors import ParseError, ShapeError, WavefieldError, WindowingError
 from .filters import make_filters
 from .fock import (
     FockBasis,
-    LatticeConfig,
     ModelParams,
     build_phi4_hamiltonian,
     lanczos_lowest,
@@ -304,7 +303,7 @@ def _cmd_coeffs(args):
                                    _cache_dir(args))
     if args.verify_oracle is not None:
         level = args.verify_oracle
-        dev = oracle_deviation(t, make_filters(args.order), level)
+        dev = oracle_deviation(t, level)
         if args.format == "json":
             text = _json({"kind": args.kind, "order": args.order,
                           "scale": args.scale, "level": level,
@@ -334,10 +333,9 @@ def _cmd_hamiltonian(args):
     cache = _cache_dir(args)
     d_t, _ = _cached_tensor("d", args.order, args.scale, cache)
     g4_t, _ = _cached_tensor("gamma4", args.order, args.scale, cache)
-    cfg = LatticeConfig(args.order, args.scale, args.modes)
     params = ModelParams(args.mass2, args.coupling, args.gamma)
     basis = FockBasis(args.modes, args.nmax)
-    op = build_phi4_hamiltonian(cfg, params, d_t, g4_t, basis)
+    op = build_phi4_hamiltonian(params, d_t, g4_t, basis)
     pairs = lanczos_lowest(op, args.eigs)
     if args.format == "json":
         text = _json({
@@ -377,8 +375,7 @@ def _parse_coo(text, path) -> np.ndarray:
         raise ParseError(
             f"expected {nnz} entries, found {len(lines) - 1}", path=path
         )
-    mat = np.zeros((dim, dim))
-    vals = []
+    rows, cols, vals = [], [], []
     for ln, s in lines[1:]:
         try:
             r, c, v = s.split()
@@ -388,9 +385,15 @@ def _parse_coo(text, path) -> np.ndarray:
                              line=ln)
         if not (0 <= r < dim and 0 <= c < dim):
             raise ParseError("matrix index out of range", path=path, line=ln)
-        mat[r, c] += v
+        rows.append(r)
+        cols.append(c)
         vals.append(v)
-    _checked_finite(np.array(vals), text, path, column=2)
+    vals = _checked_finite(np.array(vals), text, path, column=2)
+    mat = np.zeros((dim, dim))
+    # repeated entries add up in file order; a sum that overflows is left
+    # as inf for FlowState to refuse, without a numpy warning
+    with np.errstate(over="ignore"):
+        np.add.at(mat, (np.array(rows, np.int64), np.array(cols, np.int64)), vals)
     return mat
 
 

@@ -14,11 +14,11 @@ differentiated factor).  _solve_bordered solves that bordered system by
 least squares.  An order whose system would exceed _MAX_SYSTEM_BYTES
 (gamma-4 from order 8) is refused before anything is allocated.
 
-A plain-quadrature oracle on refined dyadic samples provides the
-independent cross-check: oracle_deviation reports the raw level-L
-deviation, and for the rough low orders its Aitken-extrapolated form
-(extrapolated_oracle) reaches the accuracy that the plain sum at the same
-level cannot.  validate_tensor checks every rule at every scale, one
+A plain-quadrature oracle on refined dyadic samples of the table's own
+order provides the independent cross-check: oracle_deviation reports the
+raw level-L deviation, and for the rough low orders its Aitken-extrapolated
+form (extrapolated_oracle) reaches the accuracy that the plain sum at the
+same level cannot.  validate_tensor checks every rule at every scale, one
 permutation rule for every kind (D's evenness is its n -> -n case) and the
 gamma-3/gamma-4 sum rules, on write (save_tensor) and read (load_tensor).
 
@@ -447,30 +447,33 @@ def _oracle_factors(t: CoeffTensor, offsets):
     return [(0, 0)] + [(n, 0) for n in offsets]
 
 
-def _oracle_sums(t: CoeffTensor, fp: FilterPair, offsets, level, scale):
-    """Level-L quadrature_oracle sums of t's integrands at the given offsets."""
+def _oracle_sums(t: CoeffTensor, offsets, level, scale):
+    """Level-L quadrature_oracle sums of t's integrands at the given offsets,
+    on the filters of t's own order."""
+    fp = make_filters(t.order)
     return np.array([
         quadrature_oracle(fp, _oracle_factors(t, tup), level, scale=scale)
         for tup in offsets
     ])
 
 
-def oracle_deviation(t: CoeffTensor, fp: FilterPair, level: int) -> float:
+def oracle_deviation(t: CoeffTensor, level: int) -> float:
     """Largest deviation of the table from its plain level-L oracle sums.
 
-    The raw Riemann-sum check, at the table's own scale; for the rough
-    low orders see extrapolated_oracle.
+    The raw Riemann-sum check, at the table's own order and scale; for the
+    rough low orders see extrapolated_oracle.
     """
     offsets = sorted(t.entries)
     vals = np.array([t.entries[tup] for tup in offsets])
-    sums = _oracle_sums(t, fp, offsets, level, t.scale)
+    sums = _oracle_sums(t, offsets, level, t.scale)
     return float(np.abs(sums - vals).max(initial=0.0))
 
 
-def extrapolated_oracle(t: CoeffTensor, fp: FilterPair, level: int) -> dict:
+def extrapolated_oracle(t: CoeffTensor, level: int) -> dict:
     """Oracle deviation of a table, raw and Aitken-extrapolated.
 
-    Each entry's quadrature_oracle sum is taken at levels level-3..level
+    Each entry's quadrature_oracle sum, on the filters of the table's own
+    order and at its own scale, is taken at levels level-3..level
     and passed through aitken_limit, which extrapolates only a stable
     geometric sequence and otherwise keeps the raw level-L sum (a
     fallback).  Built on quadrature_oracle alone, so it stays independent
@@ -485,7 +488,7 @@ def extrapolated_oracle(t: CoeffTensor, fp: FilterPair, level: int) -> dict:
     offsets = sorted(t.entries)
     vals = np.array([t.entries[tup] for tup in offsets])
     sums = np.array([
-        _oracle_sums(t, fp, offsets, lev, t.scale)
+        _oracle_sums(t, offsets, lev, t.scale)
         for lev in range(level - 3, level + 1)
     ]).reshape(4, len(offsets))
     limits, fell_back = aitken_limit(sums)
@@ -507,7 +510,7 @@ def resolve_d_exponent(fp: FilterPair, level: int = 12) -> dict:
     t = derivative_overlaps(fp)
     offsets = [tup for tup in sorted(t.entries) if tup[0] >= 0]
     vals = np.array([t.entries[tup] for tup in offsets])
-    oracle = _oracle_sums(t, fp, offsets, level, 1)
+    oracle = _oracle_sums(t, offsets, level, 1)
     devs = {expo: float(np.abs(vals * 2.0**expo - oracle).max())
             for expo in (1, 2)}
     winner = min(devs, key=devs.get)

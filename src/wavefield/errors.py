@@ -77,14 +77,10 @@ class TachyonicConfigurationError(WavefieldError):
 
 
 class ConvergenceFailureError(WavefieldError):
-    """Carries the best eigenpair residuals reached before giving up."""
+    """Its context carries the eigenvalues (and residuals, where known)
+    reached before giving up."""
 
     name = "convergence-failure"
-
-    def __init__(self, message="", eigenvalues=None, residuals=None, **context):
-        super().__init__(message, **context)
-        self.eigenvalues = eigenvalues
-        self.residuals = residuals
 
 
 class StiffnessError(WavefieldError):

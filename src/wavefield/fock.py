@@ -49,7 +49,6 @@ from .errors import (
 _START_SEED = 7  # seeds the iterative eigensolver's start vector
 
 __all__ = [
-    "LatticeConfig",
     "ModelParams",
     "FockBasis",
     "FockOperator",
@@ -59,19 +58,6 @@ __all__ = [
     "lanczos_lowest",
     "block_leakage_counts",
 ]
-
-
-@dataclass(frozen=True)
-class LatticeConfig:
-    """Periodic lattice of retained translations at one resolution."""
-
-    order: int
-    scale: int
-    modes: int
-
-    def __post_init__(self):
-        if self.modes < 1:
-            raise ShapeError("need at least one mode", modes=self.modes)
 
 
 @dataclass(frozen=True)
@@ -327,24 +313,30 @@ def _dedup(pos, vals, dim):
     return pos // dim, pos % dim, np.add.reduceat(vals, starts)
 
 
-def build_phi4_hamiltonian(cfg: LatticeConfig, p: ModelParams, d_tensor: CoeffTensor,
+def build_phi4_hamiltonian(p: ModelParams, d_tensor: CoeffTensor,
                            g4_tensor: CoeffTensor | None, basis: FockBasis) -> FockOperator:
     """Assemble the normal-ordered Hamiltonian
 
     H = 1/2 sum :Pi^2: + 1/2 sum D :Phi Phi: + 1/2 mu^2 sum :Phi^2:
         + lambda sum Gamma4 :Phi Phi Phi Phi:
 
-    with periodic wrapping of the tensor offsets.  Both tensors must
-    already be rescaled to cfg.scale.
+    on basis.modes sites, with periodic wrapping of the tensor offsets.
+    The lattice resolution is the tables' own order and scale; at nonzero
+    coupling the two tables must agree on both.  At zero coupling the
+    four-point table is not read.
     """
-    if basis.modes != cfg.modes:
-        raise ShapeError("basis/config mode mismatch", basis=basis.modes, config=cfg.modes)
-    _check_tensor(d_tensor, "derivative-D", cfg)
+    _check_kind(d_tensor, "derivative-D")
     if p.coupling != 0.0:
         if g4_tensor is None:
             raise ShapeError("interacting Hamiltonian needs the four-point table")
-        _check_tensor(g4_tensor, "gamma-4", cfg)
-    n_modes = cfg.modes
+        _check_kind(g4_tensor, "gamma-4")
+        if g4_tensor.order != d_tensor.order:
+            raise OrderMismatchError("gamma-4 order != derivative order",
+                                     derivative=d_tensor.order, gamma4=g4_tensor.order)
+        if g4_tensor.scale != d_tensor.scale:
+            raise ScaleMismatchError("gamma-4 scale != derivative scale",
+                                     derivative=d_tensor.scale, gamma4=g4_tensor.scale)
+    n_modes = basis.modes
     w_mat = wrap_matrix(d_tensor, n_modes)
     terms = _quadratic_terms(w_mat, p.mass_squared, p.gamma, n_modes)
     if p.coupling != 0.0:
@@ -372,28 +364,22 @@ def build_phi4_hamiltonian(cfg: LatticeConfig, p: ModelParams, d_tensor: CoeffTe
     return FockOperator(basis, mat)
 
 
-def _check_tensor(t, kind, cfg):
+def _check_kind(t, kind):
     if t.kind != kind:
         raise ShapeError("wrong tensor kind", expected=kind, got=t.kind)
-    if t.order != cfg.order:
-        raise OrderMismatchError("tensor order != lattice order", tensor=t.order, config=cfg.order)
-    if t.scale != cfg.scale:
-        raise ScaleMismatchError("tensor scale != lattice scale", tensor=t.scale, config=cfg.scale)
 
 
-def free_reference_spectrum(cfg: LatticeConfig, p: ModelParams, d_tensor: CoeffTensor):
+def free_reference_spectrum(p: ModelParams, d_tensor: CoeffTensor, modes: int):
     """Closed-form normal-mode data for the quadratic (lambda = 0) sector.
 
-    Diagonalizes Omega^2 = wrapped D + mu^2 I and returns (omega, E0)
-    with E0 the exact vacuum energy of the gamma-normal-ordered
+    Diagonalizes Omega^2 = D wrapped onto modes sites + mu^2 I and returns
+    (omega, E0) with E0 the exact vacuum energy of the gamma-normal-ordered
     quadratic Hamiltonian:
 
         E0 = sum_j [ omega_j / 2 - (gamma + omega_j^2 / gamma) / 4 ].
     """
-    _check_tensor(d_tensor, "derivative-D", cfg)
-    omega2 = np.linalg.eigvalsh(
-        wrap_matrix(d_tensor, cfg.modes) + p.mass_squared * np.eye(cfg.modes)
-    )
+    _check_kind(d_tensor, "derivative-D")
+    omega2 = np.linalg.eigvalsh(wrap_matrix(d_tensor, modes) + p.mass_squared * np.eye(modes))
     if omega2[0] < -1e-10:
         raise TachyonicConfigurationError(
             "mode frequency squared is negative",

@@ -42,7 +42,6 @@ from wavefield.flow import (
 )
 from wavefield.fock import (
     FockBasis,
-    LatticeConfig,
     ModelParams,
     build_phi4_hamiltonian,
     free_reference_spectrum,
@@ -190,7 +189,7 @@ def test_criterion_06_connection_coefficients():
             t = gamma_tensor(fp, m)
             worst_res = max(worst_res, recursion_residual(t, fp))
             oracle["gamma K=%d m=%d" % (K, m)] = \
-                (extrapolated_oracle(t, fp, 12), 1e-6)
+                (extrapolated_oracle(t, 12), 1e-6)
         sums = {}
         for (n2, n3), v in gamma_tensor(fp, 3).sorted_items():
             sums[n2] = sums.get(n2, 0.0) + v
@@ -200,7 +199,7 @@ def test_criterion_06_connection_coefficients():
         fp = make_filters(K)
         t = derivative_overlaps(fp)
         worst_res = max(worst_res, recursion_residual(t, fp))
-        oracle["D K=%d" % K] = (extrapolated_oracle(t, fp, 14), 1e-4)
+        oracle["D K=%d" % K] = (extrapolated_oracle(t, 14), 1e-4)
     bad = ["%s %.3e" % (name, r["extrapolated"])
            for name, (r, tol) in oracle.items() if r["extrapolated"] > tol]
     dt = time.perf_counter() - t0
@@ -225,7 +224,7 @@ def test_criterion_07_scaling_identities():
     for m in (3, 4):
         base = gamma_tensor(fp, m)
         for k in (1, 2):
-            worst = max(worst, oracle_deviation(rescale_tensor(base, k), fp, 12))
+            worst = max(worst, oracle_deviation(rescale_tensor(base, k), 12))
     res = resolve_d_exponent(fp, 12)
     dt = time.perf_counter() - t0
     ok = worst < 1e-6 and res["exponent"] == 2 \
@@ -244,16 +243,14 @@ def test_criterion_08_free_sector():
     d3 = derivative_overlaps(fp)
     g43 = gamma_tensor(fp, 4)
     # one mode: gamma = omega = 1, spectrum is the integers
-    h = build_phi4_hamiltonian(LatticeConfig(3, 0, 1),
-                               ModelParams(1.0, 0.0, 1.0), d3, None,
+    h = build_phi4_hamiltonian(ModelParams(1.0, 0.0, 1.0), d3, None,
                                FockBasis(1, 8))
     dev1 = max(abs(e - j) for j, (e, _) in enumerate(lanczos_lowest(h, 4)))
     # two modes at matched gamma vs the closed-form ladder
-    cfg2 = LatticeConfig(3, 0, 2)
-    om, _ = free_reference_spectrum(cfg2, ModelParams(1.0, 0.0, 1.0), d3)
+    om, _ = free_reference_spectrum(ModelParams(1.0, 0.0, 1.0), d3, 2)
     p = ModelParams(1.0, 0.0, float(np.sqrt(om[0] * om[1])))
-    hh = build_phi4_hamiltonian(cfg2, p, d3, None, FockBasis(2, 20))
-    om2, e0 = free_reference_spectrum(cfg2, p, d3)
+    hh = build_phi4_hamiltonian(p, d3, None, FockBasis(2, 20))
+    om2, e0 = free_reference_spectrum(p, d3, 2)
     evs = np.linalg.eigvalsh(hh.matrix.toarray())
     ladder = sorted(e0 + i * om2[0] + j * om2[1]
                     for i in range(6) for j in range(6))
@@ -266,7 +263,7 @@ def test_criterion_08_free_sector():
         pr = ModelParams(float(rng.uniform(-1, 4)),
                          float(rng.uniform(0, 2)),
                          float(rng.uniform(0.3, 3)))
-        hq = build_phi4_hamiltonian(cfg2, pr, d3, g43, b)
+        hq = build_phi4_hamiltonian(pr, d3, g43, b)
         zeros_ok = zeros_ok and hq.matrix[0, 0] == 0.0
     dt = time.perf_counter() - t0
     ok = dev1 < 1e-10 and dev2 < 1e-6 and zeros_ok and dt < 120.0
@@ -281,22 +278,21 @@ def test_criterion_09_variational_perturbative():
     fp = make_filters(3)
     d3 = derivative_overlaps(fp)
     g43 = gamma_tensor(fp, 4)
-    cfg = LatticeConfig(3, 0, 4)
     es = []
     for nmax in (2, 3, 4, 5):
-        h = build_phi4_hamiltonian(cfg, ModelParams(1.0, 0.1), d3, g43,
+        h = build_phi4_hamiltonian(ModelParams(1.0, 0.1), d3, g43,
                                    FockBasis(4, nmax))
         es.append(lanczos_lowest(h, 1)[0][0])
     monotone = all(b <= a + 1e-10 for a, b in zip(es, es[1:]))
     b4 = FockBasis(4, 4)
-    h0 = build_phi4_hamiltonian(cfg, ModelParams(1.0, 0.0), d3, g43, b4)
-    h_unit = build_phi4_hamiltonian(cfg, ModelParams(1.0, 1.0), d3, g43, b4)
+    h0 = build_phi4_hamiltonian(ModelParams(1.0, 0.0), d3, g43, b4)
+    h_unit = build_phi4_hamiltonian(ModelParams(1.0, 1.0), d3, g43, b4)
     v = (h_unit.matrix - h0.matrix).tocsr()
     _, vec = spla.eigsh(h0.matrix, k=1, which="SA")
     psi = vec[:, 0]
     slope_ref = float(psi @ (v @ psi))
     lam = 1e-3
-    h1 = build_phi4_hamiltonian(cfg, ModelParams(1.0, lam), d3, g43, b4)
+    h1 = build_phi4_hamiltonian(ModelParams(1.0, lam), d3, g43, b4)
     slope_num = (lanczos_lowest(h1, 1)[0][0]
                  - lanczos_lowest(h0, 1)[0][0]) / lam
     rel = abs(slope_num - slope_ref) / abs(slope_ref)

@@ -346,6 +346,23 @@ def test_hamiltonian_rejects_low_order(capsys, cachedir):
     assert err.startswith("non-differentiable-order:")
 
 
+def test_hamiltonian_convergence_failure_reports_context(capsys, cachedir,
+                                                         monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def stalled(*args, **kwargs):
+        raise spla.ArpackNoConvergence("stalled", np.array([0.5]), None)
+
+    monkeypatch.setattr(spla, "eigsh", stalled)
+    rc, out, err = invoke(
+        ["hamiltonian", "--order", "3", "--modes", "4", "--nmax", "3",
+         "--mass2", "1.0", "--lambda", "0.1", "--eigs", "2"], capsys)
+    assert rc == 1 and out == ""  # dim 256: the iterative path
+    assert err.count("\n") == 1
+    assert err.startswith("convergence-failure:")
+    assert " eigenvalues=[0.5]" in err and " count=2" in err
+
+
 def test_hamiltonian_deterministic(tmp_path, cachedir):
     cold, warm = cold_and_warm_bytes(
         ["hamiltonian", "--order", "3", "--modes", "2", "--nmax", "8",
@@ -431,6 +448,8 @@ def test_flow_bad_header(tmp_path, capsys, cachedir):
     ("2 x\n", "parse: matrix header must be 'dim nnz'"),
     ("2 1\n0 1\n", "parse: matrix entries are 'row col value'"),
     ("0 0\n", "shape: flow matrix is empty"),
+    # two finite entries whose sum overflows
+    ("1 2\n0 0 1e308\n0 0 1e308\n", "shape: flow matrix must be finite"),
 ])
 def test_flow_malformed_matrix(text, prefix, tmp_path, capsys, cachedir):
     src = tmp_path / "h.coo"

@@ -145,7 +145,7 @@ def test_gamma_against_quadrature(K, m, bound):
     # low-order scaling function is barely Holder continuous, so the
     # quadrature converges slowly; higher K is far below the bound
     fp = make_filters(K)
-    assert oracle_deviation(gamma_tensor(fp, m), fp, 12) < bound
+    assert oracle_deviation(gamma_tensor(fp, m), 12) < bound
 
 
 @pytest.mark.parametrize("K,m", [(3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (3, 4)])
@@ -207,14 +207,14 @@ def test_aitken_limit_needs_four_levels():
 def test_extrapolated_oracle_k2_gamma3():
     fp = make_filters(2)
     t = gamma_tensor(fp, 3)
-    rep = extrapolated_oracle(t, fp, 12)
+    rep = extrapolated_oracle(t, 12)
     assert rep["entries"] == 19 and rep["fallbacks"] == 0
     # the raw level-12 sum alone misses the 1e-6 tolerance on an exact table
     assert rep["raw"] > 1e-6
     assert rep["extrapolated"] < 1e-7
     # a 2e-6 shift of one entry is visible after extrapolation, where the
     # raw oracle's own 1.2e-6 error hides it
-    shift = extrapolated_oracle(shifted(t, (1, 1), 2e-6), fp, 12)
+    shift = extrapolated_oracle(shifted(t, (1, 1), 2e-6), 12)
     assert shift["extrapolated"] > 1e-6
 
 
@@ -223,7 +223,7 @@ def test_extrapolated_oracle_level_range():
     t = gamma_tensor(fp, 3)
     for level in (3, 17):
         with pytest.raises(IndexRangeError):
-            extrapolated_oracle(t, fp, level)
+            extrapolated_oracle(t, level)
 
 
 def test_derivative_table_k3_exact_values():
@@ -252,7 +252,7 @@ def test_derivative_against_quadrature(K, bound):
     # the finite-difference oracle at level 14 is limited by the Holder
     # exponent of s'; measured 1.79e-3 (K=3), 3.98e-6 (K=4), 1.19e-7 (K=5)
     fp = make_filters(K)
-    assert oracle_deviation(derivative_overlaps(fp), fp, 14) < bound
+    assert oracle_deviation(derivative_overlaps(fp), 14) < bound
 
 
 def test_oracle_indicator_norm():
@@ -313,7 +313,7 @@ def test_rescale_rejects_scaled_input():
 def test_rescaled_gamma_matches_scaled_oracle(K, k, bound):
     fp = make_filters(K)
     t = rescale_tensor(gamma_tensor(fp, 3), k)
-    assert oracle_deviation(t, fp, 12) < bound
+    assert oracle_deviation(t, 12) < bound
 
 
 def test_rescaled_derivative_matches_scale1_oracle_k4():
@@ -321,7 +321,7 @@ def test_rescaled_derivative_matches_scale1_oracle_k4():
     # comparison threshold; K=3 is Holder-limited to ~7e-3 here
     fp = make_filters(4)
     t = rescale_tensor(derivative_overlaps(fp), 1)
-    assert oracle_deviation(t, fp, 14) < 1e-4
+    assert oracle_deviation(t, 14) < 1e-4
 
 
 def test_resolve_d_exponent():

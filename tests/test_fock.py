@@ -24,7 +24,6 @@ from wavefield.filters import make_filters
 from wavefield.fock import (
     FockBasis,
     FockOperator,
-    LatticeConfig,
     ModelParams,
     block_leakage_counts,
     build_phi4_hamiltonian,
@@ -84,16 +83,16 @@ def apply_reference(basis, creators, annihilators):
     return src, src + shift, amp[valid]
 
 
-def model_terms(cfg, p, d_tensor, g4_tensor):
-    terms = _quadratic_terms(wrap_matrix(d_tensor, cfg.modes), p.mass_squared,
-                             p.gamma, cfg.modes)
+def model_terms(p, d_tensor, g4_tensor, modes):
+    terms = _quadratic_terms(wrap_matrix(d_tensor, modes), p.mass_squared,
+                             p.gamma, modes)
     if p.coupling != 0.0:
-        terms = quartic_reference(wrap_tensor_dense(g4_tensor, cfg.modes),
-                                  p.coupling, p.gamma, cfg.modes, terms)
+        terms = quartic_reference(wrap_tensor_dense(g4_tensor, modes),
+                                  p.coupling, p.gamma, modes, terms)
     return terms
 
 
-def assemble_reference(cfg, p, d_tensor, g4_tensor, basis):
+def assemble_reference(p, d_tensor, g4_tensor, basis):
     """Two-list triplet assembly, the reference for build_phi4_hamiltonian:
     diagonal-shift and off-diagonal terms are summed by separate stable
     sorts, then the off-diagonal sums are mirrored."""
@@ -107,7 +106,7 @@ def assemble_reference(cfg, p, d_tensor, g4_tensor, basis):
         starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
         return rows[starts], cols[starts], np.add.reduceat(vals, starts)
 
-    terms = model_terms(cfg, p, d_tensor, g4_tensor)
+    terms = model_terms(p, d_tensor, g4_tensor, basis.modes)
     diag, off = ([], [], []), ([], [], [])
     for key, coeff in terms.items():
         conj = (key[1], key[0])
@@ -189,9 +188,8 @@ def test_mode_out_of_range():
 
 
 def test_one_mode_free_is_number_operator():
-    cfg = LatticeConfig(3, 0, 1)
     b = FockBasis(1, 8)
-    h = build_phi4_hamiltonian(cfg, ModelParams(1.0, 0.0, 1.0), D3, None, b)
+    h = build_phi4_hamiltonian(ModelParams(1.0, 0.0, 1.0), D3, None, b)
     np.testing.assert_allclose(dense(h), np.diag(np.arange(9.0)), atol=1e-12)
     evs = lanczos_lowest(h, 4)
     for j, (e, r) in enumerate(evs):
@@ -200,7 +198,6 @@ def test_one_mode_free_is_number_operator():
 
 def test_vacuum_expectation_is_structurally_zero():
     rng = np.random.default_rng(11)
-    cfg = LatticeConfig(3, 0, 2)
     b = FockBasis(2, 4)
     for _ in range(5):
         p = ModelParams(
@@ -208,25 +205,23 @@ def test_vacuum_expectation_is_structurally_zero():
             float(rng.uniform(0, 2)),
             float(rng.uniform(0.3, 3)),
         )
-        h = build_phi4_hamiltonian(cfg, p, D3, G43, b)
+        h = build_phi4_hamiltonian(p, D3, G43, b)
         assert h.matrix[0, 0] == 0.0
 
 
 def test_assembled_matrix_exactly_symmetric():
-    cfg = LatticeConfig(3, 0, 3)
     b = FockBasis(3, 3)
-    h = build_phi4_hamiltonian(cfg, ModelParams(0.7, 0.35, 1.4), D3, G43, b)
+    h = build_phi4_hamiltonian(ModelParams(0.7, 0.35, 1.4), D3, G43, b)
     assert (h.matrix - h.matrix.T).nnz == 0
 
 
 def test_two_mode_free_spectrum_matched_gamma():
-    cfg = LatticeConfig(3, 0, 2)
-    om, _ = free_reference_spectrum(cfg, ModelParams(1.0, 0.0, 1.0), D3)
+    om, _ = free_reference_spectrum(ModelParams(1.0, 0.0, 1.0), D3, 2)
     g = float(np.sqrt(om[0] * om[1]))
     p = ModelParams(1.0, 0.0, g)
     b = FockBasis(2, 20)
-    h = build_phi4_hamiltonian(cfg, p, D3, None, b)
-    om2, e0 = free_reference_spectrum(cfg, p, D3)
+    h = build_phi4_hamiltonian(p, D3, None, b)
+    om2, e0 = free_reference_spectrum(p, D3, 2)
     evs = np.linalg.eigvalsh(dense(h))
     ladder = sorted(e0 + i * om2[0] + j * om2[1] for i in range(6) for j in range(6))
     assert np.abs(evs[:6] - np.array(ladder[:6])).max() < 1e-10
@@ -236,10 +231,9 @@ def test_two_mode_free_spectrum_gamma_one_truncation_gap():
     # at gamma = 1 the quadratic Hamiltonian has a+a+ terms, so the
     # n_max = 20 cutoff leaves a measurable error (~1.7e-6 on the second
     # level); this documents the truncated magnitude
-    cfg = LatticeConfig(3, 0, 2)
     p = ModelParams(1.0, 0.0, 1.0)
-    h = build_phi4_hamiltonian(cfg, p, D3, None, FockBasis(2, 20))
-    om, e0 = free_reference_spectrum(cfg, p, D3)
+    h = build_phi4_hamiltonian(p, D3, None, FockBasis(2, 20))
+    om, e0 = free_reference_spectrum(p, D3, 2)
     evs = np.linalg.eigvalsh(dense(h))
     ladder = sorted(e0 + i * om[0] + j * om[1] for i in range(6) for j in range(6))
     errs = np.abs(evs[:4] - np.array(ladder[:4]))
@@ -251,9 +245,8 @@ def test_quartic_one_mode_matches_ladder_expansion():
     from math import comb
 
     lam, mu2, gam = 0.7, 1.3, 1.9
-    cfg = LatticeConfig(3, 0, 1)
     b = FockBasis(1, 10)
-    h = dense(build_phi4_hamiltonian(cfg, ModelParams(mu2, lam, gam), D3, G43, b))
+    h = dense(build_phi4_hamiltonian(ModelParams(mu2, lam, gam), D3, G43, b))
     a = dense(mode_operator(b, 0, "annihilate"))
     ad = a.T
     inv = 1.0 / (2.0 * gam)
@@ -271,41 +264,49 @@ def test_quartic_one_mode_matches_ladder_expansion():
 
 
 def test_free_reference_closed_forms():
-    cfg = LatticeConfig(3, 0, 1)
-    om, e0 = free_reference_spectrum(cfg, ModelParams(1.0, 0.0, 1.0), D3)
+    om, e0 = free_reference_spectrum(ModelParams(1.0, 0.0, 1.0), D3, 1)
     assert abs(om[0] - 1.0) < 1e-9 and abs(e0) < 1e-9
-    om, e0 = free_reference_spectrum(cfg, ModelParams(4.0, 0.0, 1.0), D3)
+    om, e0 = free_reference_spectrum(ModelParams(4.0, 0.0, 1.0), D3, 1)
     assert abs(om[0] - 2.0) < 1e-9 and abs(e0 + 0.25) < 1e-9
 
 
 def test_free_reference_two_mode_circulant():
-    cfg = LatticeConfig(3, 0, 2)
-    om, _ = free_reference_spectrum(cfg, ModelParams(1.0, 0.0, 1.0), D3)
+    om, _ = free_reference_spectrum(ModelParams(1.0, 0.0, 1.0), D3, 2)
     assert abs(om[0] - 1.0) < 1e-9
     assert abs(om[1] - np.sqrt(1.0 + 14.01904762)) < 1e-6
 
 
 def test_tachyonic_rejected():
-    cfg = LatticeConfig(3, 0, 1)
     with pytest.raises(TachyonicConfigurationError):
-        free_reference_spectrum(cfg, ModelParams(-1.0, 0.0, 1.0), D3)
+        free_reference_spectrum(ModelParams(-1.0, 0.0, 1.0), D3, 1)
 
 
 def test_tensor_guards():
-    cfg = LatticeConfig(3, 1, 2)
+    # the lattice resolution is the tables' own; at nonzero coupling the D
+    # and Gamma4 tables must agree on it
     b = FockBasis(2, 2)
     p = ModelParams(1.0, 0.5, 1.0)
-    with pytest.raises(ScaleMismatchError):
-        build_phi4_hamiltonian(cfg, p, D3, G43, b)  # tensors still at scale 0
-    d1, g1 = rescale_tensor(D3, 1), rescale_tensor(G43, 1)
-    build_phi4_hamiltonian(cfg, p, d1, g1, b)
-    fp4 = make_filters(4)
-    with pytest.raises(OrderMismatchError):
-        build_phi4_hamiltonian(cfg, p, rescale_tensor(derivative_overlaps(fp4), 1), g1, b)
+    d1, g1 = scaled_tables(3, 1)
+    d4, _ = scaled_tables(4, 1)
+    build_phi4_hamiltonian(p, d1, g1, b)
+    with pytest.raises(ScaleMismatchError) as exc:
+        build_phi4_hamiltonian(p, d1, G43, b)
+    assert exc.value.context == {"derivative": 1, "gamma4": 0}
+    with pytest.raises(OrderMismatchError) as exc:
+        build_phi4_hamiltonian(p, d4, g1, b)
+    assert exc.value.context == {"derivative": 4, "gamma4": 3}
+    # at zero coupling the four-point table is not read
+    free = ModelParams(1.0, 0.0, 1.0)
+    assert (build_phi4_hamiltonian(free, d4, g1, b).matrix
+            != build_phi4_hamiltonian(free, d4, None, b).matrix).nnz == 0
     with pytest.raises(ShapeError):
-        build_phi4_hamiltonian(cfg, p, d1, None, b)  # interacting but no table
+        build_phi4_hamiltonian(p, d1, None, b)  # interacting but no table
     with pytest.raises(ShapeError):
-        build_phi4_hamiltonian(cfg, p, d1, g1, FockBasis(3, 2))
+        build_phi4_hamiltonian(p, g1, g1, b)  # wrong kinds
+    with pytest.raises(ShapeError):
+        build_phi4_hamiltonian(p, d1, d1, b)
+    with pytest.raises(ShapeError):
+        free_reference_spectrum(free, g1, 2)
 
 
 def test_params_default_gamma():
@@ -332,9 +333,8 @@ def test_lanczos_diagonal_and_closed_form():
 
 
 def test_lanczos_sparse_path_deterministic():
-    cfg = LatticeConfig(3, 0, 4)
     b = FockBasis(4, 3)
-    h = build_phi4_hamiltonian(cfg, ModelParams(1.0, 0.1, 1.0), D3, G43, b)
+    h = build_phi4_hamiltonian(ModelParams(1.0, 0.1, 1.0), D3, G43, b)
     assert b.dimension > 128  # iterative path
     a = lanczos_lowest(h, 3, tol=1e-9)
     b_run = lanczos_lowest(h, 3, tol=1e-9)
@@ -344,8 +344,7 @@ def test_lanczos_sparse_path_deterministic():
 
 
 def test_lanczos_unreachable_tolerance():
-    cfg = LatticeConfig(3, 0, 1)
-    h = build_phi4_hamiltonian(cfg, ModelParams(1.0, 0.2, 1.0), D3, G43, FockBasis(1, 6))
+    h = build_phi4_hamiltonian(ModelParams(1.0, 0.2, 1.0), D3, G43, FockBasis(1, 6))
     with pytest.raises(ConvergenceFailureError):
         lanczos_lowest(h, 2, tol=1e-30)
 
@@ -361,26 +360,23 @@ def test_lanczos_arpack_no_convergence(monkeypatch):
     assert op.matrix.shape[0] > 128  # iterative path
     with pytest.raises(ConvergenceFailureError) as exc:
         lanczos_lowest(op, 3)
-    assert exc.value.eigenvalues == [0.5]
-    assert exc.value.context == {"count": 3}
+    assert exc.value.context == {"eigenvalues": [0.5], "count": 3}
 
 
 def test_ground_energy_variational_in_cutoff():
-    cfg = LatticeConfig(3, 0, 2)
     p = ModelParams(1.0, 0.1, 1.0)
     energies = []
     for nmax in (2, 3, 4, 5):
-        h = build_phi4_hamiltonian(cfg, p, D3, G43, FockBasis(2, nmax))
+        h = build_phi4_hamiltonian(p, D3, G43, FockBasis(2, nmax))
         energies.append(lanczos_lowest(h, 1)[0][0])
     assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
 
 
 def test_first_order_coupling_slope():
-    cfg = LatticeConfig(3, 0, 2)
     b = FockBasis(2, 8)
-    h0 = build_phi4_hamiltonian(cfg, ModelParams(1.0, 0.0, 1.0), D3, G43, b)
+    h0 = build_phi4_hamiltonian(ModelParams(1.0, 0.0, 1.0), D3, G43, b)
     lam = 1e-3
-    h1 = build_phi4_hamiltonian(cfg, ModelParams(1.0, lam, 1.0), D3, G43, b)
+    h1 = build_phi4_hamiltonian(ModelParams(1.0, lam, 1.0), D3, G43, b)
     w0, v0 = np.linalg.eigh(dense(h0))
     g0 = v0[:, 0]
     first_order = g0 @ ((dense(h1) - dense(h0)) @ g0)
@@ -389,15 +385,13 @@ def test_first_order_coupling_slope():
 
 
 def test_parity_and_block_diagnostics():
-    cfg = LatticeConfig(3, 0, 1)
-    h = build_phi4_hamiltonian(cfg, ModelParams(1.0, 0.0, 1.0), D3, None, FockBasis(1, 6))
+    h = build_phi4_hamiltonian(ModelParams(1.0, 0.0, 1.0), D3, None, FockBasis(1, 6))
     counts = block_leakage_counts(h)
     assert counts["parity_violations"] == 0
     # gamma = omega: pure number operator, except for couplings at the
     # 1e-15 scale inherited from the derivative-table row sum
     assert block_leakage_counts(h, tol=1e-12)["off_block"] == 0
-    h2 = build_phi4_hamiltonian(
-        LatticeConfig(3, 0, 2), ModelParams(1.0, 0.3, 1.2), D3, G43, FockBasis(2, 4)
+    h2 = build_phi4_hamiltonian(ModelParams(1.0, 0.3, 1.2), D3, G43, FockBasis(2, 4)
     )
     assert block_leakage_counts(h2)["parity_violations"] == 0
 
@@ -422,28 +416,30 @@ def small_lattice(max_dim=1024):
 
 @settings(max_examples=30, deadline=None)
 @given(K=st.sampled_from((3, 4)), k=st.integers(0, 1), lattice=small_lattice(),
-       mass2=st.sampled_from((0.5, 1.0, 2.0)), lam=st.sampled_from((0.0, 0.3)))
-def test_assembly_bitwise_matches_two_list_reference(K, k, lattice, mass2, lam):
+       mass2=st.sampled_from((0.5, 1.0, 2.0)), lam=st.sampled_from((0.0, 0.3)),
+       gamma=st.sampled_from((0.0, 0.7, 1.9)))
+def test_assembly_bitwise_matches_two_list_reference(K, k, lattice, mass2, lam, gamma):
     modes, nmax = lattice
-    cfg = LatticeConfig(K, k, modes)
-    p = ModelParams(mass2, lam)
+    p = ModelParams(mass2, lam, gamma)  # gamma 0 takes the default sqrt(mass2)
     d_t, g4_t = scaled_tables(K, k)
     basis = FockBasis(modes, nmax)
-    got = build_phi4_hamiltonian(cfg, p, d_t, g4_t, basis).matrix
-    assert_csr_bitwise(got, assemble_reference(cfg, p, d_t, g4_t, basis))
+    got = build_phi4_hamiltonian(p, d_t, g4_t, basis).matrix
+    assert_csr_bitwise(got, assemble_reference(p, d_t, g4_t, basis))
+    # symmetric entry by entry, and normal ordering leaves <vac|H|vac> = 0
+    assert (got != got.T).nnz == 0
+    assert got[0, 0] == 0.0
     # a key and its conjugate collect the same weights in the same order
-    terms = model_terms(cfg, p, d_t, g4_t)
+    terms = model_terms(p, d_t, g4_t, modes)
     for (cr, an), coeff in terms.items():
         assert bits(terms[(an, cr)]) == bits(coeff)
 
 
 def test_assembly_bitwise_at_bench_size():
-    cfg = LatticeConfig(3, 0, 6)
     p = ModelParams(1.0, 0.3)
     basis = FockBasis(6, 3)
     assert basis.dimension == 4096
-    got = build_phi4_hamiltonian(cfg, p, D3, G43, basis).matrix
-    assert_csr_bitwise(got, assemble_reference(cfg, p, D3, G43, basis))
+    got = build_phi4_hamiltonian(p, D3, G43, basis).matrix
+    assert_csr_bitwise(got, assemble_reference(p, D3, G43, basis))
 
 
 @settings(max_examples=20, deadline=None)
@@ -511,7 +507,7 @@ def test_mode_operator_bitwise_matches_all_states_reference(which):
     "second; the fix lands together with regenerated bench reference spectra"))
 def test_lanczos_keeps_both_copies_of_a_doublet():
     basis = FockBasis(4, 3)
-    h = build_phi4_hamiltonian(LatticeConfig(3, 0, 4), ModelParams(1.0, 0.1), D3, G43, basis)
+    h = build_phi4_hamiltonian(ModelParams(1.0, 0.1), D3, G43, basis)
     assert basis.dimension == 256  # iterative path
     got = np.array([e for e, _ in lanczos_lowest(h, 4)])
     ref = np.linalg.eigvalsh(dense(h))[:4]
