@@ -363,6 +363,10 @@ def quadrature_oracle(fp: FilterPair, factors, level: int, scale: int = 0,
                       weight_power: int = 0) -> float:
     """Riemann-sum value of int x^p prod_i f_i(x - n_i) dx.
 
+    The samples are refined from the standard taps of fp.order and cached
+    by order, so fp must carry exactly those taps; a FilterPair with any
+    other taps raises ShapeError rather than being silently replaced.
+
     factors: sequence of (translation, derivative_order) with derivative
     order 0 or 1; at most 4 factors.  Derivative factors use a centered
     finite difference of the refined samples, which keeps this path
@@ -375,6 +379,19 @@ def quadrature_oracle(fp: FilterPair, factors, level: int, scale: int = 0,
     (substitution u = 2^k x with one 2^{k/2} per factor and 2^k per
     derivative).  The x^p weight is supported at scale 0 only.
     """
+    _require_standard_taps(fp)
+    return _quadrature_sum(fp.order, factors, level, scale, weight_power)
+
+
+def _require_standard_taps(fp: FilterPair):
+    std = make_filters(fp.order).h
+    if fp.h is not std and not np.array_equal(fp.h, std):
+        raise ShapeError("the oracle samples the standard filters of this "
+                         "order; these taps differ", order=fp.order)
+
+
+def _quadrature_sum(order, factors, level, scale=0, weight_power=0):
+    """quadrature_oracle on the standard filters of the given order."""
     factors = [(int(n), int(d)) for n, d in factors]
     if not 1 <= len(factors) <= 4:
         raise ShapeError("oracle supports 1..4 factors", count=len(factors))
@@ -382,15 +399,15 @@ def quadrature_oracle(fp: FilterPair, factors, level: int, scale: int = 0,
         raise IndexRangeError("oracle level must lie in 1..16", level=level)
     if any(d not in (0, 1) for _, d in factors):
         raise ShapeError("only first derivatives are supported")
-    if any(d == 1 for _, d in factors) and fp.order < 3:
+    if any(d == 1 for _, d in factors) and order < 3:
         raise NonDifferentiableOrderError(
-            "derivative factors need order >= 3", order=fp.order
+            "derivative factors need order >= 3", order=order
         )
     if weight_power and scale != 0:
         raise ShapeError("polynomial weight is only defined at scale 0")
 
-    s = _oracle_samples(fp.order, level, False)
-    ds = _oracle_samples(fp.order, level, True) if any(d for _, d in factors) else None
+    s = _oracle_samples(order, level, False)
+    ds = _oracle_samples(order, level, True) if any(d for _, d in factors) else None
     g = 2**level
     n1 = len(s)
     lo = max([0] + [n * g for n, _ in factors])
@@ -450,9 +467,8 @@ def _oracle_factors(t: CoeffTensor, offsets):
 def _oracle_sums(t: CoeffTensor, offsets, level, scale):
     """Level-L quadrature_oracle sums of t's integrands at the given offsets,
     on the filters of t's own order."""
-    fp = make_filters(t.order)
     return np.array([
-        quadrature_oracle(fp, _oracle_factors(t, tup), level, scale=scale)
+        _quadrature_sum(t.order, _oracle_factors(t, tup), level, scale)
         for tup in offsets
     ])
 
@@ -505,8 +521,10 @@ def resolve_d_exponent(fp: FilterPair, level: int = 12) -> dict:
 
     Candidate exponents 1 and 2 differ by a factor 2 at k=1, far above
     the finite-difference error of the oracle, so the comparison is
-    unambiguous.  Returns the winning exponent and both deviations.
+    unambiguous.  fp must carry the standard taps of its order, as in
+    quadrature_oracle.  Returns the winning exponent and both deviations.
     """
+    _require_standard_taps(fp)
     t = derivative_overlaps(fp)
     offsets = [tup for tup in sorted(t.entries) if tup[0] >= 0]
     vals = np.array([t.entries[tup] for tup in offsets])

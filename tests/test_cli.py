@@ -710,6 +710,17 @@ def test_module_runs_as_script(tmp_path):
     assert proc.stdout.splitlines()[0] == "tap,h,g"
 
 
+def test_cli_import_leaves_scipy_integrate_out():
+    # importing scipy.integrate costs about 0.2 s and 18 MiB; the flow
+    # carries its Runge-Kutta tableau as literals so that no CLI start
+    # pays for it
+    code = ("import sys, wavefield.cli; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr or "scipy.integrate was imported"
+
+
 def test_declared_entry_point_version():
     tomllib = pytest.importorskip("tomllib")
     pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"

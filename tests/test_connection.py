@@ -41,7 +41,7 @@ from wavefield.errors import (
     ShapeError,
     UnsupportedOrderError,
 )
-from wavefield.filters import make_filters
+from wavefield.filters import FilterPair, make_filters, wavelet_taps
 
 
 def residual_loop(t, fp):
@@ -288,6 +288,23 @@ def test_oracle_input_validation():
         quadrature_oracle(fp, [(0, 2)], 10)
     with pytest.raises(ShapeError):
         quadrature_oracle(fp, [(0, 0)], 10, scale=1, weight_power=1)
+
+
+def test_oracle_refuses_other_taps():
+    # the samples are cached by order and refined from the standard taps,
+    # so a pair with other taps of the same order must not be replaced
+    # by the standard one without a word
+    h = make_filters(3).h[::-1].copy()
+    reversed_k3 = FilterPair(3, h, wavelet_taps(h))
+    with pytest.raises(ShapeError, match="standard filters"):
+        quadrature_oracle(reversed_k3, [(0, 0), (1, 0)], 10)
+    with pytest.raises(ShapeError, match="standard filters"):
+        resolve_d_exponent(reversed_k3)
+    # a pair rebuilt from copies of the standard taps is accepted
+    std = make_filters(3)
+    copied = FilterPair(3, std.h.copy(), std.g.copy())
+    assert (quadrature_oracle(copied, [(0, 0), (1, 0)], 10)
+            == quadrature_oracle(std, [(0, 0), (1, 0)], 10))
 
 
 def test_rescale_gamma4_doubles():

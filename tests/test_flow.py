@@ -17,8 +17,13 @@ from wavefield.connection import (
 from wavefield.errors import ShapeError, StiffnessError
 from wavefield.filters import make_filters
 from wavefield.flow import (
+    _DOP_A,
+    _DOP_B,
+    _DOP_E3,
+    _DOP_E5,
     FlowState,
     StepControl,
+    _dop853_step,
     _wegner_rhs,
     coupling_matrix,
     split_tensors,
@@ -343,6 +348,59 @@ def test_structured_rhs_matches_four_product_reference(n, seed, scale):
         assert np.array_equal(got, got.T), part
 
 
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def test_dop853_tableau_matches_scipy_bit_for_bit():
+    # the literals stand in for an import of scipy.integrate, which the
+    # flow avoids for its import cost
+    ref = pytest.importorskip("scipy.integrate").DOP853
+    stages = len(_DOP_B)
+    assert stages == ref.n_stages == 12
+    assert ref.A.shape == (stages, stages)
+    for i, row in enumerate(_DOP_A, start=1):
+        assert len(row) == i
+        assert np.array_equal(bits(row), bits(ref.A[i, :i])), i
+    assert np.array_equal(bits(_DOP_B), bits(ref.B))
+    for mine, theirs in ((_DOP_E3, ref.E3), (_DOP_E5, ref.E5)):
+        # the thirteenth weight, on the derivative at the new point, is zero
+        assert theirs.shape == (stages + 1,) and theirs[stages] == 0.0
+        assert np.array_equal(bits(mine), bits(theirs[:stages]))
+
+
+def rk4_reference(h, dt, substeps, rhs):
+    """Classical Runge-Kutta over dt in many substeps: a reference that
+    shares nothing with the Dormand-Prince tableau."""
+    tau = dt / substeps
+    for _ in range(substeps):
+        k1 = rhs(h)
+        k2 = rhs(h + 0.5 * tau * k1)
+        k3 = rhs(h + 0.5 * tau * k2)
+        k4 = rhs(h + tau * k3)
+        h = h + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return h
+
+
+@pytest.mark.parametrize("genspec,part", [("wegner-diagonal", None),
+                                          ("wegner-block", 3)])
+def test_dop853_step_is_eighth_order(genspec, part):
+    # the local error of an order-8 step is O(dt^9): halving dt must cut
+    # it by at least 2^8; a wrong weight leaves a low-order term that
+    # halving dt cuts by 2 or 4
+    h = random_symmetric(4, 6)
+
+    def rhs(m):
+        return _wegner_rhs(m, genspec, part)
+
+    errors = []
+    for dt in (0.05, 0.025):
+        y, _ = _dop853_step(h, rhs(h), dt, rhs)
+        errors.append(np.abs(y - rk4_reference(h, dt, 200, rhs)).max())
+    assert errors[1] > 1e-13  # well above the reference's roundoff
+    assert errors[0] >= 2.0**8 * errors[1], errors
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 10), seed=st.integers(0, 2**32 - 1),
        lam=st.floats(0.01, 0.3), block=st.booleans(), data=st.data())
@@ -352,8 +410,9 @@ def test_flow_conserves_spectrum_trace_and_norm(n, seed, lam, block, data):
         spec, part = "wegner-block", data.draw(st.integers(1, n - 1), label="partition")
     else:
         spec, part = "wegner-diagonal", None
-    # about 20x the most attempts these flows need: an error estimate that
-    # is not of fifth order shrinks the steps until the budget runs out
+    # about 150x the most attempts these flows need (67 over 300 draws):
+    # an error estimate of badly wrong order shrinks the steps until the
+    # budget runs out
     ctl = StepControl(max_steps=10000)
     h1 = srg_flow(FlowState(0.0, h0, spec, part), lam, ctl)[0].h_matrix
     bound = 1e-12 * max(1.0, np.linalg.norm(h0))
