@@ -18,12 +18,12 @@ from wavefield.filters import make_filters
 
 fp = make_filters(3)
 
-d = derivative_overlaps(fp)
+d = derivative_overlaps(3)
 print("derivative overlaps, K=3 (residual %.1e):" % recursion_residual(d, fp))
 for (n,), v in d.sorted_items():
     print("  D[%+d] = %+.15f" % (n, v))
 
-g3 = gamma_tensor(fp, 3)
+g3 = gamma_tensor(3, 3)
 print("\n3-point table: %d entries, residual %.1e"
       % (len(g3.sorted_items()), recursion_residual(g3, fp)))
 sums = {}

@@ -9,7 +9,6 @@ ground state with the occupation cutoff.
 import numpy as np
 
 from wavefield.connection import derivative_overlaps, gamma_tensor
-from wavefield.filters import make_filters
 from wavefield.fock import (
     FockBasis,
     ModelParams,
@@ -18,9 +17,8 @@ from wavefield.fock import (
     lanczos_lowest,
 )
 
-fp = make_filters(3)
-d3 = derivative_overlaps(fp)
-g43 = gamma_tensor(fp, 4)
+d3 = derivative_overlaps(3)
+g43 = gamma_tensor(3, 4)
 
 # the tables fix the resolution (order 3, scale 0); the basis fixes the
 # number of modes

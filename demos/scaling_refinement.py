@@ -8,18 +8,16 @@ as the dyadic level increases.
 
 import numpy as np
 
-from wavefield.filters import make_filters
 from wavefield.scaling import integer_values, moments, scaling_samples
 
 K = 3
-fp = make_filters(K)
 
-iv = integer_values(fp)
+iv = integer_values(K)
 print("integer values:", " ".join("%+.9f" % v for v in iv.values))
-print("first moment  :", "%.12f" % moments(fp, 1))
+print("first moment  :", "%.12f" % moments(K, 1))
 
 # plot-ready samples, level 6
-s6 = scaling_samples(fp, 6)
+s6 = scaling_samples(K, 6)
 x = s6.grid()
 print("\n# x s(x)   (level 6, decimate by 8)")
 for i in range(0, len(x), 8):
@@ -27,7 +25,7 @@ for i in range(0, len(x), 8):
 
 print("\n# level  riemann_mass_error  partition_error")
 for level in range(4, 13, 2):
-    s = scaling_samples(fp, level).values
+    s = scaling_samples(K, level).values
     g = 2 ** level
     mass = abs(s[:-1].sum() / g - 1.0)
     # sum the translates covering x in [0, 1]

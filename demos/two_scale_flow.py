@@ -15,8 +15,8 @@ from wavefield.flow import FlowState, coupling_matrix, split_tensors, srg_flow
 
 fp = make_filters(3)
 N = 16
-sp = split_tensors(rescale_tensor(derivative_overlaps(fp), 1),
-                   rescale_tensor(gamma_tensor(fp, 4), 1), fp, N)
+sp = split_tensors(rescale_tensor(derivative_overlaps(3), 1),
+                   rescale_tensor(gamma_tensor(3, 4), 1), fp, N)
 
 h0 = coupling_matrix(sp) + np.eye(N)
 print("cross-scale block norm at start: %.4f" % np.linalg.norm(h0[:8, 8:]))

@@ -116,11 +116,10 @@ def _cached_tensor(kind: str, order: int, scale: int, cache: str):
     if hit:
         t = load_tensor(path)
     else:
-        fp = make_filters(order)
         if kind == "d":
-            t = derivative_overlaps(fp)
+            t = derivative_overlaps(order)
         else:
-            t = gamma_tensor(fp, 3 if kind == "gamma3" else 4)
+            t = gamma_tensor(order, 3 if kind == "gamma3" else 4)
         if scale:
             t = rescale_tensor(t, scale)
     g3 = _cached_tensor("gamma3", order, 0, cache)[0] if kind == "gamma4" else None
@@ -145,9 +144,8 @@ def _cmd_filters(args):
 # ---------------------------------------------------------------- scalfun
 
 def _cmd_scalfun(args):
-    fp = make_filters(args.order)
     samp = (derivative_samples if args.derivative else scaling_samples)(
-        fp, args.level
+        args.order, args.level
     )
     xs = samp.grid()
     if args.format == "json":
@@ -440,9 +438,12 @@ def _parse_probe_function(text):
 
 def _cmd_diagnose(args):
     fn = args.function
+    # the requested scale's probe is built first, so a scale KernelProbe
+    # refuses fails with its own error rather than as an empty sweep
+    probes = {k: KernelProbe(args.order, k, max(k + 4, 12))
+              for k in (args.scale, *range(args.scale))}
     rows = []
-    for k in range(args.scale + 1):
-        probe = KernelProbe(args.order, k, max(k + 4, 12))
+    for k, probe in sorted(probes.items()):
         try:
             if args.probe == "partition":
                 val = partition_check(probe)

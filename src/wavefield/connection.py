@@ -14,6 +14,10 @@ differentiated factor).  _solve_bordered solves that bordered system by
 least squares.  An order whose system would exceed _MAX_SYSTEM_BYTES
 (gamma-4 from order 8) is refused before anything is allocated.
 
+The order K names the scaling function: the tables, the oracle and
+resolve_d_exponent take K; only recursion_residual, which re-applies the
+map with the taps it is given, takes a FilterPair.
+
 A plain-quadrature oracle on refined dyadic samples of the table's own
 order provides the independent cross-check: oracle_deviation reports the
 raw level-L deviation, and for the rough low orders its Aitken-extrapolated
@@ -54,7 +58,7 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .filters import FilterPair, make_filters
-from .scaling import scaling_samples
+from .scaling import MAX_LEVEL, scaling_samples
 
 __all__ = [
     "CoeffTensor",
@@ -253,25 +257,27 @@ def _solved_table(kind, order):
     return CoeffTensor(kind, order, 0, entries)
 
 
-def gamma_tensor(fp: FilterPair, m: int) -> CoeffTensor:
-    """Scale-0 m-point overlap table Gamma_{0, n2..nm}.
+def gamma_tensor(order: int, m: int) -> CoeffTensor:
+    """Scale-0 m-point overlap table Gamma_{0, n2..nm} of the given order.
 
     m=2 is orthonormality and returns the Kronecker delta without solving.
     """
+    make_filters(order)  # validates the order
     if m not in (2, 3, 4):
         raise IndexRangeError("gamma arity must be 2, 3 or 4", m=m)
     if m == 2:
-        return CoeffTensor("gamma-2", fp.order, 0, {(0,): 1.0})
-    return _solved_table(f"gamma-{m}", fp.order)
+        return CoeffTensor("gamma-2", order, 0, {(0,): 1.0})
+    return _solved_table(f"gamma-{m}", order)
 
 
-def derivative_overlaps(fp: FilterPair) -> CoeffTensor:
+def derivative_overlaps(order: int) -> CoeffTensor:
     """Scale-0 derivative overlap table D_{0n} = int s'(x) s'(x-n) dx."""
-    if fp.order < 3:
+    make_filters(order)  # validates the order
+    if order < 3:
         raise NonDifferentiableOrderError(
-            "derivative overlaps need order >= 3", order=fp.order
+            "derivative overlaps need order >= 3", order=order
         )
-    return _solved_table("derivative-D", fp.order)
+    return _solved_table("derivative-D", order)
 
 
 def _offset_cube(t: CoeffTensor, pad: int):
@@ -351,7 +357,7 @@ def _fd_derivative(values, level):
 
 @lru_cache(maxsize=48)
 def _oracle_samples(order, level, derivative):
-    s = scaling_samples(make_filters(order), level).values
+    s = scaling_samples(order, level).values
     if not derivative:
         return s
     d = _fd_derivative(s, level)
@@ -359,13 +365,10 @@ def _oracle_samples(order, level, derivative):
     return d
 
 
-def quadrature_oracle(fp: FilterPair, factors, level: int, scale: int = 0,
+def quadrature_oracle(order: int, factors, level: int, scale: int = 0,
                       weight_power: int = 0) -> float:
-    """Riemann-sum value of int x^p prod_i f_i(x - n_i) dx.
-
-    The samples are refined from the standard taps of fp.order and cached
-    by order, so fp must carry exactly those taps; a FilterPair with any
-    other taps raises ShapeError rather than being silently replaced.
+    """Riemann-sum value of int x^p prod_i f_i(x - n_i) dx, f_i the scaling
+    function of the given order (or its derivative) sampled at the level.
 
     factors: sequence of (translation, derivative_order) with derivative
     order 0 or 1; at most 4 factors.  Derivative factors use a centered
@@ -379,24 +382,12 @@ def quadrature_oracle(fp: FilterPair, factors, level: int, scale: int = 0,
     (substitution u = 2^k x with one 2^{k/2} per factor and 2^k per
     derivative).  The x^p weight is supported at scale 0 only.
     """
-    _require_standard_taps(fp)
-    return _quadrature_sum(fp.order, factors, level, scale, weight_power)
-
-
-def _require_standard_taps(fp: FilterPair):
-    std = make_filters(fp.order).h
-    if fp.h is not std and not np.array_equal(fp.h, std):
-        raise ShapeError("the oracle samples the standard filters of this "
-                         "order; these taps differ", order=fp.order)
-
-
-def _quadrature_sum(order, factors, level, scale=0, weight_power=0):
-    """quadrature_oracle on the standard filters of the given order."""
     factors = [(int(n), int(d)) for n, d in factors]
     if not 1 <= len(factors) <= 4:
         raise ShapeError("oracle supports 1..4 factors", count=len(factors))
-    if level > 16 or level < 1:
-        raise IndexRangeError("oracle level must lie in 1..16", level=level)
+    if level > MAX_LEVEL or level < 1:
+        raise IndexRangeError(f"oracle level must lie in 1..{MAX_LEVEL}",
+                              level=level)
     if any(d not in (0, 1) for _, d in factors):
         raise ShapeError("only first derivatives are supported")
     if any(d == 1 for _, d in factors) and order < 3:
@@ -468,7 +459,7 @@ def _oracle_sums(t: CoeffTensor, offsets, level, scale):
     """Level-L quadrature_oracle sums of t's integrands at the given offsets,
     on the filters of t's own order."""
     return np.array([
-        _quadrature_sum(t.order, _oracle_factors(t, tup), level, scale)
+        quadrature_oracle(t.order, _oracle_factors(t, tup), level, scale)
         for tup in offsets
     ])
 
@@ -498,9 +489,9 @@ def extrapolated_oracle(t: CoeffTensor, level: int) -> dict:
     deviation ('extrapolated'), the number of fallback entries
     ('fallbacks') and of entries ('entries').
     """
-    if not 4 <= level <= 16:
-        raise IndexRangeError("extrapolated oracle level must lie in 4..16",
-                              level=level)
+    if not 4 <= level <= MAX_LEVEL:
+        raise IndexRangeError(f"extrapolated oracle level must lie in "
+                              f"4..{MAX_LEVEL}", level=level)
     offsets = sorted(t.entries)
     vals = np.array([t.entries[tup] for tup in offsets])
     sums = np.array([
@@ -516,16 +507,14 @@ def extrapolated_oracle(t: CoeffTensor, level: int) -> dict:
     }
 
 
-def resolve_d_exponent(fp: FilterPair, level: int = 12) -> dict:
+def resolve_d_exponent(order: int, level: int = 12) -> dict:
     """Settle the per-scale exponent of D by direct scale-1 comparison.
 
     Candidate exponents 1 and 2 differ by a factor 2 at k=1, far above
     the finite-difference error of the oracle, so the comparison is
-    unambiguous.  fp must carry the standard taps of its order, as in
-    quadrature_oracle.  Returns the winning exponent and both deviations.
+    unambiguous.  Returns the winning exponent and both deviations.
     """
-    _require_standard_taps(fp)
-    t = derivative_overlaps(fp)
+    t = derivative_overlaps(order)
     offsets = [tup for tup in sorted(t.entries) if tup[0] >= 0]
     vals = np.array([t.entries[tup] for tup in offsets])
     oracle = _oracle_sums(t, offsets, level, 1)

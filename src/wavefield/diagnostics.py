@@ -30,7 +30,7 @@ from .errors import (
     WindowingError,
 )
 from .filters import make_filters
-from .scaling import scaling_samples, wavelet_samples
+from .scaling import MAX_LEVEL, scaling_samples, wavelet_samples
 
 __all__ = [
     "WINDOW",
@@ -62,6 +62,9 @@ class KernelProbe:
         make_filters(self.order)  # validates the order range
         if self.scale < 0:
             raise IndexRangeError("scale must be nonnegative", scale=self.scale)
+        if self.grid_level > MAX_LEVEL:
+            raise IndexRangeError(f"grid level must be at most {MAX_LEVEL}",
+                                  grid_level=self.grid_level)
         if self.grid_level < self.scale + 4:
             raise InsufficientResolutionError(
                 f"grid level {self.grid_level} cannot resolve scale "
@@ -138,9 +141,8 @@ def _translates(probe):
 
     The segment is 2^{k/2} s(2^k x - n) sampled on the grid slice [a, b).
     """
-    fp = make_filters(probe.order)
     jj = probe.grid_level - probe.scale
-    seg = scaling_samples(fp, jj).values * 2.0 ** (probe.scale / 2.0)
+    seg = scaling_samples(probe.order, jj).values * 2.0 ** (probe.scale / 2.0)
     ngrid = int(WINDOW) << probe.grid_level
     n_lo = -(2 * probe.order - 2)
     n_hi = (int(WINDOW) << probe.scale) - 1
@@ -203,9 +205,8 @@ def commutator_residual(probe: KernelProbe, f, g) -> float:
 
 def wavelet_grid(probe: KernelProbe, shift: int) -> np.ndarray:
     """Grid samples of the scale-k wavelet w^k_shift, for annihilation probes."""
-    fp = make_filters(probe.order)
     jj = probe.grid_level - probe.scale
-    seg = wavelet_samples(fp, jj).values * 2.0 ** (probe.scale / 2.0)
+    seg = wavelet_samples(probe.order, jj).values * 2.0 ** (probe.scale / 2.0)
     ngrid = int(WINDOW) << probe.grid_level
     i0 = shift << jj
     if i0 < 0 or i0 + len(seg) > ngrid:

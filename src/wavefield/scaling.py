@@ -17,6 +17,10 @@ All evaluation is dyadic-exact; there is no interpolation to generic reals.
 Moments <x^m> satisfy a closed recursion obtained by substituting the
 scaling equation, and polynomial-reproduction coefficients c_n(m) expand
 x^m = sum_n c_n(m) s(x - n) pointwise for m < K.
+
+The order K names the scaling function: each function takes K (or samples
+that carry it) and looks up its taps itself; a FilterPair goes only to the
+filter-bank operations.  No dyadic level above MAX_LEVEL is allocated.
 """
 
 from dataclasses import dataclass
@@ -33,6 +37,9 @@ from .errors import (
     NonDifferentiableOrderError,
 )
 from .filters import make_filters
+
+# finest dyadic level allocated (1.5M samples over the order-12 support)
+MAX_LEVEL = 16
 
 
 @dataclass(frozen=True)
@@ -55,24 +62,23 @@ class DyadicSamples:
         return np.arange(len(self.values)) / 2.0**self.level
 
 
-def integer_values(fp):
+def integer_values(K):
     """s(n) for n = 0..2K-1, the eigenvalue-1 refinement eigenvector."""
-    K = fp.order
-    h = fp.h
+    h = make_filters(K).h
     if K == 1:
         # Haar, right-open convention: s = 1 on [0, 1)
         return DyadicSamples(1, 0, 0, np.array([1.0, 0.0]))
     return DyadicSamples(K, 0, 0, _eigenvector(h, K, 1.0))
 
 
-def derivative_values(fp):
+def derivative_values(K):
     """s'(n) for n = 0..2K-1, eigenvalue-1/2 eigenvector, sum n s'(n) = -1."""
-    K = fp.order
+    h = make_filters(K).h
     if K < 3:
         raise NonDifferentiableOrderError(
             f"order {K} scaling function is not differentiable; need K >= 3"
         )
-    return DyadicSamples(K, 0, 1, _eigenvector(fp.h, K, 0.5))
+    return DyadicSamples(K, 0, 1, _eigenvector(h, K, 0.5))
 
 
 def _eigenvector(h, K, lam):
@@ -101,8 +107,8 @@ def _eigenvector(h, K, lam):
     return out
 
 
-def refine(samples, target_level, fp=None):
-    """Cascade the samples down to target_level (never up).
+def refine(samples, target_level):
+    """Cascade the samples down to target_level (never up) on their order's taps.
 
     Even-index points of each new grid are copied verbatim from the previous
     one; odd points are filled from the refinement sum. Derivative samples
@@ -110,10 +116,11 @@ def refine(samples, target_level, fp=None):
     """
     if target_level < samples.level:
         raise InsufficientResolutionError("cannot coarsen samples")
-    if fp is None:
-        fp = make_filters(samples.order)
-    h = fp.h
+    if target_level > MAX_LEVEL:
+        raise IndexRangeError(f"level must be at most {MAX_LEVEL}",
+                              level=target_level)
     K = samples.order
+    h = make_filters(K).h
     fac = 2.0 * np.sqrt(2.0) if samples.derivative_order else np.sqrt(2.0)
     vals = samples.values
     for j in range(samples.level, target_level):
@@ -131,40 +138,41 @@ def refine(samples, target_level, fp=None):
     return DyadicSamples(K, target_level, samples.derivative_order, vals)
 
 
-def scaling_samples(fp, level):
+def scaling_samples(K, level):
     """Convenience: s on the level grid."""
-    return refine(integer_values(fp), level, fp)
+    return refine(integer_values(K), level)
 
 
-def derivative_samples(fp, level):
-    return refine(derivative_values(fp), level, fp)
+def derivative_samples(K, level):
+    return refine(derivative_values(K), level)
 
 
-def wavelet_samples(fp, level):
+def wavelet_samples(K, level):
     """Mother wavelet w(x) = sqrt(2) sum_l g_l s(2x - l) on the level grid.
 
     w shares the support [0, 2K-1] (under the index convention where w is
     built from level-1 translates of s starting at 0).
     """
-    s = refine(integer_values(fp), level, fp)
-    K = fp.order
+    sv = scaling_samples(K, level).values
+    g = make_filters(K).g
     n = (2 * K - 1) * 2**level + 1
     out = np.zeros(n)
-    sv = s.values
     i = np.arange(n)
     for l in range(2 * K):
         # at x = i/2^level the argument 2x - l sits on the same grid, at
         # sample index (2x - l) * 2^level = 2i - l * 2^level
         src = 2 * i - (l << level)
         ok = (src >= 0) & (src < len(sv))
-        out[i[ok]] += np.sqrt(2.0) * fp.g[l] * sv[src[ok]]
+        out[i[ok]] += np.sqrt(2.0) * g[l] * sv[src[ok]]
     return DyadicSamples(K, level, 0, out)
 
 
 @lru_cache(maxsize=None)
-def _moment_cached(K, m):
-    fp = make_filters(K)
-    h = fp.h
+def moments(K, m):
+    """<x^m> = integral x^m s(x) dx by the exact scaling-equation recursion."""
+    h = make_filters(K).h
+    if m < 0 or m > 2 * K:
+        raise IndexRangeError("moment order out of range", m=m, max=2 * K)
     l = np.arange(2 * K, dtype=float)
     M = [1.0]
     for q in range(1, m + 1):
@@ -175,24 +183,18 @@ def _moment_cached(K, m):
     return M[m]
 
 
-def moments(fp, m):
-    """<x^m> = integral x^m s(x) dx by the exact scaling-equation recursion."""
-    if m < 0 or m > 2 * fp.order:
-        raise IndexRangeError("moment order out of range", m=m, max=2 * fp.order)
-    return _moment_cached(fp.order, m)
-
-
-def reproduction_coeffs(fp, m, n_range):
+def reproduction_coeffs(K, m, n_range):
     """Coefficients c_n(m) with sum_n c_n(m) s(x - n) = x^m pointwise.
 
     c_n(m) = integral x^m s(x - n) dx = sum_p C(m, p) n^{m-p} <x^p>.
     Requires m < K (vanishing moments of the wavelet side).
     """
-    if m >= fp.order:
+    make_filters(K)  # validates the order
+    if m >= K:
         raise InsufficientVanishingMomentsError(
-            f"degree {m} not reproducible at order {fp.order}; need m < K"
+            f"degree {m} not reproducible at order {K}; need m < K"
         )
-    mom = [moments(fp, p) for p in range(m + 1)]
+    mom = [moments(K, p) for p in range(m + 1)]
     out = []
     for n in n_range:
         out.append(sum(comb(m, p) * float(n) ** (m - p) * mom[p] for p in range(m + 1)))

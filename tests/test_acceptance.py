@@ -102,11 +102,11 @@ def test_criterion_02_k2_closed_form():
 def test_criterion_03_scaling_fixed_point():
     t0 = time.perf_counter()
     s3 = np.sqrt(3.0)
-    iv = integer_values(make_filters(2)).values
+    iv = integer_values(2).values
     dev_iv = max(abs(iv[1] - (1 + s3) / 2), abs(iv[2] - (1 - s3) / 2))
     worst_sum = 0.0
     for K in range(2, 7):
-        s = scaling_samples(make_filters(K), 12).values
+        s = scaling_samples(K, 12).values
         worst_sum = max(worst_sum, abs(s[:-1].sum() * 2.0 ** -12 - 1.0))
     dt = time.perf_counter() - t0
     ok = dev_iv < 1e-12 and worst_sum < 1e-8 and dt < 5.0
@@ -120,8 +120,7 @@ def test_criterion_04_partition_and_reproduction():
     level, g = 10, 2 ** 10
     worst_part, worst_rep = 0.0, 0.0
     for K in range(2, 7):
-        fp = make_filters(K)
-        s = scaling_samples(fp, level).values
+        s = scaling_samples(K, level).values
         acc = np.zeros(g + 1)
         for n in range(-(2 * K - 2), 1):
             seg = s[-n * g: -n * g + g + 1]
@@ -131,7 +130,7 @@ def test_criterion_04_partition_and_reproduction():
         ns = range(-(2 * K - 2), width + 1)
         x = np.arange(width * g + 1) / g
         for m in range(K):
-            c = reproduction_coeffs(fp, m, ns)
+            c = reproduction_coeffs(K, m, ns)
             rec = np.zeros_like(x)
             for cn, n in zip(c, ns):
                 lo = n * g
@@ -186,18 +185,18 @@ def test_criterion_06_connection_coefficients():
     for K in range(2, 6):
         fp = make_filters(K)
         for m in (3, 4):
-            t = gamma_tensor(fp, m)
+            t = gamma_tensor(K, m)
             worst_res = max(worst_res, recursion_residual(t, fp))
             oracle["gamma K=%d m=%d" % (K, m)] = \
                 (extrapolated_oracle(t, 12), 1e-6)
         sums = {}
-        for (n2, n3), v in gamma_tensor(fp, 3).sorted_items():
+        for (n2, n3), v in gamma_tensor(K, 3).sorted_items():
             sums[n2] = sums.get(n2, 0.0) + v
         for n2, s in sums.items():
             worst_sum = max(worst_sum, abs(s - (1.0 if n2 == 0 else 0.0)))
     for K in range(3, 6):
         fp = make_filters(K)
-        t = derivative_overlaps(fp)
+        t = derivative_overlaps(K)
         worst_res = max(worst_res, recursion_residual(t, fp))
         oracle["D K=%d" % K] = (extrapolated_oracle(t, 14), 1e-4)
     bad = ["%s %.3e" % (name, r["extrapolated"])
@@ -219,13 +218,12 @@ def test_criterion_06_connection_coefficients():
 
 def test_criterion_07_scaling_identities():
     t0 = time.perf_counter()
-    fp = make_filters(3)
     worst = 0.0
     for m in (3, 4):
-        base = gamma_tensor(fp, m)
+        base = gamma_tensor(3, m)
         for k in (1, 2):
             worst = max(worst, oracle_deviation(rescale_tensor(base, k), 12))
-    res = resolve_d_exponent(fp, 12)
+    res = resolve_d_exponent(3, 12)
     dt = time.perf_counter() - t0
     ok = worst < 1e-6 and res["exponent"] == 2 \
         and res["deviation"] < res["rejected_deviation"] and dt < 60.0
@@ -239,9 +237,8 @@ def test_criterion_07_scaling_identities():
 
 def test_criterion_08_free_sector():
     t0 = time.perf_counter()
-    fp = make_filters(3)
-    d3 = derivative_overlaps(fp)
-    g43 = gamma_tensor(fp, 4)
+    d3 = derivative_overlaps(3)
+    g43 = gamma_tensor(3, 4)
     # one mode: gamma = omega = 1, spectrum is the integers
     h = build_phi4_hamiltonian(ModelParams(1.0, 0.0, 1.0), d3, None,
                                FockBasis(1, 8))
@@ -275,9 +272,8 @@ def test_criterion_08_free_sector():
 
 def test_criterion_09_variational_perturbative():
     t0 = time.perf_counter()
-    fp = make_filters(3)
-    d3 = derivative_overlaps(fp)
-    g43 = gamma_tensor(fp, 4)
+    d3 = derivative_overlaps(3)
+    g43 = gamma_tensor(3, 4)
     es = []
     for nmax in (2, 3, 4, 5):
         h = build_phi4_hamiltonian(ModelParams(1.0, 0.1), d3, g43,
@@ -308,11 +304,11 @@ def test_criterion_09_variational_perturbative():
 def test_criterion_10_scale_splitting():
     t0 = time.perf_counter()
     fp = make_filters(3)
-    d1 = rescale_tensor(derivative_overlaps(fp), 1)
-    g41 = rescale_tensor(gamma_tensor(fp, 4), 1)
+    d1 = rescale_tensor(derivative_overlaps(3), 1)
+    g41 = rescale_tensor(gamma_tensor(3, 4), 1)
     sp = split_tensors(d1, g41, fp, 16)
-    dev_ss = np.abs(sp.ss - wrap_matrix(derivative_overlaps(fp), 8)).max()
-    cube = wrap_tensor_dense(gamma_tensor(fp, 4), 8)
+    dev_ss = np.abs(sp.ss - wrap_matrix(derivative_overlaps(3), 8)).max()
+    cube = wrap_tensor_dense(gamma_tensor(3, 4), 8)
     i = np.arange(8)
     coarse4 = cube[(i[None, :, None, None] - i[:, None, None, None]) % 8,
                    (i[None, None, :, None] - i[:, None, None, None]) % 8,
@@ -341,8 +337,8 @@ def test_criterion_11_srg_flow():
         worst_drift = max(worst_drift, drift)
         breaks += rep["monotonicity_breaks"]
     fp = make_filters(3)
-    sp = split_tensors(rescale_tensor(derivative_overlaps(fp), 1),
-                       rescale_tensor(gamma_tensor(fp, 4), 1), fp, 16)
+    sp = split_tensors(rescale_tensor(derivative_overlaps(3), 1),
+                       rescale_tensor(gamma_tensor(3, 4), 1), fp, 16)
     h0 = coupling_matrix(sp) + np.eye(16)
     fin, _, _ = srg_flow(FlowState(0.0, h0, "wegner-block", 8), 0.05)
     sw = np.linalg.norm(fin.h_matrix[:8, 8:])

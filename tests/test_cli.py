@@ -76,6 +76,13 @@ def test_scalfun_rows(capsys, cachedir):
     assert abs(vals[:-1].sum() / 8 - 1.0) < 1e-10
 
 
+def test_scalfun_level_capped(capsys, cachedir):
+    # refused before the cascade allocates; the level-16 cap is the oracle's
+    rc, out, err = invoke(["scalfun", "--order", "3", "--level", "17"], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("index: level must be at most 16")
+
+
 # ------------------------------------------------------------- dwt
 
 def test_dwt_haar_forward(tmp_path, capsys, cachedir):
@@ -251,8 +258,8 @@ def test_cold_gamma4_partition_rule_refuses(capsys, cachedir, monkeypatch, scale
     # (0,0,0) keeps permutation symmetry, so only the partition rule sees it
     real = cli.gamma_tensor
 
-    def tampered(fp, m):
-        t = real(fp, m)
+    def tampered(order, m):
+        t = real(order, m)
         if m == 4:
             t = connection.CoeffTensor(t.kind, t.order, t.scale,
                                        {**t.entries, (0, 0, 0): 9.9})
@@ -507,6 +514,20 @@ def test_diagnose_all_scales_windowed(capsys, cachedir):
          "--probe", "projection", "--function", "gauss:2,1"], capsys)
     assert rc == 1
     assert err.startswith("windowing:")
+
+
+@pytest.mark.parametrize("scale,message", [
+    ("-1", "scale must be nonnegative"),
+    # needs a level-17 grid
+    ("13", "grid level must be at most 16"),
+])
+def test_diagnose_refused_scale(capsys, cachedir, scale, message):
+    # the requested scale's probe is built before the sweep, so the run
+    # fails with KernelProbe's own error before any row is computed
+    rc, out, err = invoke(["diagnose", "--order", "3", "--scale", scale,
+                          "--probe", "partition"], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("index: " + message)
 
 
 def test_diagnose_poly_commutator(capsys, cachedir):

@@ -41,7 +41,8 @@ from wavefield.errors import (
     ShapeError,
     UnsupportedOrderError,
 )
-from wavefield.filters import FilterPair, make_filters, wavelet_taps
+from wavefield.filters import make_filters
+from wavefield.scaling import moments
 
 
 def residual_loop(t, fp):
@@ -78,8 +79,7 @@ def perm_loop(t):
 
 def table(kind, K, k=0):
     """Order-K table at scale k: D for kind "d", else Gamma-kind."""
-    fp = make_filters(K)
-    t = derivative_overlaps(fp) if kind == "d" else gamma_tensor(fp, kind)
+    t = derivative_overlaps(K) if kind == "d" else gamma_tensor(K, kind)
     return rescale_tensor(t, k)
 
 
@@ -90,33 +90,33 @@ def shifted(t, offsets, delta):
 
 
 def test_haar_four_point_is_trivial():
-    t = gamma_tensor(make_filters(1), 4)
+    t = gamma_tensor(1, 4)
     assert t.entries == {(0, 0, 0): pytest.approx(1.0, abs=1e-14)}
 
 
 def test_two_point_is_kronecker():
     for K in (1, 2, 4):
-        t = gamma_tensor(make_filters(K), 2)
+        t = gamma_tensor(K, 2)
         assert t.value((0,)) == 1.0
         assert t.value((1,)) == 0.0
 
 
 def test_gamma_arity_rejected():
     with pytest.raises(IndexRangeError):
-        gamma_tensor(make_filters(2), 5)
+        gamma_tensor(2, 5)
 
 
 @pytest.mark.parametrize("K,m,n_entries", [(2, 3, 19), (3, 3, 61), (2, 4, 65), (3, 4, 369)])
 def test_gamma_fixed_point_residual(K, m, n_entries):
     fp = make_filters(K)
-    t = gamma_tensor(fp, m)
+    t = gamma_tensor(K, m)
     assert len(t.entries) == n_entries
     assert recursion_residual(t, fp) < 1e-12
 
 
 @pytest.mark.parametrize("K", [2, 3, 4])
 def test_gamma3_sum_rule(K):
-    t = gamma_tensor(make_filters(K), 3)
+    t = gamma_tensor(K, 3)
     R = t.support_radius
     for n2 in range(-R, R + 1):
         acc = sum(v for (a, _), v in t.entries.items() if a == n2)
@@ -125,8 +125,7 @@ def test_gamma3_sum_rule(K):
 
 @pytest.mark.parametrize("K", [2, 3])
 def test_gamma4_partition_rule(K):
-    fp = make_filters(K)
-    g3, g4 = gamma_tensor(fp, 3), gamma_tensor(fp, 4)
+    g3, g4 = gamma_tensor(K, 3), gamma_tensor(K, 4)
     pairs = {t[:2] for t in g4.entries}
     for pair in pairs:
         acc = sum(v for tup, v in g4.entries.items() if tup[:2] == pair)
@@ -135,7 +134,7 @@ def test_gamma4_partition_rule(K):
 
 @pytest.mark.parametrize("K,m", [(2, 3), (3, 3), (2, 4), (3, 4)])
 def test_gamma_permutation_symmetry(K, m):
-    t = gamma_tensor(make_filters(K), m)
+    t = gamma_tensor(K, m)
     validate_tensor(t)  # includes the permutation check at 1e-12
 
 
@@ -144,22 +143,21 @@ def test_gamma_against_quadrature(K, m, bound):
     # level-12 Riemann sums; K=2 sits at ~1.2e-6 / 2.8e-6 because the
     # low-order scaling function is barely Holder continuous, so the
     # quadrature converges slowly; higher K is far below the bound
-    fp = make_filters(K)
-    assert oracle_deviation(gamma_tensor(fp, m), 12) < bound
+    assert oracle_deviation(gamma_tensor(K, m), 12) < bound
 
 
 @pytest.mark.parametrize("K,m", [(3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (3, 4)])
 def test_residual_matches_loop_reference(K, m):
     # m = 2 stands for the derivative table D
     fp = make_filters(K)
-    t = derivative_overlaps(fp) if m == 2 else gamma_tensor(fp, m)
+    t = derivative_overlaps(K) if m == 2 else gamma_tensor(K, m)
     # same products, same summation order: bit-equal
     assert recursion_residual(t, fp) == residual_loop(t, fp)
 
 
 def test_residual_detects_perturbed_entry():
     fp = make_filters(3)
-    t = gamma_tensor(fp, 4)
+    t = gamma_tensor(3, 4)
     assert recursion_residual(t, fp) < 1e-12
     bad = shifted(t, (1, 0, -1), 1e-6)
     assert recursion_residual(bad, fp) > 1e-7
@@ -205,8 +203,7 @@ def test_aitken_limit_needs_four_levels():
 
 
 def test_extrapolated_oracle_k2_gamma3():
-    fp = make_filters(2)
-    t = gamma_tensor(fp, 3)
+    t = gamma_tensor(2, 3)
     rep = extrapolated_oracle(t, 12)
     assert rep["entries"] == 19 and rep["fallbacks"] == 0
     # the raw level-12 sum alone misses the 1e-6 tolerance on an exact table
@@ -219,8 +216,7 @@ def test_extrapolated_oracle_k2_gamma3():
 
 
 def test_extrapolated_oracle_level_range():
-    fp = make_filters(2)
-    t = gamma_tensor(fp, 3)
+    t = gamma_tensor(2, 3)
     for level in (3, 17):
         with pytest.raises(IndexRangeError):
             extrapolated_oracle(t, level)
@@ -228,7 +224,7 @@ def test_extrapolated_oracle_level_range():
 
 def test_derivative_table_k3_exact_values():
     fp = make_filters(3)
-    t = derivative_overlaps(fp)
+    t = derivative_overlaps(3)
     # the order-3 row is rational (Beylkin 1992); D_n = D_{-n}
     exact = {0: 295 / 56, 1: -356 / 105, 2: 92 / 105, 3: -4 / 35, 4: -3 / 560}
     assert sorted(t.entries) == [(n,) for n in range(-4, 5)]
@@ -244,71 +240,61 @@ def test_derivative_table_k3_exact_values():
 
 def test_derivative_requires_order_three():
     with pytest.raises(NonDifferentiableOrderError):
-        derivative_overlaps(make_filters(2))
+        derivative_overlaps(2)
 
 
 @pytest.mark.parametrize("K,bound", [(3, 2.5e-3), (4, 1e-4), (5, 1e-4)])
 def test_derivative_against_quadrature(K, bound):
     # the finite-difference oracle at level 14 is limited by the Holder
     # exponent of s'; measured 1.79e-3 (K=3), 3.98e-6 (K=4), 1.19e-7 (K=5)
-    fp = make_filters(K)
-    assert oracle_deviation(derivative_overlaps(fp), 14) < bound
+    assert oracle_deviation(derivative_overlaps(K), 14) < bound
 
 
 def test_oracle_indicator_norm():
-    assert abs(quadrature_oracle(make_filters(1), [(0, 0), (0, 0)], 10) - 1) < 1e-12
+    assert abs(quadrature_oracle(1, [(0, 0), (0, 0)], 10) - 1) < 1e-12
 
 
 def test_oracle_orthonormality_k2():
-    fp = make_filters(2)
-    assert abs(quadrature_oracle(fp, [(0, 0), (1, 0)], 12)) < 1e-4
-    assert abs(quadrature_oracle(fp, [(0, 0), (0, 0)], 12) - 1) < 1e-4
+    assert abs(quadrature_oracle(2, [(0, 0), (1, 0)], 12)) < 1e-4
+    assert abs(quadrature_oracle(2, [(0, 0), (0, 0)], 12) - 1) < 1e-4
 
 
 def test_oracle_first_moment_k2():
-    fp = make_filters(2)
-    v = quadrature_oracle(fp, [(0, 0)], 12, weight_power=1)
+    v = quadrature_oracle(2, [(0, 0)], 12, weight_power=1)
     assert abs(v - (3 - np.sqrt(3.0)) / 2) < 1e-6
 
 
+@settings(max_examples=40, deadline=None)
+@given(K=st.integers(2, 8), level=st.integers(4, 12), data=st.data())
+def test_oracle_moments_match_recursion(K, level, data):
+    # the dyadic sum of x^p s(x) is exact for p < K, so the cascade and
+    # the scaling-equation moment recursion, two independent paths, agree
+    # to rounding (worst seen 5.2e-14)
+    p = data.draw(st.integers(0, K - 1), label="p")
+    want = moments(K, p)
+    got = quadrature_oracle(K, [(0, 0)], level, weight_power=p)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
 def test_oracle_disjoint_supports():
-    fp = make_filters(2)
-    assert quadrature_oracle(fp, [(0, 0), (5, 0)], 10) == 0.0
+    assert quadrature_oracle(2, [(0, 0), (5, 0)], 10) == 0.0
 
 
 def test_oracle_input_validation():
-    fp = make_filters(3)
     with pytest.raises(ShapeError):
-        quadrature_oracle(fp, [(0, 0)] * 5, 10)
+        quadrature_oracle(3, [(0, 0)] * 5, 10)
     with pytest.raises(IndexRangeError):
-        quadrature_oracle(fp, [(0, 0)], 17)
+        quadrature_oracle(3, [(0, 0)], 17)
     with pytest.raises(NonDifferentiableOrderError):
-        quadrature_oracle(make_filters(2), [(0, 1)], 10)
+        quadrature_oracle(2, [(0, 1)], 10)
     with pytest.raises(ShapeError):
-        quadrature_oracle(fp, [(0, 2)], 10)
+        quadrature_oracle(3, [(0, 2)], 10)
     with pytest.raises(ShapeError):
-        quadrature_oracle(fp, [(0, 0)], 10, scale=1, weight_power=1)
-
-
-def test_oracle_refuses_other_taps():
-    # the samples are cached by order and refined from the standard taps,
-    # so a pair with other taps of the same order must not be replaced
-    # by the standard one without a word
-    h = make_filters(3).h[::-1].copy()
-    reversed_k3 = FilterPair(3, h, wavelet_taps(h))
-    with pytest.raises(ShapeError, match="standard filters"):
-        quadrature_oracle(reversed_k3, [(0, 0), (1, 0)], 10)
-    with pytest.raises(ShapeError, match="standard filters"):
-        resolve_d_exponent(reversed_k3)
-    # a pair rebuilt from copies of the standard taps is accepted
-    std = make_filters(3)
-    copied = FilterPair(3, std.h.copy(), std.g.copy())
-    assert (quadrature_oracle(copied, [(0, 0), (1, 0)], 10)
-            == quadrature_oracle(std, [(0, 0), (1, 0)], 10))
+        quadrature_oracle(3, [(0, 0)], 10, scale=1, weight_power=1)
 
 
 def test_rescale_gamma4_doubles():
-    t = gamma_tensor(make_filters(2), 4)
+    t = gamma_tensor(2, 4)
     t1 = rescale_tensor(t, 1)
     assert t1.scale == 1
     for tup, v in t.entries.items():
@@ -316,33 +302,31 @@ def test_rescale_gamma4_doubles():
 
 
 def test_rescale_gamma2_unchanged():
-    t = gamma_tensor(make_filters(3), 2)
+    t = gamma_tensor(3, 2)
     assert rescale_tensor(t, 5).value((0,)) == 1.0
 
 
 def test_rescale_rejects_scaled_input():
-    t = rescale_tensor(gamma_tensor(make_filters(2), 3), 1)
+    t = rescale_tensor(gamma_tensor(2, 3), 1)
     with pytest.raises(AlreadyScaledError):
         rescale_tensor(t, 1)
 
 
 @pytest.mark.parametrize("K,k,bound", [(3, 1, 1e-9), (3, 2, 1e-9)])
 def test_rescaled_gamma_matches_scaled_oracle(K, k, bound):
-    fp = make_filters(K)
-    t = rescale_tensor(gamma_tensor(fp, 3), k)
+    t = rescale_tensor(gamma_tensor(K, 3), k)
     assert oracle_deviation(t, 12) < bound
 
 
 def test_rescaled_derivative_matches_scale1_oracle_k4():
     # K=4 keeps the finite-difference error of the oracle below the
     # comparison threshold; K=3 is Holder-limited to ~7e-3 here
-    fp = make_filters(4)
-    t = rescale_tensor(derivative_overlaps(fp), 1)
+    t = rescale_tensor(derivative_overlaps(4), 1)
     assert oracle_deviation(t, 14) < 1e-4
 
 
 def test_resolve_d_exponent():
-    out = resolve_d_exponent(make_filters(3))
+    out = resolve_d_exponent(3)
     assert out["exponent"] == 2
     assert out["rejected_exponent"] == 1
     # candidates differ by a factor 2; the gap dwarfs the oracle error
@@ -350,8 +334,7 @@ def test_resolve_d_exponent():
 
 
 def test_save_load_round_trip(tmp_path):
-    fp = make_filters(2)
-    for t in (gamma_tensor(fp, 3), gamma_tensor(fp, 4)):
+    for t in (gamma_tensor(2, 3), gamma_tensor(2, 4)):
         p = tmp_path / f"{t.kind}.tbl"
         save_tensor(t, p)
         back = load_tensor(p)
@@ -360,14 +343,14 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_save_load_derivative_round_trip(tmp_path):
-    t = derivative_overlaps(make_filters(3))
+    t = derivative_overlaps(3)
     p = tmp_path / "d.tbl"
     save_tensor(t, p)
     assert load_tensor(p).entries == t.entries
 
 
 def test_load_rejects_broken_symmetry(tmp_path):
-    t = derivative_overlaps(make_filters(3))
+    t = derivative_overlaps(3)
     p = tmp_path / "d.tbl"
     save_tensor(t, p)
     lines = p.read_text().splitlines()
@@ -381,7 +364,7 @@ def test_load_rejects_broken_symmetry(tmp_path):
 
 
 def test_load_rejects_wrong_order_metadata(tmp_path):
-    t = gamma_tensor(make_filters(2), 3)
+    t = gamma_tensor(2, 3)
     p = tmp_path / "g.tbl"
     save_tensor(t, p)
     lines = p.read_text().splitlines()
@@ -408,7 +391,7 @@ def test_load_rejects_malformed_files(tmp_path):
 
 
 def test_wrap_matrix_two_modes_k3():
-    t = derivative_overlaps(make_filters(3))
+    t = derivative_overlaps(3)
     m = wrap_matrix(t, 2)
     assert abs(m[0, 0] - 7.00952381) < 1e-6
     assert abs(m[0, 1] + 7.00952381) < 1e-6
@@ -417,14 +400,14 @@ def test_wrap_matrix_two_modes_k3():
 
 
 def test_wrap_matrix_is_circulant():
-    t = derivative_overlaps(make_filters(4))
+    t = derivative_overlaps(4)
     m = wrap_matrix(t, 8)
     for i in range(8):
         np.testing.assert_allclose(m[i], np.roll(m[0], i), atol=0)
 
 
 def test_wrap_tensor_dense_preserves_total():
-    t = gamma_tensor(make_filters(3), 3)
+    t = gamma_tensor(3, 3)
     for n in (2, 4, 16):
         w = wrap_tensor_dense(t, n)
         assert w.shape == (n, n)
@@ -519,7 +502,7 @@ def test_bordered_solve_peaks_near_two_systems():
 def test_order_limit_refuses_oversized_system():
     # gamma-4 at order 8 would need 12209 unknowns and a 1.19 GB system
     with pytest.raises(UnsupportedOrderError) as exc:
-        gamma_tensor(make_filters(8), 4)
+        gamma_tensor(8, 4)
     ctx = exc.value.context
     assert (ctx["kind"], ctx["order"], ctx["unknowns"]) == ("gamma-4", 8, 12209)
     assert ctx["bytes"] == 12210 * 12209 * 8 > _MAX_SYSTEM_BYTES

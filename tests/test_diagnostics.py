@@ -34,6 +34,10 @@ class TestProbeValidation:
             KernelProbe(0, 0, 10)
         with pytest.raises(IndexRangeError):
             KernelProbe(2, -1, 10)
+        # the grid level is capped before any grid is allocated
+        with pytest.raises(IndexRangeError) as exc:
+            KernelProbe(2, 13, 17)
+        assert exc.value.context == {"grid_level": 17}
 
     def test_probe_function_parameters(self):
         with pytest.raises(IndexRangeError):

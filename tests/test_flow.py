@@ -86,9 +86,8 @@ def random_symmetric(seed, n, scale=1.0):
 
 @lru_cache(maxsize=None)
 def scaled_tables(order, k):
-    fp = make_filters(order)
-    d = rescale_tensor(derivative_overlaps(fp), k) if order >= 3 else None
-    return d, rescale_tensor(gamma_tensor(fp, 4), k)
+    d = rescale_tensor(derivative_overlaps(order), k) if order >= 3 else None
+    return d, rescale_tensor(gamma_tensor(order, 4), k)
 
 
 class TestStageMatrix:
@@ -141,27 +140,26 @@ def test_stage_orthogonal_and_shift_by_two(order, data):
 @pytest.fixture(scope="module")
 def split_k3():
     fp = make_filters(3)
-    d1 = rescale_tensor(derivative_overlaps(fp), 1)
-    g41 = rescale_tensor(gamma_tensor(fp, 4), 1)
+    d1 = rescale_tensor(derivative_overlaps(3), 1)
+    g41 = rescale_tensor(gamma_tensor(3, 4), 1)
     return split_tensors(d1, g41, fp, 16)
 
 
 class TestSplitTensors:
 
     def test_ss_block_is_coarse_derivative(self, split_k3):
-        coarse = wrap_matrix(derivative_overlaps(make_filters(3)), 8)
+        coarse = wrap_matrix(derivative_overlaps(3), 8)
         assert np.abs(split_k3.ss - coarse).max() < 1e-10
 
     def test_ssss_block_is_coarse_four_point(self, split_k3):
-        coarse = dense_wrap4(gamma_tensor(make_filters(3), 4), 8)
+        coarse = dense_wrap4(gamma_tensor(3, 4), 8)
         assert np.abs(split_k3.quartic["ssss"] - coarse).max() < 1e-10
 
     def test_ws_is_sw_transpose(self, split_k3):
         assert np.abs(split_k3.ws - split_k3.sw.T).max() < 1e-12
 
     def test_frobenius_preserved(self, split_k3):
-        fp = make_filters(3)
-        fine = wrap_matrix(rescale_tensor(derivative_overlaps(fp), 1), 16)
+        fine = wrap_matrix(rescale_tensor(derivative_overlaps(3), 1), 16)
         whole = coupling_matrix(split_k3)
         assert abs(np.linalg.norm(whole) - np.linalg.norm(fine)) < 1e-12
 
@@ -173,10 +171,10 @@ class TestSplitTensors:
     def test_haar_quartic_only(self):
         # no derivative table exists at order 1; the quartic path still runs
         fp = make_filters(1)
-        g41 = rescale_tensor(gamma_tensor(fp, 4), 1)
+        g41 = rescale_tensor(gamma_tensor(1, 4), 1)
         sp = split_tensors(None, g41, fp, 8)
         assert sp.ss is None
-        coarse = dense_wrap4(gamma_tensor(fp, 4), 4)
+        coarse = dense_wrap4(gamma_tensor(1, 4), 4)
         assert np.abs(sp.quartic["ssss"] - coarse).max() < 1e-14
         # Haar coarse and detail rows cancel the delta tensor pairwise
         assert np.abs(sp.quartic["sssw"]).max() < 1e-15
@@ -185,12 +183,12 @@ class TestSplitTensors:
 
     def test_mismatches_rejected(self):
         fp3, fp2 = make_filters(3), make_filters(2)
-        d1 = rescale_tensor(derivative_overlaps(fp3), 1)
-        g41 = rescale_tensor(gamma_tensor(fp3, 4), 1)
+        d1 = rescale_tensor(derivative_overlaps(3), 1)
+        g41 = rescale_tensor(gamma_tensor(3, 4), 1)
         with pytest.raises(ShapeError):
             split_tensors(d1, g41, fp2, 16)
         with pytest.raises(ShapeError):
-            split_tensors(d1, rescale_tensor(gamma_tensor(fp3, 4), 2), fp3, 16)
+            split_tensors(d1, rescale_tensor(gamma_tensor(3, 4), 2), fp3, 16)
         with pytest.raises(ShapeError):
             split_tensors(d1, g41, fp3, 15)
 
@@ -436,8 +434,8 @@ def test_flow_converged_at_default_tol(seed, genspec, part):
 class TestTwoScaleDecoupling:
     def test_block_flow_kills_cross_coupling(self):
         fp = make_filters(3)
-        d1 = rescale_tensor(derivative_overlaps(fp), 1)
-        g41 = rescale_tensor(gamma_tensor(fp, 4), 1)
+        d1 = rescale_tensor(derivative_overlaps(3), 1)
+        g41 = rescale_tensor(gamma_tensor(3, 4), 1)
         sp = split_tensors(d1, g41, fp, 16)
         h0 = coupling_matrix(sp) + np.eye(16)
         start = np.linalg.norm(h0[:8, 8:])

@@ -20,7 +20,6 @@ from wavefield.errors import (
     ShapeError,
     TachyonicConfigurationError,
 )
-from wavefield.filters import make_filters
 from wavefield.fock import (
     FockBasis,
     FockOperator,
@@ -33,9 +32,8 @@ from wavefield.fock import (
 )
 from wavefield.fock import _dedup, _quadratic_terms, _quartic_terms
 
-FP3 = make_filters(3)
-D3 = derivative_overlaps(FP3)
-G43 = gamma_tensor(FP3, 4)
+D3 = derivative_overlaps(3)
+G43 = gamma_tensor(3, 4)
 
 
 def dense(op):
@@ -135,9 +133,8 @@ def assemble_reference(p, d_tensor, g4_tensor, basis):
 
 @lru_cache(maxsize=None)
 def scaled_tables(K, k):
-    fp = make_filters(K)
-    return (rescale_tensor(derivative_overlaps(fp), k),
-            rescale_tensor(gamma_tensor(fp, 4), k))
+    return (rescale_tensor(derivative_overlaps(K), k),
+            rescale_tensor(gamma_tensor(K, 4), k))
 
 
 def test_basis_enumeration_mode0_fastest():

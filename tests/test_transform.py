@@ -151,7 +151,7 @@ def test_detail_channel_kills_low_degree_polynomials(m):
     # periodic wrap interrupts the polynomial trend
     K, N = 3, 64
     fp = make_filters(K)
-    v = CoeffVector(0, reproduction_coeffs(fp, m, range(N)))
+    v = CoeffVector(0, reproduction_coeffs(K, m, range(N)))
     _, d = analysis_step(v, fp)
     interior = d.values[: (N - 2 * K + 1) // 2]
     assert np.abs(interior).max() < 1e-10
