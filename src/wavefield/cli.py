@@ -9,6 +9,12 @@ byte-identical; the manifest is the only place timing lives.
 Floating values in CSV output are printed with %.17g (full float64
 round-trip precision, '.' decimal point always); JSON uses the shortest
 exact round-trip rendering.
+
+Bulk text is written and read at array speed with these formats
+unchanged: a writer formats a whole block or table with one %-operation,
+and a reader parses a whole file in one pass of C-level iteration.  A
+reader scans its input line by line only after that pass has failed, to
+name the line at fault in its ParseError.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ import os
 import re
 import sys
 import time
+from itertools import chain, compress, count, repeat
+from operator import contains
 
 import numpy as np
 import scipy.sparse
@@ -58,16 +66,30 @@ from .transform import CoeffPyramid, CoeffVector, multilevel
 __all__ = ["build_parser", "run", "main"]
 
 
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
+def _rows(fmt: str, *columns) -> str:
+    """One line fmt % (a value from each column) per row, by one %-operation."""
+    return (fmt * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
 
 
-def _csv(header: str, rows) -> str:
-    """CSV table: ints and strings through str, every other value through _fmt."""
-    lines = [header]
-    lines += [",".join(str(v) if isinstance(v, (int, str)) else _fmt(v)
-                       for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+def _values(values) -> str:
+    """One %.17g line per value of a float array."""
+    return ("%.17g\n" * len(values)) % tuple(values.tolist())
+
+
+def _csv(header: str, *columns) -> str:
+    """CSV table of equal-length columns: ints and strings are printed
+    through str, every other value through %.17g.  The rule holds value by
+    value, so a column mixing the two kinds is converted one value at a
+    time; any other column takes one conversion for all its rows."""
+    specs, cols = [], []
+    for col in map(list, columns):
+        as_str = {issubclass(t, (int, str)) for t in set(map(type, col))}
+        if len(as_str) == 2:
+            col = [str(v) if isinstance(v, (int, str)) else "%.17g" % float(v)
+                   for v in col]
+        specs.append("%s" if True in as_str else "%.17g")
+        cols.append(col)
+    return header + "\n" + _rows(",".join(specs) + "\n", *cols)
 
 
 def _json(doc) -> str:
@@ -137,7 +159,7 @@ def _cmd_filters(args):
     if args.format == "json":
         text = _json({"order": fp.order, "h": list(fp.h), "g": list(fp.g)})
     else:
-        text = _csv("tap,h,g", zip(range(len(fp.h)), fp.h, fp.g))
+        text = _csv("tap,h,g", range(len(fp.h)), fp.h, fp.g)
     return text, {}, []
 
 
@@ -153,10 +175,10 @@ def _cmd_scalfun(args):
             "order": args.order,
             "level": args.level,
             "derivative": bool(args.derivative),
-            "rows": [[float(x), float(v)] for x, v in zip(xs, samp.values)],
+            "rows": np.column_stack((xs, samp.values)).tolist(),
         })
     else:
-        text = _csv("x,value", zip(xs, samp.values))
+        text = _csv("x,value", xs, samp.values)
     return text, {}, []
 
 
@@ -175,33 +197,48 @@ def _checked_finite(values, text, path, column=0):
     raise ParseError("non-finite value in input", path=path, line=line)
 
 
+def _floats(lines) -> np.ndarray:
+    """float() of every nonblank line, stripped; ValueError if one is refused."""
+    return np.fromiter(map(float, filter(None, map(str.strip, lines))), float)
+
+
+def _first_refused(lines, first_line) -> int:
+    """Number of the first nonblank line, counting from first_line, that
+    float() refuses: the rescan that names the line at fault once _floats
+    has failed."""
+    for ln, s in enumerate(map(str.strip, lines), first_line):
+        if s:
+            try:
+                float(s)
+            except ValueError:
+                return ln
+
+
 def _parse_plain_values(text, path):
-    vals = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        s = raw.strip()
-        if not s:
-            continue
-        try:
-            vals.append(float(s))
-        except ValueError:
-            raise ParseError("non-numeric value in input", path=path, line=ln)
-    if not vals:
+    lines = text.splitlines()
+    try:
+        vals = _floats(lines)
+    except ValueError:
+        raise ParseError("non-numeric value in input", path=path,
+                         line=_first_refused(lines, 1))
+    del lines
+    if not len(vals):
         raise ParseError("empty input", path=path)
-    return _checked_finite(np.array(vals), text, path)
+    return _checked_finite(vals, text, path)
 
 
 def _serialize_pyramid(p: CoeffPyramid, order: int) -> str:
-    lines = [
-        "# wavefield-pyramid 1",
+    parts = [
+        "# wavefield-pyramid 1\n",
         f"# order {order} levels {p.levels} length "
-        f"{len(p.coarse) * 2 ** p.levels}",
-        f"# coarse scale {p.coarse.scale} length {len(p.coarse)}",
+        f"{len(p.coarse) * 2 ** p.levels}\n",
+        f"# coarse scale {p.coarse.scale} length {len(p.coarse)}\n",
+        _values(p.coarse.values),
     ]
-    lines += [_fmt(v) for v in p.coarse.values]
     for i, d in enumerate(p.details, 1):  # finest detail first
-        lines.append(f"# detail {i} scale {d.scale} length {len(d)}")
-        lines += [_fmt(v) for v in d.values]
-    return "\n".join(lines) + "\n"
+        parts.append(f"# detail {i} scale {d.scale} length {len(d)}\n")
+        parts.append(_values(d.values))
+    return "".join(parts)
 
 
 _PYRAMID_META = re.compile(r"# order (\d+) levels (\d+) length (\d+)")
@@ -210,23 +247,29 @@ _PYRAMID_BLOCK = re.compile(r"# (coarse|detail \d+) scale (-?\d+) length (\d+)")
 
 def _parse_pyramid(text, path) -> tuple:
     """Read _serialize_pyramid output back: block 0 is the coarse block,
-    block i the detail i, and every declared length matches its values."""
+    block i the detail i, and every declared length matches its values.
+
+    Only a line holding '#' can be a '#' line, so those few are found by
+    one scan, and the value lines between two of them are parsed whole."""
+    lines = text.splitlines()
+    marks = [i for i in compress(count(), map(contains, lines, repeat("#")))
+             if lines[i].lstrip().startswith("#")]
     heads = []  # (line, text, number of values before it) of each '#' line
-    vals = []
-    for ln, s in enumerate(map(str.strip, text.splitlines()), 1):
-        if not s:
-            continue
-        if s[0] == "#":
-            heads.append((ln, s, len(vals)))
-        elif len(heads) < 3:
+    runs = [np.empty(0)]  # the values of each run of value lines
+    for head, end in zip([-1, *marks], [*marks, len(lines)]):
+        if head >= 0:
+            heads.append((head + 1, lines[head].strip(), sum(map(len, runs))))
+        run = lines[head + 1:end]
+        if len(heads) < 3 and any(map(str.strip, run)):
             raise ParseError("values before any block header", path=path,
-                             line=ln)
-        else:
-            try:
-                vals.append(float(s))
-            except ValueError:
-                raise ParseError("non-numeric pyramid value", path=path,
-                                 line=ln)
+                             line=next(ln for ln, s in enumerate(run, head + 2)
+                                       if s.strip()))
+        try:
+            runs.append(_floats(run))
+        except ValueError:
+            raise ParseError("non-numeric pyramid value", path=path,
+                             line=_first_refused(run, head + 2))
+    del lines, run
     if len(heads) < 2 or heads[0][1] != "# wavefield-pyramid 1":
         raise ParseError("missing pyramid header", path=path)
     meta = _PYRAMID_META.fullmatch(heads[1][1])
@@ -238,7 +281,7 @@ def _parse_pyramid(text, path) -> tuple:
         raise ParseError(
             f"expected {levels + 1} blocks, found {len(heads) - 2}", path=path
         )
-    vals = _checked_finite(np.array(vals), text, path)
+    vals = _checked_finite(np.concatenate(runs), text, path)
     ends = [first for *_, first in heads[3:]] + [len(vals)]
     vecs = []
     for i, ((ln, s, first), end) in enumerate(zip(heads[2:], ends)):
@@ -269,9 +312,9 @@ def _cmd_dwt(args):
                 "order": args.order,
                 "levels": pyr.levels,
                 "coarse": {"scale": pyr.coarse.scale,
-                           "values": list(map(float, pyr.coarse.values))},
+                           "values": pyr.coarse.values.tolist()},
                 "details": [
-                    {"scale": d.scale, "values": list(map(float, d.values))}
+                    {"scale": d.scale, "values": d.values.tolist()}
                     for d in pyr.details
                 ],
             })
@@ -288,9 +331,9 @@ def _cmd_dwt(args):
         vec = multilevel(pyr, fp, args.levels, "inverse")
         if args.format == "json":
             out = _json({"order": args.order, "scale": vec.scale,
-                         "values": list(map(float, vec.values))})
+                         "values": vec.values.tolist()})
         else:
-            out = "\n".join(_fmt(v) for v in vec.values) + "\n"
+            out = _values(vec.values)
     return out, {}, [args.input]
 
 
@@ -308,7 +351,7 @@ def _cmd_coeffs(args):
                           "max_oracle_deviation": dev})
         else:
             text = _csv("kind,order,scale,level,max_oracle_deviation",
-                        [(args.kind, args.order, args.scale, level, dev)])
+                        [args.kind], [args.order], [args.scale], [level], [dev])
         return text, {}, []
     # without verification the table itself is the output, in its
     # canonical container format
@@ -319,12 +362,8 @@ def _cmd_coeffs(args):
 
 def _matrix_coo_text(mat) -> str:
     coo = mat.tocsr().sorted_indices().tocoo()
-    lines = [f"{coo.shape[0]} {coo.nnz}"]
-    lines += [
-        f"{r} {c} {_fmt(v)}"
-        for r, c, v in zip(coo.row, coo.col, coo.data)
-    ]
-    return "\n".join(lines) + "\n"
+    return f"{coo.shape[0]} {coo.nnz}\n" + _rows(
+        "%d %d %.17g\n", coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
 
 
 def _cmd_hamiltonian(args):
@@ -342,8 +381,7 @@ def _cmd_hamiltonian(args):
             "residuals": [r for _, r in pairs],
         })
     else:
-        text = _csv("index,eigenvalue,residual",
-                    ((i, e, r) for i, (e, r) in enumerate(pairs)))
+        text = _csv("index,eigenvalue,residual", range(len(pairs)), *zip(*pairs))
     files = {}
     if args.dump_matrix:
         files[args.dump_matrix] = _matrix_coo_text(op.matrix)
@@ -352,12 +390,42 @@ def _cmd_hamiltonian(args):
 
 # ---------------------------------------------------------------- flow
 
-def _parse_coo(text, path) -> np.ndarray:
+def _coo_entry_error(text, dim, path) -> ParseError:
+    """The error of the first entry line that is not 'row col value' or
+    indexes outside the matrix: the rescan after a whole-file parse failed."""
     lines = [(ln, s) for ln, s in enumerate(map(str.strip, text.splitlines()), 1)
              if s]
-    if not lines:
+    for ln, s in lines[1:]:
+        try:
+            r, c, v = s.split()
+            r, c, v = int(r), int(c), float(v)
+        except ValueError:
+            return ParseError("matrix entries are 'row col value'", path=path,
+                              line=ln)
+        if not (0 <= r < dim and 0 <= c < dim):
+            return ParseError("matrix index out of range", path=path, line=ln)
+
+
+def _coo_entries(entries, dim):
+    """Row, column and value arrays of the 'row col value' entry lines;
+    ValueError if any line is malformed or indexes outside the matrix."""
+    if set(map(len, map(str.split, entries))) - {3}:
+        raise ValueError("an entry line without three fields")
+    fields = " ".join(entries).split()
+    rows, cols = list(map(int, fields[0::3])), list(map(int, fields[1::3]))
+    if rows and not (0 <= min(rows) and max(rows) < dim
+                     and 0 <= min(cols) and max(cols) < dim):
+        raise ValueError("an entry index outside the matrix")
+    vals = np.fromiter(map(float, fields[2::3]), float)
+    return np.array(rows, np.int64), np.array(cols, np.int64), vals
+
+
+def _parse_coo(text, path) -> np.ndarray:
+    lines = text.splitlines()
+    head_line = next((ln for ln, s in enumerate(lines, 1) if s.strip()), None)
+    if head_line is None:
         raise ParseError("empty matrix file", path=path)
-    head_line, head = lines[0]
+    head = lines[head_line - 1].strip()
     try:
         dim, nnz = map(int, head.split())
     except ValueError:
@@ -369,30 +437,23 @@ def _parse_coo(text, path) -> np.ndarray:
     if dim > MAX_FLOW_DIM:
         raise ShapeError(f"flow matrices are capped at {MAX_FLOW_DIM}",
                          dim=dim)
-    if len(lines) - 1 != nnz:
+    entries = list(filter(None, map(str.strip, lines[head_line:])))
+    del lines
+    if len(entries) != nnz:
         raise ParseError(
-            f"expected {nnz} entries, found {len(lines) - 1}", path=path
+            f"expected {nnz} entries, found {len(entries)}", path=path
         )
-    rows, cols, vals = [], [], []
-    for ln, s in lines[1:]:
-        try:
-            r, c, v = s.split()
-            r, c, v = int(r), int(c), float(v)
-        except ValueError:
-            raise ParseError("matrix entries are 'row col value'", path=path,
-                             line=ln)
-        if not (0 <= r < dim and 0 <= c < dim):
-            raise ParseError("matrix index out of range", path=path, line=ln)
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-    vals = _checked_finite(np.array(vals), text, path, column=2)
-    mat = np.zeros((dim, dim))
-    # repeated entries add up in file order; a sum that overflows is left
-    # as inf for FlowState to refuse, without a numpy warning
-    with np.errstate(over="ignore"):
-        np.add.at(mat, (np.array(rows, np.int64), np.array(cols, np.int64)), vals)
-    return mat
+    try:
+        rows, cols, vals = _coo_entries(entries, dim)
+    except ValueError:
+        raise _coo_entry_error(text, dim, path)
+    del entries
+    vals = _checked_finite(vals, text, path, column=2)
+    # repeated entries add up in file order from 0.0, as np.add.at on a
+    # zero matrix adds them; a sum that overflows is left as inf for
+    # FlowState to refuse.  With no entries bincount counts in integers.
+    mat = np.bincount(rows * dim + cols, vals, dim * dim)
+    return mat.astype(float, copy=False).reshape(dim, dim)
 
 
 def _cmd_flow(args):
@@ -405,14 +466,14 @@ def _cmd_flow(args):
     files = {}
     if args.log:
         files[args.log] = _csv("lambda,offdiag_frobenius,max_eigen_drift",
-                               trajectory)
+                               *zip(*trajectory))
     if args.format == "json":
         text = _json({
             "lambda": final.lam,
             "generator": genspec,
             "accepted_steps": report["accepted"],
             "sign_convention_flipped": report["sign_convention_flipped"],
-            "matrix": [[float(v) for v in row] for row in final.h_matrix],
+            "matrix": final.h_matrix.tolist(),
         })
     else:
         text = _matrix_coo_text(scipy.sparse.csr_matrix(final.h_matrix))
@@ -469,7 +530,7 @@ def _cmd_diagnose(args):
             "rows": [[k, v] for k, v in rows],
         })
     else:
-        text = _csv("k,value", rows)
+        text = _csv("k,value", *zip(*rows))
     return text, {}, []
 
 

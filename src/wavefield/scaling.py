@@ -190,6 +190,8 @@ def reproduction_coeffs(K, m, n_range):
     Requires m < K (vanishing moments of the wavelet side).
     """
     make_filters(K)  # validates the order
+    if m < 0:
+        raise IndexRangeError("reproduced degree must be nonnegative", m=m)
     if m >= K:
         raise InsufficientVanishingMomentsError(
             f"degree {m} not reproducible at order {K}; need m < K"

@@ -121,10 +121,18 @@ def synthesis_step(coarse: CoeffVector, detail: CoeffVector, fp: FilterPair):
             length=n,
             order=fp.order,
         )
-    pos = _step_indices(m, len(fp.h), n)
+    # Output j sums f_l v_m over the rows m with (2m + l) mod n = j, coarse
+    # terms (f = h) before detail terms (f = g), each in ascending m from
+    # 0.0.  A row gives j at most one term, and ascending m is descending
+    # l, first over the rows where 2m + l < n, then over the last l // 2
+    # rows, whose terms wrap to 2m + l - n.  Adding one whole tap at a time
+    # in that order gives every sum bit for bit, with no index arrays.
     out = np.zeros(n)
-    np.add.at(out, pos, fp.h[None, :] * coarse.values[:, None])
-    np.add.at(out, pos, fp.g[None, :] * detail.values[:, None])
+    for f, v in ((fp.h, coarse.values), (fp.g, detail.values)):
+        for l in reversed(range(len(f))):
+            out[l::2] += f[l] * v[:m - l // 2]
+        for l in reversed(range(len(f))):
+            out[l % 2::2][:l // 2] += f[l] * v[m - l // 2:]
     return CoeffVector(coarse.scale + 1, out)
 
 

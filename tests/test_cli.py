@@ -140,6 +140,21 @@ def test_dwt_malformed_input(tmp_path, capsys, cachedir):
     assert err.startswith("parse:")
 
 
+def test_dwt_forward_reads_crlf_blank_lines_and_padding(tmp_path, capsys,
+                                                        cachedir):
+    plain, messy = tmp_path / "plain.csv", tmp_path / "messy.csv"
+    plain.write_text("1\n2\n3\n4\n")
+    messy.write_bytes(b"\r\n 1\r\n\r\n2\t\r\n  \r\n3\r\n4\r\n\r\n")
+    outs = []
+    for src in (plain, messy):
+        rc, out, _ = invoke(
+            ["dwt", "--order", "1", "--levels", "1", "--input", str(src),
+             "--direction", "forward"], capsys)
+        assert rc == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 PYRAMID_OK = ["# wavefield-pyramid 1", "# order 1 levels 1 length 4",
               "# coarse scale -1 length 2", "1", "1",
               "# detail 1 scale -1 length 2", "0", "0"]
@@ -153,6 +168,9 @@ PYRAMID_OK = ["# wavefield-pyramid 1", "# order 1 levels 1 length 4",
     (2, "# order 1 levels 1 length 8", "line=2 length=8 values=4"),
     (5, "inf", "line=5"),
     (7, "nan", "line=7"),
+    (8, "nan", "line=8"),
+    # two values on one line are one non-numeric line
+    (4, "1 1", "line=4"),
 ])
 def test_dwt_inverse_malformed_pyramid(line, text, where, tmp_path, capsys,
                                        cachedir):
@@ -188,6 +206,24 @@ def test_dwt_forward_refuses_nonfinite(tmp_path, capsys, cachedir):
     assert rc == 1 and out == ""
     assert err.startswith("parse: non-finite value in input")
     assert err.rstrip().endswith("line=3")
+
+
+@pytest.mark.parametrize("text,message,line", [
+    # two values on one line are one non-numeric line, not two values
+    ("1\n2 3\n4\n", "non-numeric value in input", 2),
+    ("1\r\n\r\n  2\t\r\n3\r\n4 5\r\n", "non-numeric value in input", 5),
+    ("1\n2\n3\n-inf", "non-finite value in input", 4),
+])
+def test_dwt_forward_names_bad_line(text, message, line, tmp_path, capsys,
+                                    cachedir):
+    src = tmp_path / "v.csv"
+    src.write_bytes(text.encode())
+    rc, out, err = invoke(
+        ["dwt", "--order", "1", "--levels", "1", "--input", str(src),
+         "--direction", "forward"], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith(f"parse: {message}")
+    assert err.rstrip().endswith(f"line={line}")
 
 
 # ------------------------------------------------------------- coeffs
@@ -468,6 +504,29 @@ def test_flow_malformed_matrix(text, prefix, tmp_path, capsys, cachedir):
     assert err.startswith(prefix) and err.count("\n") == 1
     if prefix.startswith("parse"):
         assert "line=" in err
+
+
+@pytest.mark.parametrize("text,message,line", [
+    ("2 2\n0 0 1\n1 1 nan", "non-finite value in input", 3),
+    ("\n2 x\n", "matrix header must be 'dim nnz'", 2),
+    ("2 2\n0 0 1\n1 1 2 3\n", "matrix entries are 'row col value'", 3),
+    # a line of two fields and one of four still hold six between them
+    ("2 2\n0 0\n1 1 1 1\n", "matrix entries are 'row col value'", 2),
+    ("2 2\n0 0 1\n0 2 1\n", "matrix index out of range", 3),
+    ("2 2\n-1 0 1\n0 0 1\n", "matrix index out of range", 2),
+    # the first bad line is named, whichever way it is bad
+    ("2 3\n0 5 1\n1 x 1\n0 0 1\n", "matrix index out of range", 2),
+    ("2 3\n0 0 1\n1 x 1\n0 5 1\n", "matrix entries are 'row col value'", 3),
+])
+def test_flow_names_bad_line(text, message, line, tmp_path, capsys, cachedir):
+    src = tmp_path / "h.coo"
+    src.write_text(text)
+    rc, out, err = invoke(
+        ["flow", "--input", str(src), "--generator", "diag",
+         "--lambda-end", "0.5"], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith(f"parse: {message}") and err.count("\n") == 1
+    assert err.rstrip().endswith(f"line={line}")
 
 
 def test_flow_cap_checked_before_allocation(tmp_path, capsys, cachedir):

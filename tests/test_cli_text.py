@@ -1,0 +1,335 @@
+"""The CLI's bulk text writers and readers against their per-value loops.
+
+The loops below are the writers and readers the CLI had before it
+formatted and parsed whole blocks at once; they stay here as the
+reference.  A writer must give the same text, a reader the same values
+or the same ParseError (message and context).
+"""
+
+import numpy as np
+import scipy.sparse
+from hypothesis import given, settings, strategies as st
+
+from wavefield import cli
+from wavefield.errors import ParseError, ShapeError, WavefieldError
+from wavefield.flow import MAX_FLOW_DIM
+from wavefield.transform import CoeffPyramid, CoeffVector
+
+# ---------------------------------------------------------------- reference
+
+
+def fmt_loop(x):
+    return "%.17g" % float(x)
+
+
+def csv_loop(header, rows):
+    lines = [header]
+    lines += [",".join(str(v) if isinstance(v, (int, str)) else fmt_loop(v)
+                       for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def values_loop(values):
+    return "\n".join(fmt_loop(v) for v in values) + "\n"
+
+
+def pyramid_loop(p, order):
+    lines = [
+        "# wavefield-pyramid 1",
+        f"# order {order} levels {p.levels} length "
+        f"{len(p.coarse) * 2 ** p.levels}",
+        f"# coarse scale {p.coarse.scale} length {len(p.coarse)}",
+    ]
+    lines += [fmt_loop(v) for v in p.coarse.values]
+    for i, d in enumerate(p.details, 1):
+        lines.append(f"# detail {i} scale {d.scale} length {len(d)}")
+        lines += [fmt_loop(v) for v in d.values]
+    return "\n".join(lines) + "\n"
+
+
+def coo_text_loop(mat):
+    coo = mat.tocsr().sorted_indices().tocoo()
+    lines = [f"{coo.shape[0]} {coo.nnz}"]
+    lines += [f"{r} {c} {fmt_loop(v)}"
+              for r, c, v in zip(coo.row, coo.col, coo.data)]
+    return "\n".join(lines) + "\n"
+
+
+# the readers share cli._checked_finite, which no change here touches
+
+def parse_plain_loop(text, path):
+    vals = []
+    for ln, raw in enumerate(text.splitlines(), 1):
+        s = raw.strip()
+        if not s:
+            continue
+        try:
+            vals.append(float(s))
+        except ValueError:
+            raise ParseError("non-numeric value in input", path=path, line=ln)
+    if not vals:
+        raise ParseError("empty input", path=path)
+    return cli._checked_finite(np.array(vals), text, path)
+
+
+def parse_pyramid_loop(text, path):
+    heads = []
+    vals = []
+    for ln, s in enumerate(map(str.strip, text.splitlines()), 1):
+        if not s:
+            continue
+        if s[0] == "#":
+            heads.append((ln, s, len(vals)))
+        elif len(heads) < 3:
+            raise ParseError("values before any block header", path=path,
+                             line=ln)
+        else:
+            try:
+                vals.append(float(s))
+            except ValueError:
+                raise ParseError("non-numeric pyramid value", path=path,
+                                 line=ln)
+    if len(heads) < 2 or heads[0][1] != "# wavefield-pyramid 1":
+        raise ParseError("missing pyramid header", path=path)
+    meta = cli._PYRAMID_META.fullmatch(heads[1][1])
+    if meta is None:
+        raise ParseError("malformed pyramid metadata", path=path,
+                         line=heads[1][0])
+    order, levels, length = map(int, meta.groups())
+    if len(heads) - 2 != levels + 1:
+        raise ParseError(
+            f"expected {levels + 1} blocks, found {len(heads) - 2}", path=path
+        )
+    vals = cli._checked_finite(np.array(vals), text, path)
+    ends = [first for *_, first in heads[3:]] + [len(vals)]
+    vecs = []
+    for i, ((ln, s, first), end) in enumerate(zip(heads[2:], ends)):
+        name = f"detail {i}" if i else "coarse"
+        block = cli._PYRAMID_BLOCK.fullmatch(s)
+        if block is None or block[1] != name:
+            raise ParseError(f"expected a '# {name} scale S length N' "
+                             "block header", path=path, line=ln)
+        if end - first != int(block[3]):
+            raise ParseError("block length disagrees with its values",
+                             path=path, line=ln, length=int(block[3]),
+                             values=end - first)
+        vecs.append(CoeffVector(int(block[2]), vals[first:end]))
+    if len(vals) != length:
+        raise ParseError("pyramid length disagrees with its values", path=path,
+                         line=heads[1][0], length=length, values=len(vals))
+    return order, CoeffPyramid(vecs[0], tuple(vecs[1:]))
+
+
+def parse_coo_loop(text, path):
+    lines = [(ln, s) for ln, s in enumerate(map(str.strip, text.splitlines()), 1)
+             if s]
+    if not lines:
+        raise ParseError("empty matrix file", path=path)
+    head_line, head = lines[0]
+    try:
+        dim, nnz = map(int, head.split())
+    except ValueError:
+        raise ParseError("matrix header must be 'dim nnz'", path=path,
+                         line=head_line)
+    if dim < 0 or nnz < 0:
+        raise ParseError("matrix header counts must be nonnegative",
+                         path=path, line=head_line)
+    if dim > MAX_FLOW_DIM:
+        raise ShapeError(f"flow matrices are capped at {MAX_FLOW_DIM}",
+                         dim=dim)
+    if len(lines) - 1 != nnz:
+        raise ParseError(
+            f"expected {nnz} entries, found {len(lines) - 1}", path=path
+        )
+    rows, cols, vals = [], [], []
+    for ln, s in lines[1:]:
+        try:
+            r, c, v = s.split()
+            r, c, v = int(r), int(c), float(v)
+        except ValueError:
+            raise ParseError("matrix entries are 'row col value'", path=path,
+                             line=ln)
+        if not (0 <= r < dim and 0 <= c < dim):
+            raise ParseError("matrix index out of range", path=path, line=ln)
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
+    vals = cli._checked_finite(np.array(vals), text, path, column=2)
+    mat = np.zeros((dim, dim))
+    with np.errstate(over="ignore"):
+        np.add.at(mat, (np.array(rows, np.int64), np.array(cols, np.int64)), vals)
+    return mat
+
+
+# ---------------------------------------------------------------- inputs
+
+# signed zero, subnormals, the ends of the range and integral values
+# from 1e17 on, where %.17g switches to an exponent
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+               1e308, -1e308, 1.7976931348623157e308, 1e17, -1e17,
+               123456789012345678.0, 2.0**70, 0.1, -1.5)
+finite = st.one_of(st.sampled_from(EDGE_FLOATS),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+def float_arrays(min_size=1, max_size=40):
+    return st.lists(finite, min_size=min_size, max_size=max_size).map(np.array)
+
+
+def pyramids():
+    """A pyramid of 0..3 levels on a coarse block of 1, 2 or 4 values."""
+    def build(shape):
+        c, levels = shape
+        sizes = [c] + [c * 2 ** (levels - 1 - i) for i in range(levels)]
+        return st.tuples(*(st.lists(finite, min_size=s, max_size=s)
+                           for s in sizes)).map(
+            lambda blocks: CoeffPyramid(
+                CoeffVector(-levels, blocks[0]),
+                tuple(CoeffVector(-levels + (levels - i), b)
+                      for i, b in enumerate(blocks[1:], 1))))
+    return st.tuples(st.sampled_from((1, 2, 4)), st.integers(0, 3)).flatmap(build)
+
+
+@st.composite
+def dressed(draw, lines, corruptions=()):
+    """lines as a file: each line padded with blanks or tabs, ended by LF
+    or CRLF, blank or whitespace-only lines between them, and at most one
+    line replaced by, or preceded by, one of corruptions."""
+    lines = list(lines)
+    if corruptions and draw(st.booleans()):
+        at = draw(st.integers(0, len(lines)))
+        bad = draw(st.sampled_from(corruptions))
+        if at < len(lines) and draw(st.booleans()):
+            lines[at] = bad
+        else:
+            lines.insert(at, bad)
+    pad = st.sampled_from(("", "", " ", "\t", "  "))
+    out = []
+    for s in lines:
+        if draw(st.integers(0, 5)) == 0:
+            out.append(draw(pad) + draw(st.sampled_from(("\n", "\r\n"))))
+        out.append(draw(pad) + s + draw(pad)
+                   + draw(st.sampled_from(("\n", "\n", "\r\n"))))
+    text = "".join(out)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def same_outcome(new, old, text):
+    """new(text) and old(text) return equal values or raise the same error."""
+    try:
+        want = old(text, "in.txt")
+    except WavefieldError as e:
+        try:
+            new(text, "in.txt")
+        except WavefieldError as f:
+            assert (type(f), str(f), f.context) == (type(e), str(e), e.context)
+            return None
+        raise AssertionError(f"accepted what the loop refuses: {e}")
+    return want, new(text, "in.txt")
+
+
+# ---------------------------------------------------------------- writers
+
+@settings(max_examples=60, deadline=None)
+@given(a=float_arrays())
+def test_values_text_matches_loop(a):
+    assert cli._values(a) == values_loop(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=pyramids(), order=st.integers(1, 12))
+def test_pyramid_text_matches_loop(p, order):
+    assert cli._serialize_pyramid(p, order) == pyramid_loop(p, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 8), data=st.data())
+def test_coo_text_matches_loop(dim, data):
+    dense = np.array(data.draw(st.lists(st.one_of(st.just(0.0), finite),
+                                        min_size=dim * dim, max_size=dim * dim)))
+    mat = scipy.sparse.csr_matrix(dense.reshape(dim, dim))
+    assert cli._matrix_coo_text(mat) == coo_text_loop(mat)
+
+
+COLUMNS = {
+    "int": st.one_of(st.integers(), st.booleans()),
+    "str": st.text(max_size=5),
+    "float": finite,
+    "numpy-int": st.integers(-2**63, 2**63 - 1).map(np.int64),
+    "numpy-float": finite.map(np.float64),
+    # the flow log's lambda column starts at the state's lambda, which a
+    # library caller may pass as an int
+    "mixed": st.one_of(st.integers(-10**20, 10**20), finite),
+}
+
+
+@settings(max_examples=50, deadline=None)
+@given(kinds=st.lists(st.sampled_from(sorted(COLUMNS)), min_size=1, max_size=4),
+       n=st.integers(0, 12), array_columns=st.booleans(), data=st.data())
+def test_csv_matches_loop(kinds, n, array_columns, data):
+    columns = [data.draw(st.lists(COLUMNS[k], min_size=n, max_size=n))
+               for k in kinds]
+    if array_columns:
+        # float columns as the arrays scalfun and filters pass
+        columns = [np.array(col, dtype=float) if k == "float" else col
+                   for k, col in zip(kinds, columns)]
+    header = ",".join(kinds)
+    assert cli._csv(header, *columns) == csv_loop(header, zip(*columns))
+
+
+# ---------------------------------------------------------------- readers
+
+PLAIN_CORRUPTIONS = ("x", "1 2", "1,5", "nan", "-inf", "1e999", "#1", "0x1")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_plain_reader_matches_loop(data):
+    a = data.draw(float_arrays(min_size=0))
+    text = data.draw(dressed([repr(float(v)) for v in a], PLAIN_CORRUPTIONS))
+    both = same_outcome(cli._parse_plain_values, parse_plain_loop, text)
+    if both:
+        want, got = both
+        assert got.tobytes() == want.tobytes()
+
+
+PYRAMID_CORRUPTIONS = ("x", "1 1", "nan", "inf", "1#", "# junk",
+                       "# detail 9 scale 0 length 1", "# coarse scale 0 length 1",
+                       "# wavefield-pyramid 1", "0.5")
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=pyramids(), order=st.integers(1, 12), data=st.data())
+def test_pyramid_reader_matches_loop(p, order, data):
+    lines = pyramid_loop(p, order).splitlines()
+    text = data.draw(dressed(lines, PYRAMID_CORRUPTIONS))
+    both = same_outcome(cli._parse_pyramid, parse_pyramid_loop, text)
+    if both:
+        (order_want, want), (order_got, got) = both
+        assert order_got == order_want
+        for w, g in zip((want.coarse, *want.details), (got.coarse, *got.details),
+                        strict=True):
+            assert g.scale == w.scale
+            assert g.values.tobytes() == w.values.tobytes()
+
+
+@st.composite
+def coo_files(draw):
+    dim = draw(st.integers(0, 6))
+    index = st.integers(0, max(dim - 1, 0))
+    entries = draw(st.lists(st.tuples(index, index, finite), max_size=20))
+    nnz = len(entries) + draw(st.sampled_from((0, 0, 0, 0, -1, 1)))
+    lines = [f"{dim} {nnz}"] + [f"{r} {c} {v!r}" for r, c, v in entries]
+    bad = ("0 0", "0 0 1 1", f"{dim} 0 1", f"0 {dim} 1", "-1 0 1", "0 x 1",
+           "0 0 nan", "0.0 0 1", "0 0 1e308", "x 2")
+    return draw(dressed(lines, bad))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=coo_files())
+def test_coo_reader_matches_loop(text):
+    both = same_outcome(cli._parse_coo, parse_coo_loop, text)
+    if both:
+        want, got = both
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()

@@ -16,6 +16,7 @@ from wavefield.connection import (
 )
 from wavefield.errors import ShapeError, StiffnessError
 from wavefield.filters import make_filters
+from wavefield.fock import FockBasis, ModelParams, build_phi4_hamiltonian
 from wavefield.flow import (
     _DOP_A,
     _DOP_B,
@@ -429,6 +430,63 @@ def test_flow_converged_at_default_tol(seed, genspec, part):
     loose = srg_flow(state, 1.0)[0].h_matrix
     tight = srg_flow(state, 1.0, StepControl(tol=1e-15))[0].h_matrix
     assert np.abs(loose - tight).max() < 1e-10
+
+
+def fock_dump(modes, nmax, mass2, coupling):
+    """The matrix `wavefield hamiltonian --order 3 --dump-matrix` writes."""
+    d, g4 = scaled_tables(3, 0)
+    basis = FockBasis(modes, nmax)
+    return build_phi4_hamiltonian(ModelParams(mass2, coupling), d, g4,
+                                  basis).matrix.toarray()
+
+
+def split_start(n):
+    """The two-scale matrix of the benchmark's split jobs: scale-1 K=3
+    tables split on n sites, plus a unit mass term."""
+    d1, g41 = scaled_tables(3, 1)
+    return coupling_matrix(split_tensors(d1, g41, make_filters(3), n)) + np.eye(n)
+
+
+# The benchmark's flows: both Fock dumps (dims 125 and 256) flowed to
+# lambda = 0.001, at three of its four grid points, and both split matrices
+# flowed to lambda = 0.05.
+END_POINT_FLOWS = {
+    "fock-125-m1-l0.1": (lambda: fock_dump(3, 4, 1.0, 0.1), 0.001),
+    "fock-125-m2-l1": (lambda: fock_dump(3, 4, 2.0, 1.0), 0.001),
+    "fock-256-m1.25-l0.3": (lambda: fock_dump(4, 3, 1.25, 0.3), 0.001),
+    "split-32": (lambda: split_start(32), 0.05),
+    "split-64": (lambda: split_start(64), 0.05),
+}
+
+
+@pytest.mark.parametrize("name", sorted(END_POINT_FLOWS))
+def test_flow_end_point_matches_tight_tol(name):
+    # The drift, monotonicity and last off-norm checks cannot see a wrong
+    # end point: the integrator before DOP853 ended 3.8e-5 to 6.8e-4 of
+    # max|H0| away and passed them all.  At the default tol these flows
+    # end 4e-15 to 7.4e-14 of max|H0| from a tol-1e-15 run.
+    #
+    # Left out: the diagonal generator on a start diagonal that is one
+    # value on each side of the partition, as the circulant blocks of a
+    # two-scale split give every site of a scale.  Wegner's diagonal
+    # generator does not act between equal diagonal entries, and there
+    # the end point follows roundoff: the N = 32 and 64 split flows end
+    # 0.25 and 0.23 of max|H0| apart at the two tols.
+    make, lam = END_POINT_FLOWS[name]
+    h0 = make()
+    part = h0.shape[0] // 2
+    diag = np.diag(h0)
+    scale = np.abs(h0).max()
+    degenerate = max(np.ptp(diag[:part]), np.ptp(diag[part:])) <= 1e-12 * scale
+    assert degenerate == name.startswith("split")
+    gens = [("wegner-block", part)]
+    if not degenerate:
+        gens.append(("wegner-diagonal", None))
+    for genspec, p in gens:
+        state = FlowState(0.0, h0, genspec, p)
+        loose = srg_flow(state, lam)[0].h_matrix
+        tight = srg_flow(state, lam, StepControl(tol=1e-15))[0].h_matrix
+        assert np.abs(loose - tight).max() <= 1e-12 * scale, genspec
 
 
 class TestTwoScaleDecoupling:

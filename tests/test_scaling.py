@@ -169,6 +169,13 @@ def test_reproduction_degree_cap():
         reproduction_coeffs(2, 2, range(3))
 
 
+def test_reproduction_negative_degree_refused():
+    # without the check range(m + 1) is empty and every coefficient is 0
+    with pytest.raises(IndexRangeError) as exc:
+        reproduction_coeffs(3, -1, range(3))
+    assert exc.value.context == {"m": -1}
+
+
 @pytest.mark.parametrize("K,m", [(3, 2), (4, 3), (6, 5)])
 def test_polynomial_reproduction_on_grid(K, m):
     # evaluate sum_n c_n(m) s(x-n) on a level-10 grid across [0, 2K-1];
