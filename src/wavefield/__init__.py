@@ -3,7 +3,8 @@
 Submodules:
     filters      Daubechies-K filter taps h, g
     scaling      scaling function / wavelet values on dyadic grids, moments
-    transform    periodic fast wavelet transform (analysis/synthesis/pyramid)
+    transform    periodic fast wavelet transform (analysis/synthesis/pyramid,
+                 the stage matrix)
     connection   overlap tensors D and Gamma from fixed-point systems
     fock         truncated normal-ordered phi^4 Hamiltonian and spectra
     flow         two-scale splitting and SRG (Wegner) flow on matrices
@@ -27,6 +28,7 @@ from .transform import (  # noqa: F401
     CoeffVector,
     max_levels,
     multilevel,
+    stage_matrix,
 )
 from .connection import (  # noqa: F401
     CoeffTensor,
@@ -52,7 +54,6 @@ from .flow import (  # noqa: F401
     StepControl,
     split_tensors,
     srg_flow,
-    stage_matrix,
 )
 from .diagnostics import (  # noqa: F401
     KernelProbe,
@@ -68,13 +69,13 @@ __all__ = [
     "FilterPair", "make_filters",
     "derivative_samples", "integer_values", "moments",
     "scaling_samples", "wavelet_samples",
-    "CoeffPyramid", "CoeffVector", "max_levels", "multilevel",
+    "CoeffPyramid", "CoeffVector", "max_levels", "multilevel", "stage_matrix",
     "CoeffTensor", "derivative_overlaps", "gamma_tensor", "load_tensor",
     "quadrature_oracle", "rescale_tensor", "save_tensor", "validate_tensor",
     "FockBasis", "FockOperator", "ModelParams",
     "build_phi4_hamiltonian", "free_reference_spectrum", "lanczos_lowest",
     "FlowState", "SplitTensors", "StepControl",
-    "split_tensors", "srg_flow", "stage_matrix",
+    "split_tensors", "srg_flow",
     "KernelProbe", "commutator_residual", "gaussian_probe",
     "kernel_projection_error", "partition_check", "polynomial_probe",
     "WavefieldError",

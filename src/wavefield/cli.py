@@ -367,10 +367,10 @@ def _matrix_coo_text(mat) -> str:
 
 
 def _cmd_hamiltonian(args):
+    params = ModelParams(args.mass2, args.coupling, args.gamma)
     cache = _cache_dir(args)
     d_t, _ = _cached_tensor("d", args.order, args.scale, cache)
     g4_t, _ = _cached_tensor("gamma4", args.order, args.scale, cache)
-    params = ModelParams(args.mass2, args.coupling, args.gamma)
     basis = FockBasis(args.modes, args.nmax)
     op = build_phi4_hamiltonian(params, d_t, g4_t, basis)
     pairs = lanczos_lowest(op, args.eigs)

@@ -102,6 +102,9 @@ def polynomial_probe(degree: int) -> ProbeFunction:
 
 
 def gaussian_probe(center: float = 12.0, width: float = 1.0) -> ProbeFunction:
+    if not (np.isfinite(center) and np.isfinite(width)):
+        raise WindowingError("gaussian center and width must be finite",
+                             center=center, width=width)
     if width <= 0:
         raise WindowingError("gaussian width must be positive", width=width)
     return ProbeFunction(

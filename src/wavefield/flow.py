@@ -1,6 +1,7 @@
 """Adjacent-scale splitting and similarity-renormalization flow.
 
-One wavelet-transform stage W sends the fine-scale coefficient tensors
+One wavelet-transform stage W, the analysis step applied to the identity
+(`transform.stage_matrix`), sends the fine-scale coefficient tensors
 into coarse (s) and detail (w) blocks: quadratic tensors by congruence
 W D W^T, quartic tensors by contracting one W factor per index.  The ss
 and ssss blocks reproduce the directly rescaled coarse-scale tensors,
@@ -29,14 +30,12 @@ import numpy as np
 from .connection import CoeffTensor, wrap_matrix, wrap_tensor_dense
 from .errors import ShapeError, StiffnessError
 from .filters import FilterPair
-from .transform import _step_indices
+from .transform import stage_matrix
 
 __all__ = [
-    "StageMatrix",
     "SplitTensors",
     "FlowState",
     "StepControl",
-    "stage_matrix",
     "split_tensors",
     "coupling_matrix",
     "srg_flow",
@@ -44,26 +43,6 @@ __all__ = [
 
 _PATTERNS4 = ("ssss", "sssw", "ssww", "swww", "wwww")
 MAX_FLOW_DIM = 512  # the CLI matrix reader checks it before allocating
-
-
-@dataclass(frozen=True)
-class StageMatrix:
-    """One analysis stage as an explicit orthogonal matrix.
-
-    Rows 0..N/2-1 are the h (coarse) rows, rows N/2..N-1 the g rows,
-    with periodic wrapping of the column index.
-    """
-
-    fine_dim: int
-    matrix: np.ndarray = field(repr=False)
-
-    @property
-    def coarse_rows(self):
-        return self.matrix[: self.fine_dim // 2]
-
-    @property
-    def detail_rows(self):
-        return self.matrix[self.fine_dim // 2 :]
 
 
 @dataclass(frozen=True)
@@ -121,19 +100,6 @@ class StepControl:
     min_step: float = 1e-14
 
 
-def stage_matrix(fp: FilterPair, n: int) -> StageMatrix:
-    """Analysis step as an N x N orthogonal matrix."""
-    if n < 2 * fp.order or n % 2:
-        raise ShapeError("stage needs even N >= 2K", n=n, order=fp.order)
-    half = n // 2
-    rows = np.arange(half)[:, None]
-    cols = _step_indices(half, len(fp.h), n)
-    w = np.zeros((n, n))
-    np.add.at(w, (rows, cols), fp.h)
-    np.add.at(w, (half + rows, cols), fp.g)
-    return StageMatrix(n, w)
-
-
 def split_tensors(d_fine: CoeffTensor | None, g4_fine: CoeffTensor,
                   fp: FilterPair, n: int) -> SplitTensors:
     """Transform fine-scale tensors through one stage and partition.
@@ -150,7 +116,7 @@ def split_tensors(d_fine: CoeffTensor | None, g4_fine: CoeffTensor,
     cyclic expansion.  Memory is O(N^3) plus the five (N/2)^4 blocks; the
     periodic N^4 tensor is never formed.
     """
-    stage = stage_matrix(fp, n)
+    w = stage_matrix(fp, n)
     half = n // 2
     scale = None
     if d_fine is not None:
@@ -169,7 +135,7 @@ def split_tensors(d_fine: CoeffTensor | None, g4_fine: CoeffTensor,
 
     ss = sw = ws = ww = None
     if d_fine is not None:
-        t = stage.matrix @ wrap_matrix(d_fine, n) @ stage.matrix.T
+        t = w @ wrap_matrix(d_fine, n) @ w.T
         ss, sw = t[:half, :half], t[:half, half:]
         ws, ww = t[half:, :half], t[half:, half:]
 
@@ -178,7 +144,7 @@ def split_tensors(d_fine: CoeffTensor | None, g4_fine: CoeffTensor,
     # T[0, b, c, d] = sum_tap w0[tap] (rows x rows x rows) . roll(dense, tap):
     # the tap sum folds into one weighted cube per kind of first row.
     dense = wrap_tensor_dense(g4_fine, n)
-    rows = {"s": stage.coarse_rows, "w": stage.detail_rows}
+    rows = {"s": w[:half], "w": w[half:]}
     cubes = {p: sum(r[0, tap] * np.roll(dense, tap, axis=(0, 1, 2))
                     for tap in range(2 * fp.order))
              for p, r in rows.items()}
@@ -329,6 +295,8 @@ def srg_flow(state: FlowState, lambda_end: float, control: StepControl | None = 
         control = StepControl()
     if lambda_end < state.lam:
         raise ShapeError("flow runs forward only", start=state.lam, end=lambda_end)
+    if not np.isfinite(lambda_end):
+        raise ShapeError("flow end point must be finite", end=lambda_end)
     h = 0.5 * (state.h_matrix + state.h_matrix.T)
     spec, part = state.generator_spec, state.partition
     eig0 = np.sort(np.linalg.eigvalsh(h))

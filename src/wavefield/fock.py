@@ -67,6 +67,10 @@ class ModelParams:
     gamma: float = 0.0  # 0 requests the default sqrt(mass_squared)
 
     def __post_init__(self):
+        for name in ("mass_squared", "coupling", "gamma"):
+            if not np.isfinite(getattr(self, name)):
+                raise ShapeError(f"{name} must be finite",
+                                 **{name: getattr(self, name)})
         g = self.gamma
         if g == 0.0:
             if self.mass_squared <= 0:

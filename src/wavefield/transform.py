@@ -3,7 +3,9 @@
 One analysis step maps a length-N coefficient vector at scale k to a
 coarse and a detail channel of length N/2 at scale k-1, via the filter
 pair (h, g).  Periodization keeps the step exactly orthogonal, so the
-multilevel pyramid preserves the Euclidean norm to rounding.
+multilevel pyramid preserves the Euclidean norm to rounding.  The same
+step applied to the N x N identity is the stage matrix W that the
+two-scale split of `flow` contracts the coefficient tensors with.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DepthError, ShapeError
 from .filters import FilterPair
@@ -22,6 +25,7 @@ __all__ = [
     "synthesis_step",
     "max_levels",
     "multilevel",
+    "stage_matrix",
 ]
 
 
@@ -72,9 +76,12 @@ class CoeffPyramid:
         return np.concatenate(parts)
 
 
-def _step_indices(half, taps, n):
-    # row m holds the periodic source indices (2m + l) mod n, l = 0..taps-1
-    return (2 * np.arange(half)[:, None] + np.arange(taps)[None, :]) % n
+def _step_windows(x, taps):
+    """Entry [m, ..., l] is x[(2m + l) mod n, ...], l = 0..taps-1: the
+    stride-2 windows along axis 0 of the periodically extended input,
+    tap axis last, copied once to contiguous memory."""
+    ext = np.concatenate([x, x[:taps - 2]])
+    return np.ascontiguousarray(sliding_window_view(ext, taps, axis=0)[::2])
 
 
 def analysis_step(v: CoeffVector, fp: FilterPair):
@@ -89,14 +96,21 @@ def analysis_step(v: CoeffVector, fp: FilterPair):
             length=n,
             order=fp.order,
         )
-    idx = _step_indices(n // 2, len(fp.h), n)
-    gathered = v.values[idx]
-    coarse = gathered @ fp.h
-    detail = gathered @ fp.g
+    windows = _step_windows(v.values, len(fp.h))
     return (
-        CoeffVector(v.scale - 1, coarse),
-        CoeffVector(v.scale - 1, detail),
+        CoeffVector(v.scale - 1, windows @ fp.h),
+        CoeffVector(v.scale - 1, windows @ fp.g),
     )
+
+
+def stage_matrix(fp: FilterPair, n: int) -> np.ndarray:
+    """Analysis step as an N x N orthogonal matrix: the step applied to
+    the identity.  Rows 0..N/2-1 are the h (coarse) rows, rows N/2..N-1
+    the g (detail) rows, with periodic wrapping of the column index."""
+    if n < 2 * fp.order or n % 2:
+        raise ShapeError("stage needs even N >= 2K", n=n, order=fp.order)
+    windows = _step_windows(np.eye(n), len(fp.h))
+    return np.concatenate([windows @ fp.h, windows @ fp.g])
 
 
 def synthesis_step(coarse: CoeffVector, detail: CoeffVector, fp: FilterPair):

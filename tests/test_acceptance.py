@@ -38,7 +38,6 @@ from wavefield.flow import (
     coupling_matrix,
     split_tensors,
     srg_flow,
-    stage_matrix,
 )
 from wavefield.fock import (
     FockBasis,
@@ -52,7 +51,12 @@ from wavefield.scaling import (
     reproduction_coeffs,
     scaling_samples,
 )
-from wavefield.transform import CoeffVector, max_levels, multilevel
+from wavefield.transform import (
+    CoeffVector,
+    max_levels,
+    multilevel,
+    stage_matrix,
+)
 
 _LINES = []
 
@@ -167,7 +171,7 @@ def test_criterion_05_transform():
         for n in (16, 32, 64):
             if n < 2 * K:
                 continue
-            w = stage_matrix(fp, n).matrix
+            w = stage_matrix(fp, n)
             worst_orth = max(worst_orth,
                              np.abs(w @ w.T - np.eye(n)).max())
     dt = time.perf_counter() - t0

@@ -406,6 +406,29 @@ def test_hamiltonian_convergence_failure_reports_context(capsys, cachedir,
     assert " eigenvalues=[0.5]" in err and " count=2" in err
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--mass2", "nan", "mass_squared"),
+    ("--mass2", "inf", "mass_squared"),
+    ("--lambda", "nan", "coupling"),
+    ("--lambda", "-inf", "coupling"),
+    ("--gamma", "nan", "gamma"),
+    ("--gamma", "inf", "gamma"),
+])
+def test_hamiltonian_refuses_nonfinite(flag, value, field, tmp_path, capsys,
+                                       cachedir):
+    # refused before any table is built or cached
+    flags = {"--mass2": "1.0", "--lambda": "0.1", flag: value}
+    dst, dump = tmp_path / "h.csv", tmp_path / "h.coo"
+    rc, out, err = invoke(
+        ["hamiltonian", "--order", "3", "--modes", "2", "--nmax", "4",
+         "--eigs", "2", "--output", str(dst), "--dump-matrix", str(dump),
+         *(f"{k}={v}" for k, v in flags.items())], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith(f"shape: {field} must be finite {field}={value}")
+    assert err.count("\n") == 1
+    assert not dst.exists() and not dump.exists() and not cachedir.exists()
+
+
 def test_hamiltonian_deterministic(tmp_path, cachedir):
     cold, warm = cold_and_warm_bytes(
         ["hamiltonian", "--order", "3", "--modes", "2", "--nmax", "8",
@@ -452,6 +475,18 @@ def test_flow_diagonalizes(tmp_path, capsys, cachedir):
     last = rows[-1].split(",")
     assert float(last[0]) == 2.0
     assert float(last[2]) < 1e-8
+
+
+@pytest.mark.parametrize("end", ["nan", "inf"])
+def test_flow_refuses_nonfinite_end(end, tmp_path, capsys, cachedir):
+    src, dst, log = (tmp_path / name for name in ("h.coo", "f.coo", "t.csv"))
+    _write_coo(src, np.array([[1.0, 0.5], [0.5, 2.0]]))
+    rc, out, err = invoke(
+        ["flow", "--input", str(src), "--generator", "diag",
+         "--lambda-end", end, "--output", str(dst), "--log", str(log)], capsys)
+    assert rc == 1 and out == ""
+    assert err == f"shape: flow end point must be finite end={end}\n"
+    assert not dst.exists() and not log.exists()
 
 
 def test_flow_block_requires_partition(tmp_path, capsys, cachedir):
@@ -597,6 +632,20 @@ def test_diagnose_poly_commutator(capsys, cachedir):
     vals = [float(ln.split(",")[1]) for ln in out.splitlines()[1:]]
     assert len(vals) == 2
     assert max(vals) < 1e-8
+
+
+@pytest.mark.parametrize("function", ["gauss:nan,1", "gauss:12,nan",
+                                      "gauss:inf,1", "gauss:12,-inf"])
+def test_diagnose_refuses_nonfinite_gaussian(function, tmp_path, capsys,
+                                             cachedir):
+    dst = tmp_path / "d.csv"
+    rc, out, err = invoke(
+        ["diagnose", "--order", "3", "--scale", "1", "--probe", "projection",
+         "--function", function, "--output", str(dst)], capsys)
+    assert rc == 2 and out == ""
+    assert (f"argument --function: bad probe function '{function}': "
+            "gaussian center and width must be finite") in err
+    assert not dst.exists()
 
 
 def test_diagnose_bad_function_usage_error(capsys, cachedir):
@@ -788,6 +837,43 @@ def test_module_runs_as_script(tmp_path):
         capture_output=True, text=True, cwd=tmp_path, env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "tap,h,g"
+
+
+BLAS_THREAD_RUNS = [
+    ["filters", "--order", "5", "--output", "filters.csv"],
+    ["scalfun", "--order", "5", "--level", "8", "--output", "scalfun.csv"],
+    ["dwt", "--order", "5", "--levels", "11", "--input", "{vector}",
+     "--direction", "forward", "--output", "pyramid.txt"],
+    ["dwt", "--order", "5", "--levels", "11", "--input", "pyramid.txt",
+     "--direction", "inverse", "--output", "back.csv"],
+]
+
+
+def test_outputs_independent_of_blas_threads(tmp_path):
+    # the analysis step's products go through BLAS; one and two threads
+    # must give the same bytes
+    vector = tmp_path / "v.csv"
+    vector.write_text("\n".join(
+        "%.17g" % v for v in np.random.default_rng(14).normal(size=2**14)))
+    argv = json.dumps([[arg.format(vector=vector) for arg in args]
+                       for args in BLAS_THREAD_RUNS])
+    code = ("import json, sys; from wavefield.cli import run; "
+            "sys.exit(max([run(a) for a in json.loads(sys.argv[1])]))")
+    outputs = []
+    for threads in ("1", "2"):
+        work = tmp_path / f"threads-{threads}"
+        work.mkdir()
+        env = dict(src_env(), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, WAVEFIELD_CACHE=str(work / "cache"))
+        proc = subprocess.run([sys.executable, "-c", code, argv], cwd=work,
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({p.name: p.read_bytes() for p in work.iterdir()
+                        if p.is_file()})
+    assert sorted(outputs[0]) == ["back.csv", "filters.csv", "pyramid.txt",
+                                  "scalfun.csv"]
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_import_leaves_scipy_integrate_out():

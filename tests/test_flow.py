@@ -15,7 +15,7 @@ from wavefield.connection import (
     wrap_tensor_dense,
 )
 from wavefield.errors import ShapeError, StiffnessError
-from wavefield.filters import make_filters
+from wavefield.filters import K_MAX, make_filters
 from wavefield.fock import FockBasis, ModelParams, build_phi4_hamiltonian
 from wavefield.flow import (
     _DOP_A,
@@ -29,8 +29,8 @@ from wavefield.flow import (
     coupling_matrix,
     split_tensors,
     srg_flow,
-    stage_matrix,
 )
+from wavefield.transform import stage_matrix
 
 R2 = 1.0 / np.sqrt(2.0)
 
@@ -49,7 +49,7 @@ def split_reference(d_fine, g4_fine, fp, n):
     """Oracle for split_tensors: congruence for D, and one W row per index
     contracted against the whole periodic n^4 four-point tensor, with no
     use of the shift-by-two symmetry."""
-    w = stage_matrix(fp, n).matrix
+    w = stage_matrix(fp, n)
     half = n // 2
     quad = None
     if d_fine is not None:
@@ -93,7 +93,7 @@ def scaled_tables(order, k):
 
 class TestStageMatrix:
     def test_haar_rows(self):
-        w = stage_matrix(make_filters(1), 4).matrix
+        w = stage_matrix(make_filters(1), 4)
         expect = np.array([
             [R2, R2, 0, 0],
             [0, 0, R2, R2],
@@ -103,20 +103,20 @@ class TestStageMatrix:
         np.testing.assert_allclose(w, expect, atol=1e-15)
 
     def test_orthogonal_k2_n8(self):
-        w = stage_matrix(make_filters(2), 8).matrix
+        w = stage_matrix(make_filters(2), 8)
         assert np.abs(w @ w.T - np.eye(8)).max() < 1e-12
 
     @pytest.mark.parametrize("order,n", [(1, 4), (2, 8), (3, 16), (5, 32)])
     def test_determinant_unimodular(self, order, n):
-        w = stage_matrix(make_filters(order), n).matrix
+        w = stage_matrix(make_filters(order), n)
         assert abs(abs(np.linalg.det(w)) - 1.0) < 1e-10
 
     def test_row_blocks(self):
         fp = make_filters(2)
-        st = stage_matrix(fp, 8)
-        assert st.coarse_rows.shape == (4, 8)
-        np.testing.assert_allclose(st.matrix[0, :4], fp.h)
-        np.testing.assert_allclose(st.matrix[4, :4], fp.g)
+        w = stage_matrix(fp, 8)
+        assert w.shape == (8, 8)
+        np.testing.assert_allclose(w[0, :4], fp.h)
+        np.testing.assert_allclose(w[4, :4], fp.g)
 
     def test_rejects_odd_and_short(self):
         fp = make_filters(2)
@@ -126,15 +126,34 @@ class TestStageMatrix:
             stage_matrix(fp, 2)
 
 
+def stage_add_at(fp, n):
+    """The stage scattered tap by tap with two np.add.at passes over the
+    periodic column indices (2m + l) mod n: the reference for
+    stage_matrix's bits."""
+    half = n // 2
+    rows = np.arange(half)[:, None]
+    cols = (2 * rows + np.arange(len(fp.h))[None, :]) % n
+    w = np.zeros((n, n))
+    np.add.at(w, (rows, cols), fp.h)
+    np.add.at(w, (half + rows, cols), fp.g)
+    return w
+
+
+@pytest.mark.parametrize("order", range(1, K_MAX + 1))
+def test_stage_matrix_bits_match_add_at(order):
+    fp = make_filters(order)
+    for n in range(2 * order, 2 * order + 40, 2):
+        assert stage_matrix(fp, n).tobytes() == stage_add_at(fp, n).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(order=st.integers(1, 6), data=st.data())
 def test_stage_orthogonal_and_shift_by_two(order, data):
     # split_tensors relies on this: one stage commutes with a two-site shift
     n = data.draw(st.sampled_from(range(2 * order, 41, 2)), label="n")
-    stage = stage_matrix(make_filters(order), n)
-    w = stage.matrix
+    w = stage_matrix(make_filters(order), n)
     assert np.abs(w @ w.T - np.eye(n)).max() < 1e-14
-    for block in (stage.coarse_rows, stage.detail_rows):
+    for block in (w[:n // 2], w[n // 2:]):
         assert np.array_equal(block[1:], np.roll(block[:-1], 2, axis=1))
 
 
