@@ -15,11 +15,15 @@ Assembly collects ladder monomials into aggregated (creators,
 annihilators) terms; the quartic part is one array pass over every
 (site, offset, split) row, its weights summed per term in row order.
 Each term acts only on the box of occupation states where it is nonzero
-and stays under the cutoff, with sources in ascending order.  One stable
-sort sums the triplets per matrix entry in term order, which fixes every
-value bit for bit, and every off-diagonal sum is mirrored explicitly, so
-the stored matrix is exactly symmetric (entry by entry, not within a
-tolerance).
+and stays under the cutoff, with sources in ascending order.  Of a key
+and its conjugate only one is applied, and the matrix is built in three
+steps.  One stable in-place sort sums the triplets per matrix entry in
+term order, which fixes every value bit for bit and leaves the sums in
+CSR order.  A counting-sort transpose of their strictly off-diagonal
+part is the mirror.  One merge of sorted rows adds the two, so the
+stored matrix is exactly symmetric (entry by entry, not within a
+tolerance).  A sum of exactly zero is not stored, just as a term with a
+zero coefficient is never applied.
 
 The volume truncation wraps tensor offsets modulo the mode count.  The
 wrapped sums are well defined for any N >= 1; for N < 2K distinct
@@ -145,14 +149,17 @@ def _state_grid(modes, cutoff):
 
 
 def _apply_term(basis, creators, annihilators):
-    """Matrix triplets of prod a^+_{creators} prod a_{annihilators}.
+    """Action of prod a^+_{creators} prod a_{annihilators} on the basis.
 
-    Returns (source, target, amplitude) over the basis states where the
-    amplitude is nonzero and the target stays under the cutoff.  Those
-    states form a box, a_j <= occ_j <= cutoff - max(0, c_j - a_j) with a_j
-    and c_j the counts of mode j among the annihilators and the creators,
-    enumerated with mode 0 fastest, so the sources ascend.  The sqrt
-    factors multiply in operator order, annihilators first.
+    Returns (src, shift, amp): the operator maps source state src to
+    target src + shift with amplitude amp, over the basis states where
+    the amplitude is nonzero and the target stays under the cutoff.
+    Those states form a box, a_j <= occ_j <= cutoff - max(0, c_j - a_j)
+    with a_j and c_j the counts of mode j among the annihilators and the
+    creators.  src is that box of the state grid, a view with one axis
+    per mode, so in C order the sources ascend with mode 0 fastest; amp
+    broadcasts against it.  The sqrt factors multiply in operator order,
+    annihilators first.
     """
     modes, cutoff = basis.modes, basis.cutoff
     box = [slice(None)] * modes
@@ -161,7 +168,7 @@ def _apply_term(basis, creators, annihilators):
         a, c = annihilators.count(j), creators.count(j)
         top = cutoff - max(0, c - a)
         if top < a:
-            return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
+            return np.empty(0, np.int64), 0, 1.0
         box[modes - 1 - j] = slice(a, top + 1)
         low[j] = a
     src = _state_grid(modes, cutoff)[tuple(box)]
@@ -181,10 +188,8 @@ def _apply_term(basis, creators, annihilators):
     for j in creators:
         level[j] += 1
         amp = amp * factor(j)
-    amp = np.broadcast_to(amp, src.shape).ravel()
-    src = src.ravel()
     shift = sum((cutoff + 1) ** j for j in creators) - sum((cutoff + 1) ** j for j in annihilators)
-    return src, src + shift, amp
+    return src, shift, amp
 
 
 def mode_operator(basis: FockBasis, mode: int, which: str, gamma: float = 1.0) -> FockOperator:
@@ -201,8 +206,10 @@ def mode_operator(basis: FockBasis, mode: int, which: str, gamma: float = 1.0) -
     dim = basis.dimension
 
     def mat(creators, annihilators, coeff):
-        src, tgt, amp = _apply_term(basis, creators, annihilators)
-        return sp.coo_matrix((coeff * amp, (tgt, src)), shape=(dim, dim)).tocsr()
+        src, shift, amp = _apply_term(basis, creators, annihilators)
+        amp = np.broadcast_to(amp, src.shape).ravel()
+        src = src.ravel()
+        return sp.coo_matrix((coeff * amp, (src + shift, src)), shape=(dim, dim)).tocsr()
 
     if which == "annihilate":
         out = mat((), (mode,), 1.0)
@@ -298,23 +305,77 @@ def _dedup(pos, vals, dim):
     """Sum the values at equal flat positions row * dim + col: the
     assembler's one sort.
 
-    The sort is stable, so each sum adds its entries in input order,
-    which fixes every matrix value bit for bit.  Where (position, input
-    index) packs into one int64, a plain sort of those unique keys gives
-    the stable order at about a third of the cost of a stable argsort.
-    Returns (rows, cols, sums) in (row, col) order."""
+    Sorts pos and vals in place, both overwritten.  The sort is stable,
+    so each sum adds its entries in input order, which fixes every
+    matrix value bit for bit.  Where (position, input index) packs into
+    one int64, a plain in-place sort of those unique keys, packed in pos
+    itself, gives the stable order at about a third of the cost of a
+    stable argsort.  Returns (rows, cols, sums) in (row, col) order."""
     if len(pos) == 0:
         return pos, pos, vals
     width = (len(pos) - 1).bit_length()
     if (dim * dim - 1).bit_length() + width <= 63:
-        key = np.sort((pos << width) | np.arange(len(pos)))
-        pos, vals = key >> width, vals[key & ((1 << width) - 1)]
+        pos <<= width
+        pos |= np.arange(len(pos))
+        pos.sort()
+        order = pos & ((1 << width) - 1)
+        pos >>= width
     else:
         order = np.argsort(pos, kind="stable")
-        pos, vals = pos[order], vals[order]
+        pos[:] = pos[order]
+    vals[:] = vals[order]
+    del order
     starts = np.flatnonzero(np.r_[True, pos[1:] != pos[:-1]])
-    pos = pos[starts]
-    return pos // dim, pos % dim, np.add.reduceat(vals, starts)
+    sums = np.add.reduceat(vals, starts)
+    rows = pos[starts]
+    del starts
+    cols = rows % dim
+    rows //= dim
+    return rows, cols, sums
+
+
+def _csr(rows, cols, vals, dim):
+    """dim x dim CSR matrix of entries already in (row, col) order, each
+    position once."""
+    indptr = np.searchsorted(rows, np.arange(dim + 1))
+    return sp.csr_matrix((vals, cols, indptr), shape=(dim, dim))
+
+
+def _symmetric_csr(terms, dim):
+    """H = S + T as a dim x dim CSR matrix, with S the summed entries of
+    the applied terms and T the transpose of S's strictly off-diagonal
+    part.
+
+    terms lists (coeff, src, shift, amp), each an _apply_term result
+    with its coefficient: entries coeff * amp at (src + shift, src).
+    Their positions and values are written straight into one buffer
+    pair, in term order.  _dedup sums the buffer in place into S, whose
+    entries come out in (row, col) order, so S is CSR as it stands.
+    scipy's O(nnz) counting sort transposes the off-diagonal part into T,
+    and S + T merges the sorted rows.  Every off-diagonal value is then
+    the two-term sum a + b and a lone entry a + 0, so each keeps its
+    bits; a sum of exactly zero is not stored.
+    """
+    n = sum(src.size for _, src, _, _ in terms)
+    pos, vals = np.empty(n, np.int64), np.empty(n)
+    at = 0
+    for coeff, src, shift, amp in terms:
+        block = slice(at, at + src.size)
+        # position row * dim + col = (src + shift) * dim + src
+        np.multiply(src, dim + 1, out=pos[block].reshape(src.shape))
+        pos[block] += shift * dim
+        np.multiply(coeff, amp, out=vals[block].reshape(src.shape))
+        at += src.size
+    # each stage frees its inputs before the next allocates, so the peak
+    # stays near twice the buffer
+    r, c, v = _dedup(pos, vals, dim)
+    del pos, vals
+    off = r != c
+    t = _csr(r[off], c[off], v[off], dim).T.tocsr()
+    del off
+    s = _csr(r, c, v, dim)
+    del r, c, v
+    return s + t
 
 
 def build_phi4_hamiltonian(p: ModelParams, d_tensor: CoeffTensor,
@@ -350,22 +411,10 @@ def build_phi4_hamiltonian(p: ModelParams, d_tensor: CoeffTensor,
     # A key and its conjugate collect the same weights in the same order,
     # so their coefficients are bitwise equal and the key <= conj pass
     # covers both; only creators == annihilators lands on the diagonal.
-    dim = basis.dimension
-    parts = []
-    for key, coeff in terms.items():
-        if key > (key[1], key[0]) or coeff == 0.0:
-            continue
-        src, tgt, amp = _apply_term(basis, key[0], key[1])
-        parts.append((tgt * dim + src, coeff * amp))
-    pos, vals = map(np.concatenate, zip(*parts))
-    del parts  # free the per-term arrays before the sort: lower peak memory
-    r, c, v = _dedup(pos, vals, dim)
-    off = r != c
-    rows = np.concatenate([r, c[off]])
-    cols = np.concatenate([c, r[off]])
-    vals = np.concatenate([v, v[off]])
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-    return FockOperator(basis, mat)
+    applied = [(coeff,) + _apply_term(basis, key[0], key[1])
+               for key, coeff in terms.items()
+               if key <= (key[1], key[0]) and coeff != 0.0]
+    return FockOperator(basis, _symmetric_csr(applied, basis.dimension))
 
 
 def _check_kind(t, kind):
@@ -405,7 +454,10 @@ def lanczos_lowest(op: FockOperator, count: int, tol: float = 1e-10):
     dim = mat.shape[0]
     if count < 1 or count > dim:
         raise IndexRangeError("eigenvalue count out of range", count=count, dimension=dim)
-    hnorm = float(np.abs(mat).sum(axis=1).max()) or 1.0
+    # the largest absolute row sum, reduced over the non-empty rows as
+    # scipy's sum(axis=1) does, without copying the matrix
+    starts = mat.indptr[np.flatnonzero(np.diff(mat.indptr))]
+    hnorm = float(np.add.reduceat(np.abs(mat.data), starts).max(initial=0.0)) or 1.0
     if dim <= max(128, count + 2):
         dense = mat.toarray()
         evals, evecs = np.linalg.eigh(dense)

@@ -846,12 +846,26 @@ BLAS_THREAD_RUNS = [
      "--direction", "forward", "--output", "pyramid.txt"],
     ["dwt", "--order", "5", "--levels", "11", "--input", "pyramid.txt",
      "--direction", "inverse", "--output", "back.csv"],
+    ["hamiltonian", "--order", "3", "--modes", "4", "--nmax", "3",
+     "--mass2", "1", "--lambda", "0.1", "--eigs", "4",
+     "--dump-matrix", "h256.coo", "--output", "hamiltonian.csv"],
+    ["flow", "--input", "h256.coo", "--generator", "block",
+     "--partition", "128", "--lambda-end", "0.001",
+     "--output", "flow-block.txt", "--log", "flow-block.log"],
+    ["flow", "--input", "h256.coo", "--generator", "diag",
+     "--lambda-end", "0.001", "--output", "flow-diag.txt",
+     "--log", "flow-diag.log"],
 ]
+FLOW_LOGS = ("flow-block.log", "flow-diag.log")
 
 
 def test_outputs_independent_of_blas_threads(tmp_path):
-    # the analysis step's products go through BLAS; one and two threads
-    # must give the same bytes
+    # the analysis step, the eigensolver and the flow's right-hand sides
+    # go through BLAS; one and two threads must give the same bytes.  Both
+    # runs read one table cache, because a cold four-point table is still
+    # a dense lstsq solve whose last bits move with the thread count.  The
+    # flow logs' drift column comes from eigvalsh and is the one column
+    # left out; the lambda and off-norm columns must agree
     vector = tmp_path / "v.csv"
     vector.write_text("\n".join(
         "%.17g" % v for v in np.random.default_rng(14).normal(size=2**14)))
@@ -864,15 +878,22 @@ def test_outputs_independent_of_blas_threads(tmp_path):
         work = tmp_path / f"threads-{threads}"
         work.mkdir()
         env = dict(src_env(), OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, WAVEFIELD_CACHE=str(work / "cache"))
+                   OMP_NUM_THREADS=threads,
+                   WAVEFIELD_CACHE=str(tmp_path / "cache"))
         proc = subprocess.run([sys.executable, "-c", code, argv], cwd=work,
                               env=env, capture_output=True, text=True,
                               timeout=60)
         assert proc.returncode == 0, proc.stderr
         outputs.append({p.name: p.read_bytes() for p in work.iterdir()
                         if p.is_file()})
-    assert sorted(outputs[0]) == ["back.csv", "filters.csv", "pyramid.txt",
-                                  "scalfun.csv"]
+    assert sorted(outputs[0]) == sorted([
+        "back.csv", "filters.csv", "pyramid.txt", "scalfun.csv",
+        "hamiltonian.csv", "h256.coo", "flow-block.txt", "flow-diag.txt",
+        *FLOW_LOGS])
+    logs = [{name: [line.rsplit(",", 1)[0]
+                    for line in out.pop(name).decode().splitlines()]
+             for name in FLOW_LOGS} for out in outputs]
+    assert logs[0] == logs[1]
     assert outputs[0] == outputs[1]
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -30,7 +31,7 @@ from wavefield.fock import (
     lanczos_lowest,
     mode_operator,
 )
-from wavefield.fock import _dedup, _quadratic_terms, _quartic_terms
+from wavefield.fock import _dedup, _quadratic_terms, _quartic_terms, _symmetric_csr
 
 D3 = derivative_overlaps(3)
 G43 = gamma_tensor(3, 4)
@@ -360,6 +361,19 @@ def test_lanczos_arpack_no_convergence(monkeypatch):
     assert exc.value.context == {"eigenvalues": [0.5], "count": 3}
 
 
+def test_lanczos_bound_is_largest_absolute_row_sum():
+    # rows 1 and 3 are empty; the bound scales scipy's row sums of |H|
+    r = -np.sqrt(2.0)
+    m = sp.csr_matrix(np.array([[0.5, 0.0, r, 0.0],
+                                [0.0, 0.0, 0.0, 0.0],
+                                [r, 0.0, 1.0 / 3.0, 0.0],
+                                [0.0, 0.0, 0.0, 0.0]]))
+    with pytest.raises(ConvergenceFailureError) as exc:
+        lanczos_lowest(FockOperator(FockBasis(1, 3), m), 2, tol=1e-30)
+    hnorm = float(np.abs(m).sum(axis=1).max())
+    assert bits(exc.value.context["bound"]) == bits(1e-30 * hnorm)
+
+
 def test_ground_energy_variational_in_cutoff():
     p = ModelParams(1.0, 0.1, 1.0)
     energies = []
@@ -469,6 +483,113 @@ def test_dedup_packed_sort_matches_stable_argsort():
     order = np.argsort(pos, kind="stable")
     starts = np.flatnonzero(np.r_[True, np.diff(pos[order]) != 0])
     assert bits(sums) == bits(np.add.reduceat(vals[order], starts))
+
+
+def joined(terms, dim):
+    """Flat positions row * dim + col and values coeff * amp of applied
+    terms (coeff, src, shift, amp), in term order."""
+    pos = [((src + shift) * dim + src).ravel() for _, src, shift, _ in terms]
+    vals = [coeff * np.broadcast_to(amp, src.shape).ravel()
+            for coeff, src, _, amp in terms]
+    return (np.concatenate(pos or [np.empty(0, np.int64)]),
+            np.concatenate(vals or [np.empty(0)]))
+
+
+def stable_sums(pos, vals):
+    """Sorted unique positions and the sums of their values in input
+    order, by a stable argsort."""
+    order = np.argsort(pos, kind="stable")
+    pos, vals = pos[order], vals[order]
+    starts = np.flatnonzero(np.diff(pos, prepend=-1))
+    return pos[starts], np.add.reduceat(vals, starts)
+
+
+def mirror_tail_reference(terms, dim):
+    """The former assembly tail, the reference for _symmetric_csr: one
+    concatenated (position, value) pair summed by a stable sort, every
+    off-diagonal sum mirrored into COO arrays, and each row sorted again
+    by scipy."""
+    pos, sums = stable_sums(*joined(terms, dim))
+    r, c = pos // dim, pos % dim
+    off = r != c
+    return sp.coo_matrix(
+        (np.concatenate([sums, sums[off]]),
+         (np.concatenate([r, c[off]]), np.concatenate([c, r[off]]))),
+        shape=(dim, dim)).tocsr()
+
+
+@st.composite
+def applied_terms(draw):
+    """(terms, dim): synthetic applied terms (coeff, src, shift, amp) of a
+    dim x dim matrix.  Small dims give repeated positions within and
+    across terms, both triangles, empty rows, and dim 1; some draws are
+    diagonal only, and some amplitudes a scalar."""
+    dim = draw(st.integers(1, 9))
+    diagonal_only = draw(st.booleans())
+    value = st.floats(-1e12, 1e12)
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        shift = 0 if diagonal_only else draw(st.integers(1 - dim, dim - 1))
+        src = draw(st.lists(st.integers(max(0, -shift), dim - 1 - max(0, shift)),
+                            max_size=12))
+        if draw(st.booleans()):
+            amp = draw(value)
+        else:
+            amp = np.array(draw(st.lists(value, min_size=len(src),
+                                         max_size=len(src))))
+        terms.append((draw(value), np.array(src, dtype=np.int64), shift, amp))
+    return terms, dim
+
+
+@settings(max_examples=200, deadline=None)
+@given(applied_terms())
+def test_symmetric_csr_matches_mirror_tail(case):
+    terms, dim = case
+    ref = mirror_tail_reference(terms, dim)
+    # the one rule that changed: a sum of exactly zero is not stored
+    ref.eliminate_zeros()
+    got = _symmetric_csr(terms, dim)
+    assert_csr_bitwise(got, ref)
+    assert not (got.data == 0.0).any()
+    # both sort paths of _dedup, on unsorted triplets
+    pos, vals = joined(terms, dim)
+    upos, sums = stable_sums(pos, vals)
+    for width in (dim, 2**31):
+        r, c, got_sums = _dedup(pos.copy(), vals.copy(), width)
+        assert bits(r * width + c) == bits(upos)
+        assert bits(got_sums) == bits(sums)
+
+
+def test_symmetric_csr_stores_no_exact_zero():
+    # terms (coeff, src, shift, amp) put coeff * amp at (src + shift, src).
+    # (0, 1) and (1, 0) cancel in the mirror sum, (2, 2) in the dedup sum,
+    # and -0.0 + 0 on (3, 3) is +0.0; only (0, 2) and its mirror are left
+    terms = [(1.0, np.array([1]), -1, 1.5),
+             (1.0, np.array([0]), 1, -1.5),
+             (1.0, np.array([2, 3]), 0, np.array([2.0, -0.0])),
+             (-1.0, np.array([2]), 0, 2.0),
+             (0.5, np.array([2]), -2, 0.5)]
+    got = _symmetric_csr(terms, 4)
+    assert got.nnz == 2
+    assert got.toarray().tolist() == [[0, 0, 0.25, 0], [0, 0, 0, 0],
+                                      [0.25, 0, 0, 0], [0, 0, 0, 0]]
+
+
+def test_assembly_peak_memory_within_three_results():
+    # the summed entries are sorted in place and their mirror merged into
+    # the sorted rows; the mirrored COO arrays and scipy's per-row re-sort
+    # that this replaced peaked above five times the result
+    p, basis = ModelParams(1.0, 0.3), FockBasis(6, 3)
+    build_phi4_hamiltonian(p, D3, G43, FockBasis(2, 2))
+    tracemalloc.start()
+    try:
+        got = build_phi4_hamiltonian(p, D3, G43, basis).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.dimension == 4096
+    result = got.data.nbytes + got.indices.nbytes + got.indptr.nbytes
+    assert peak <= 3 * result
 
 
 def mode_operator_reference(basis, mode, which, gamma):
