@@ -10,11 +10,14 @@ Floating values in CSV output are printed with %.17g (full float64
 round-trip precision, '.' decimal point always); JSON uses the shortest
 exact round-trip rendering.
 
-Bulk text is written and read at array speed with these formats
-unchanged: a writer formats a whole block or table with one %-operation,
-and a reader parses a whole file in one pass of C-level iteration.  A
-reader scans its input line by line only after that pass has failed, to
-name the line at fault in its ParseError.
+Bulk text is written and read at array speed, in bounded parts, with
+these formats unchanged.  A writer yields its text in parts of at most
+_PART_LINES lines, each formatted by one %-operation, and run() writes
+and digests the parts one at a time, so no whole output string exists.
+A reader cuts its input into chunks of about _CHUNK_CHARS characters,
+each ending just after a newline, and parses each chunk's lines in one
+pass of C-level iteration; it scans a chunk line by line only after
+that pass has failed, to name the line at fault in its ParseError.
 """
 
 from __future__ import annotations
@@ -65,18 +68,26 @@ from .transform import CoeffPyramid, CoeffVector, multilevel
 
 __all__ = ["build_parser", "run", "main"]
 
-
-def _rows(fmt: str, *columns) -> str:
-    """One line fmt % (a value from each column) per row, by one %-operation."""
-    return (fmt * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
+_PART_LINES = 2**14  # lines per part a writer yields
+_CHUNK_CHARS = 2**20  # a reader's chunk: this many characters, on to a newline
 
 
-def _values(values) -> str:
-    """One %.17g line per value of a float array."""
-    return ("%.17g\n" * len(values)) % tuple(values.tolist())
+def _rows(fmt: str, *columns):
+    """One line fmt % (a value from each column) per row, yielded in parts
+    of at most _PART_LINES rows, each made by one %-operation; an array
+    column is converted to Python scalars a part at a time."""
+    for i in range(0, len(columns[0]), _PART_LINES):
+        part = [c[i:i + _PART_LINES] for c in columns]
+        part = [c.tolist() if isinstance(c, np.ndarray) else c for c in part]
+        yield (fmt * len(part[0])) % tuple(chain.from_iterable(zip(*part)))
 
 
-def _csv(header: str, *columns) -> str:
+def _values(values):
+    """One %.17g line per value of a float array, in parts."""
+    return _rows("%.17g\n", values)
+
+
+def _csv(header: str, *columns):
     """CSV table of equal-length columns: ints and strings are printed
     through str, every other value through %.17g.  The rule holds value by
     value, so a column mixing the two kinds is converted one value at a
@@ -89,7 +100,7 @@ def _csv(header: str, *columns) -> str:
                    for v in col]
         specs.append("%s" if True in as_str else "%.17g")
         cols.append(col)
-    return header + "\n" + _rows(",".join(specs) + "\n", *cols)
+    return chain([header + "\n"], _rows(",".join(specs) + "\n", *cols))
 
 
 def _json(doc) -> str:
@@ -98,6 +109,16 @@ def _json(doc) -> str:
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _write_parts(fh, text) -> str:
+    """Write text, a str or an iterable of str parts, to fh one part at a
+    time; the sha256 digest of its UTF-8 bytes, updated part by part."""
+    digest = hashlib.sha256()
+    for part in (text,) if isinstance(text, str) else text:
+        fh.write(part)
+        digest.update(part.encode())
+    return digest.hexdigest()
 
 
 def _read_text(path: str) -> str:
@@ -214,31 +235,44 @@ def _first_refused(lines, first_line) -> int:
                 return ln
 
 
+def _line_chunks(text):
+    """text.splitlines() in consecutive pieces, each with the number of its
+    first line.  A piece is the lines of at least _CHUNK_CHARS characters
+    of text (the last may be shorter) cut just after a '\n'.  A '\n'
+    always ends a line and never splits a '\r\n', so the pieces joined
+    are exactly text.splitlines()."""
+    start, first = 0, 1
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
+        lines = text[start:end].splitlines()
+        yield first, lines
+        start, first = end, first + len(lines)
+
+
 def _parse_plain_values(text, path):
-    lines = text.splitlines()
-    try:
-        vals = _floats(lines)
-    except ValueError:
-        raise ParseError("non-numeric value in input", path=path,
-                         line=_first_refused(lines, 1))
-    del lines
+    runs = [np.empty(0)]  # the values of each chunk
+    for first, lines in _line_chunks(text):
+        try:
+            runs.append(_floats(lines))
+        except ValueError:
+            raise ParseError("non-numeric value in input", path=path,
+                             line=_first_refused(lines, first))
+    vals = np.concatenate(runs)
     if not len(vals):
         raise ParseError("empty input", path=path)
     return _checked_finite(vals, text, path)
 
 
-def _serialize_pyramid(p: CoeffPyramid, order: int) -> str:
-    parts = [
-        "# wavefield-pyramid 1\n",
-        f"# order {order} levels {p.levels} length "
-        f"{len(p.coarse) * 2 ** p.levels}\n",
-        f"# coarse scale {p.coarse.scale} length {len(p.coarse)}\n",
-        _values(p.coarse.values),
-    ]
+def _serialize_pyramid(p: CoeffPyramid, order: int):
+    """The pyramid as text in parts: '#' lines, and each block's values."""
+    yield "# wavefield-pyramid 1\n"
+    yield (f"# order {order} levels {p.levels} length "
+           f"{len(p.coarse) * 2 ** p.levels}\n")
+    yield f"# coarse scale {p.coarse.scale} length {len(p.coarse)}\n"
+    yield from _values(p.coarse.values)
     for i, d in enumerate(p.details, 1):  # finest detail first
-        parts.append(f"# detail {i} scale {d.scale} length {len(d)}\n")
-        parts.append(_values(d.values))
-    return "".join(parts)
+        yield f"# detail {i} scale {d.scale} length {len(d)}\n"
+        yield from _values(d.values)
 
 
 _PYRAMID_META = re.compile(r"# order (\d+) levels (\d+) length (\d+)")
@@ -249,27 +283,29 @@ def _parse_pyramid(text, path) -> tuple:
     """Read _serialize_pyramid output back: block 0 is the coarse block,
     block i the detail i, and every declared length matches its values.
 
-    Only a line holding '#' can be a '#' line, so those few are found by
-    one scan, and the value lines between two of them are parsed whole."""
-    lines = text.splitlines()
-    marks = [i for i in compress(count(), map(contains, lines, repeat("#")))
-             if lines[i].lstrip().startswith("#")]
+    Only a line holding '#' can be a '#' line, so in each chunk those few
+    are found by one scan, and the value lines between two of them are
+    parsed whole."""
     heads = []  # (line, text, number of values before it) of each '#' line
     runs = [np.empty(0)]  # the values of each run of value lines
-    for head, end in zip([-1, *marks], [*marks, len(lines)]):
-        if head >= 0:
-            heads.append((head + 1, lines[head].strip(), sum(map(len, runs))))
-        run = lines[head + 1:end]
-        if len(heads) < 3 and any(map(str.strip, run)):
-            raise ParseError("values before any block header", path=path,
-                             line=next(ln for ln, s in enumerate(run, head + 2)
-                                       if s.strip()))
-        try:
-            runs.append(_floats(run))
-        except ValueError:
-            raise ParseError("non-numeric pyramid value", path=path,
-                             line=_first_refused(run, head + 2))
-    del lines, run
+    for first, lines in _line_chunks(text):
+        marks = [i for i in compress(count(), map(contains, lines, repeat("#")))
+                 if lines[i].lstrip().startswith("#")]
+        for head, end in zip([-1, *marks], [*marks, len(lines)]):
+            if head >= 0:
+                heads.append((first + head, lines[head].strip(),
+                              sum(map(len, runs))))
+            run = lines[head + 1:end]
+            if len(heads) < 3 and any(map(str.strip, run)):
+                raise ParseError("values before any block header", path=path,
+                                 line=next(ln for ln, s in
+                                           enumerate(run, first + head + 1)
+                                           if s.strip()))
+            try:
+                runs.append(_floats(run))
+            except ValueError:
+                raise ParseError("non-numeric pyramid value", path=path,
+                                 line=_first_refused(run, first + head + 1))
     if len(heads) < 2 or heads[0][1] != "# wavefield-pyramid 1":
         raise ParseError("missing pyramid header", path=path)
     meta = _PYRAMID_META.fullmatch(heads[1][1])
@@ -303,9 +339,9 @@ def _parse_pyramid(text, path) -> tuple:
 
 def _cmd_dwt(args):
     fp = make_filters(args.order)
-    text_in = _read_text(args.input)
+    # the input text is held only by the reader, and dropped once parsed
     if args.direction == "forward":
-        vals = _parse_plain_values(text_in, args.input)
+        vals = _parse_plain_values(_read_text(args.input), args.input)
         pyr = multilevel(CoeffVector(0, vals), fp, args.levels, "forward")
         if args.format == "json":
             out = _json({
@@ -321,7 +357,7 @@ def _cmd_dwt(args):
         else:
             out = _serialize_pyramid(pyr, args.order)
     else:
-        order_in, pyr = _parse_pyramid(text_in, args.input)
+        order_in, pyr = _parse_pyramid(_read_text(args.input), args.input)
         if order_in != args.order or pyr.levels != args.levels:
             raise ParseError(
                 "pyramid metadata disagrees with the flags",
@@ -360,10 +396,11 @@ def _cmd_coeffs(args):
 
 # ---------------------------------------------------------------- hamiltonian
 
-def _matrix_coo_text(mat) -> str:
+def _matrix_coo_text(mat):
+    """The matrix as 'dim nnz' and one 'row col value' line per entry, in parts."""
     coo = mat.tocsr().sorted_indices().tocoo()
-    return f"{coo.shape[0]} {coo.nnz}\n" + _rows(
-        "%d %d %.17g\n", coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
+    return chain([f"{coo.shape[0]} {coo.nnz}\n"],
+                 _rows("%d %d %.17g\n", coo.row, coo.col, coo.data))
 
 
 def _cmd_hamiltonian(args):
@@ -643,21 +680,20 @@ def run(argv=None) -> int:
         context = "".join(f" {k}={v}" for k, v in e.context.items())
         print(f"{e.name}: {e}{context}", file=sys.stderr)
         return 1
-    wall = time.perf_counter() - t0
 
     outputs = {}
     try:
+        # a writer's parts are formatted as they are written, so the wall
+        # time is taken once every output is out
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(primary)
-            outputs[args.output] = _sha256(primary.encode())
+                outputs[args.output] = _write_parts(fh, primary)
         else:
-            sys.stdout.write(primary)
-            outputs["stdout"] = _sha256(primary.encode())
+            outputs["stdout"] = _write_parts(sys.stdout, primary)
         for path, text in extra_files.items():
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            outputs[path] = _sha256(text.encode())
+                outputs[path] = _write_parts(fh, text)
+        wall = time.perf_counter() - t0
         if args.manifest:
             params = {
                 k: _manifest_value(v)

@@ -172,12 +172,16 @@ def partition_check(probe: KernelProbe) -> float:
 
 
 def project(probe: KernelProbe, f) -> np.ndarray:
-    """Grid samples of P_k f with level-j quadrature coefficients."""
+    """Grid samples of P_k f with level-j quadrature coefficients.
+
+    Each coefficient is a numpy sum of products, not a BLAS dot, so the
+    samples do not depend on the BLAS thread count.
+    """
     fx = _probe_values(probe, f)
     dx = probe.spacing
     recon = np.zeros_like(fx)
     for a, b, seg in _translates(probe):
-        c = seg @ fx[a:b] * dx
+        c = (seg * fx[a:b]).sum() * dx
         recon[a:b] += c * seg
     return recon
 
@@ -195,14 +199,16 @@ def commutator_residual(probe: KernelProbe, f, g) -> float:
 
     This is the truncation error of the equal-time pairing: the smeared
     commutator carries K^k where the canonical one carries the delta.
+    Both pairings are numpy sums of products, not BLAS dots, so the
+    residual does not depend on the BLAS thread count.
     """
     fx = _probe_values(probe, f)
     gx = _probe_values(probe, g)
     pg = project(probe, gx)
     mask = _interior(probe)
     dx = probe.spacing
-    kern = float(fx[mask] @ pg[mask] * dx)
-    direct = float(fx[mask] @ gx[mask] * dx)
+    kern = float((fx[mask] * pg[mask]).sum() * dx)
+    direct = float((fx[mask] * gx[mask]).sum() * dx)
     return abs(kern - direct)
 
 

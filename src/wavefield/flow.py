@@ -6,7 +6,10 @@ into coarse (s) and detail (w) blocks: quadratic tensors by congruence
 W D W^T, quartic tensors by contracting one W factor per index.  The ss
 and ssss blocks reproduce the directly rescaled coarse-scale tensors,
 which is the coefficient-level statement that the coarse modes of a
-fine lattice ARE the coarse lattice.
+fine lattice ARE the coarse lattice.  A quartic block is periodic under a
+joint shift of its four indices, so it is kept as its a = 0 slab, an
+(N/2)^3 array in the convention of connection.wrap_tensor_dense, and a
+split of N sites takes O(N^3) memory.
 
 The flow dH/dlambda = [H, [H, G]] with G the diagonal (or block
 diagonal) part of H is the Wegner generator written with the outer
@@ -47,7 +50,16 @@ MAX_FLOW_DIM = 512  # the CLI matrix reader checks it before allocating
 
 @dataclass(frozen=True)
 class SplitTensors:
-    """Two-scale blocks of the quadratic and quartic tensors."""
+    """Two-scale blocks of the quadratic and quartic tensors.
+
+    ss, sw, ws and ww are the (N/2, N/2) quadratic blocks, or None when no
+    derivative table was split.  quartic maps each pattern "ssss", "sssw",
+    "ssww", "swww", "wwww" to its periodic block held as the a = 0 slab q,
+    an (N/2)^3 array: T[a, b, c, d] = q[(b-a) % (N/2), (c-a) % (N/2),
+    (d-a) % (N/2)], the convention of connection.wrap_tensor_dense and of
+    the four-point cube fock reads.  The ssss slab is the wrapped coarse
+    four-point table itself.
+    """
 
     order: int
     fine_scale: int
@@ -111,10 +123,12 @@ def split_tensors(d_fine: CoeffTensor | None, g4_fine: CoeffTensor,
     The quartic blocks use the stage's shift-by-two symmetry: row a+1 of
     W is row a rolled by two fine sites and the periodic tensor is
     invariant under a joint shift of its indices, so every block obeys
-    T[a+1, b+1, c+1, d+1] = T[a, b, c, d] (mod N/2).  Only the a = 0
-    slab is contracted, against the (N)^3 wrapped cube; the block is its
-    cyclic expansion.  Memory is O(N^3) plus the five (N/2)^4 blocks; the
-    periodic N^4 tensor is never formed.
+    T[a+1, b+1, c+1, d+1] = T[a, b, c, d] (mod N/2).  Each block is
+    therefore kept as its a = 0 slab q, an (N/2)^3 array read as
+    T[a, b, c, d] = q[(b-a) % (N/2), (c-a) % (N/2), (d-a) % (N/2)], the
+    convention of connection.wrap_tensor_dense.  The slab is contracted
+    against the N^3 wrapped cube, so memory is O(N^3): neither the
+    periodic N^4 tensor nor an (N/2)^4 block is ever formed.
     """
     w = stage_matrix(fp, n)
     half = n // 2
@@ -148,15 +162,9 @@ def split_tensors(d_fine: CoeffTensor | None, g4_fine: CoeffTensor,
     cubes = {p: sum(r[0, tap] * np.roll(dense, tap, axis=(0, 1, 2))
                     for tap in range(2 * fp.order))
              for p, r in rows.items()}
-    a = np.arange(half)
-    shift = ((a[None, :] - a[:, None]) % half)[:, :, None, None]
-    quartic = {}
-    for pat in _PATTERNS4:
-        slab = np.einsum("bp,cq,dr,pqr->bcd", *(rows[p] for p in pat[1:]),
-                         cubes[pat[0]], optimize=True)
-        # T[a, b, c, d] = T[0, b-a, c-a, d-a] (mod N/2)
-        quartic[pat] = slab[shift, np.swapaxes(shift, 1, 2),
-                            np.swapaxes(shift, 1, 3)]
+    quartic = {pat: np.einsum("bp,cq,dr,pqr->bcd", *(rows[p] for p in pat[1:]),
+                              cubes[pat[0]], optimize=True)
+               for pat in _PATTERNS4}
     return SplitTensors(fp.order, scale, n, ss, sw, ws, ww, quartic)
 
 

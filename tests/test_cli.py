@@ -855,17 +855,22 @@ BLAS_THREAD_RUNS = [
     ["flow", "--input", "h256.coo", "--generator", "diag",
      "--lambda-end", "0.001", "--output", "flow-diag.txt",
      "--log", "flow-diag.log"],
+    ["diagnose", "--order", "3", "--scale", "4", "--probe", "projection",
+     "--output", "projection.csv"],
+    ["diagnose", "--order", "3", "--scale", "4", "--probe", "commutator",
+     "--output", "commutator.csv"],
 ]
 FLOW_LOGS = ("flow-block.log", "flow-diag.log")
 
 
 def test_outputs_independent_of_blas_threads(tmp_path):
-    # the analysis step, the eigensolver and the flow's right-hand sides
-    # go through BLAS; one and two threads must give the same bytes.  Both
-    # runs read one table cache, because a cold four-point table is still
-    # a dense lstsq solve whose last bits move with the thread count.  The
-    # flow logs' drift column comes from eigvalsh and is the one column
-    # left out; the lambda and off-norm columns must agree
+    # the analysis step, the eigensolver, the flow's right-hand sides and
+    # the kernel probes' pairings are where BLAS could enter; one and two
+    # threads must give the same bytes.  Both runs read one table cache,
+    # because a cold four-point table is still a dense lstsq solve whose
+    # last bits move with the thread count.  The flow logs' drift column
+    # comes from eigvalsh and is the one column left out; the lambda and
+    # off-norm columns must agree
     vector = tmp_path / "v.csv"
     vector.write_text("\n".join(
         "%.17g" % v for v in np.random.default_rng(14).normal(size=2**14)))
@@ -889,7 +894,7 @@ def test_outputs_independent_of_blas_threads(tmp_path):
     assert sorted(outputs[0]) == sorted([
         "back.csv", "filters.csv", "pyramid.txt", "scalfun.csv",
         "hamiltonian.csv", "h256.coo", "flow-block.txt", "flow-diag.txt",
-        *FLOW_LOGS])
+        "projection.csv", "commutator.csv", *FLOW_LOGS])
     logs = [{name: [line.rsplit(",", 1)[0]
                     for line in out.pop(name).decode().splitlines()]
              for name in FLOW_LOGS} for out in outputs]

@@ -2,9 +2,13 @@
 
 The loops below are the writers and readers the CLI had before it
 formatted and parsed whole blocks at once; they stay here as the
-reference.  A writer must give the same text, a reader the same values
-or the same ParseError (message and context).
+reference.  A writer's parts, joined, must give the same text, a reader
+the same values or the same ParseError (message and context), whatever
+the part and chunk sizes.
 """
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import scipy.sparse
@@ -190,10 +194,19 @@ def pyramids():
     return st.tuples(st.sampled_from((1, 2, 4)), st.integers(0, 3)).flatmap(build)
 
 
+# every line boundary of str.splitlines; a reader cuts its chunks just
+# after a '\n', so each of these must survive sitting at or beside a cut
+TERMINATORS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029")
+# characters per reader chunk: 1 to 64 cut nearly every line, 2**20 is
+# the CLI's own
+chunk_chars = st.one_of(st.integers(1, 64), st.just(2**20))
+
+
 @st.composite
-def dressed(draw, lines, corruptions=()):
-    """lines as a file: each line padded with blanks or tabs, ended by LF
-    or CRLF, blank or whitespace-only lines between them, and at most one
+def dressed(draw, lines, corruptions=(), ends=("\n", "\n", "\r\n")):
+    """lines as a file: each line padded with blanks or tabs, ended by one
+    of ends, blank or whitespace-only lines between them, and at most one
     line replaced by, or preceded by, one of corruptions."""
     lines = list(lines)
     if corruptions and draw(st.booleans()):
@@ -207,9 +220,8 @@ def dressed(draw, lines, corruptions=()):
     out = []
     for s in lines:
         if draw(st.integers(0, 5)) == 0:
-            out.append(draw(pad) + draw(st.sampled_from(("\n", "\r\n"))))
-        out.append(draw(pad) + s + draw(pad)
-                   + draw(st.sampled_from(("\n", "\n", "\r\n"))))
+            out.append(draw(pad) + draw(st.sampled_from(ends)))
+        out.append(draw(pad) + s + draw(pad) + draw(st.sampled_from(ends)))
     text = "".join(out)
     return text if draw(st.booleans()) else text.rstrip("\r\n")
 
@@ -230,25 +242,42 @@ def same_outcome(new, old, text):
 
 # ---------------------------------------------------------------- writers
 
-@settings(max_examples=60, deadline=None)
-@given(a=float_arrays())
-def test_values_text_matches_loop(a):
-    assert cli._values(a) == values_loop(a)
+# lines per writer part: 1 and 2 cut every block, 2**14 is the CLI's own
+part_lines = st.sampled_from((1, 2, 3, 5, 2**14))
+
+
+def joined(parts, most=None):
+    """The parts as one string, each checked to hold at most `most` lines
+    when `most` is given."""
+    parts = list(parts)
+    if most is not None:
+        assert all(p.count("\n") <= most for p in parts)
+    return "".join(parts)
 
 
 @settings(max_examples=60, deadline=None)
-@given(p=pyramids(), order=st.integers(1, 12))
-def test_pyramid_text_matches_loop(p, order):
-    assert cli._serialize_pyramid(p, order) == pyramid_loop(p, order)
+@given(a=float_arrays(), most=part_lines)
+def test_values_text_matches_loop(a, most):
+    with mock.patch.object(cli, "_PART_LINES", most):
+        assert joined(cli._values(a), most) == values_loop(a)
 
 
 @settings(max_examples=60, deadline=None)
-@given(dim=st.integers(1, 8), data=st.data())
-def test_coo_text_matches_loop(dim, data):
+@given(p=pyramids(), order=st.integers(1, 12), most=part_lines)
+def test_pyramid_text_matches_loop(p, order, most):
+    with mock.patch.object(cli, "_PART_LINES", most):
+        got = joined(cli._serialize_pyramid(p, order), most)
+    assert got == pyramid_loop(p, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 8), most=part_lines, data=st.data())
+def test_coo_text_matches_loop(dim, most, data):
     dense = np.array(data.draw(st.lists(st.one_of(st.just(0.0), finite),
                                         min_size=dim * dim, max_size=dim * dim)))
     mat = scipy.sparse.csr_matrix(dense.reshape(dim, dim))
-    assert cli._matrix_coo_text(mat) == coo_text_loop(mat)
+    with mock.patch.object(cli, "_PART_LINES", most):
+        assert joined(cli._matrix_coo_text(mat), most) == coo_text_loop(mat)
 
 
 COLUMNS = {
@@ -265,8 +294,9 @@ COLUMNS = {
 
 @settings(max_examples=50, deadline=None)
 @given(kinds=st.lists(st.sampled_from(sorted(COLUMNS)), min_size=1, max_size=4),
-       n=st.integers(0, 12), array_columns=st.booleans(), data=st.data())
-def test_csv_matches_loop(kinds, n, array_columns, data):
+       n=st.integers(0, 12), array_columns=st.booleans(), most=part_lines,
+       data=st.data())
+def test_csv_matches_loop(kinds, n, array_columns, most, data):
     columns = [data.draw(st.lists(COLUMNS[k], min_size=n, max_size=n))
                for k in kinds]
     if array_columns:
@@ -274,7 +304,10 @@ def test_csv_matches_loop(kinds, n, array_columns, data):
         columns = [np.array(col, dtype=float) if k == "float" else col
                    for k, col in zip(kinds, columns)]
     header = ",".join(kinds)
-    assert cli._csv(header, *columns) == csv_loop(header, zip(*columns))
+    # a str column may hold a newline, so the lines of a part go unchecked
+    with mock.patch.object(cli, "_PART_LINES", most):
+        got = joined(cli._csv(header, *columns))
+    assert got == csv_loop(header, zip(*columns))
 
 
 # ---------------------------------------------------------------- readers
@@ -282,12 +315,28 @@ def test_csv_matches_loop(kinds, n, array_columns, data):
 PLAIN_CORRUPTIONS = ("x", "1 2", "1,5", "nan", "-inf", "1e999", "#1", "0x1")
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_plain_reader_matches_loop(data):
+@settings(max_examples=200, deadline=None)
+@given(text=st.lists(st.sampled_from(("1", " ", "#", *TERMINATORS)),
+                     max_size=60).map("".join), size=st.integers(1, 64))
+def test_line_chunks_join_to_splitlines(text, size):
+    with mock.patch.object(cli, "_CHUNK_CHARS", size):
+        pieces = list(cli._line_chunks(text))
+    assert [ln for _, lines in pieces for ln in lines] == text.splitlines()
+    starts = np.cumsum([1] + [len(lines) for _, lines in pieces])
+    assert [first for first, _ in pieces] == starts[:-1].tolist()
+    assert all(lines for _, lines in pieces)
+
+
+@settings(max_examples=150, deadline=None)
+@given(size=chunk_chars, ends=st.sampled_from((("\n", "\n", "\r\n"),
+                                               ("\n", *TERMINATORS))),
+       data=st.data())
+def test_plain_reader_matches_loop(size, ends, data):
     a = data.draw(float_arrays(min_size=0))
-    text = data.draw(dressed([repr(float(v)) for v in a], PLAIN_CORRUPTIONS))
-    both = same_outcome(cli._parse_plain_values, parse_plain_loop, text)
+    text = data.draw(dressed([repr(float(v)) for v in a], PLAIN_CORRUPTIONS,
+                             ends))
+    with mock.patch.object(cli, "_CHUNK_CHARS", size):
+        both = same_outcome(cli._parse_plain_values, parse_plain_loop, text)
     if both:
         want, got = both
         assert got.tobytes() == want.tobytes()
@@ -298,12 +347,15 @@ PYRAMID_CORRUPTIONS = ("x", "1 1", "nan", "inf", "1#", "# junk",
                        "# wavefield-pyramid 1", "0.5")
 
 
-@settings(max_examples=100, deadline=None)
-@given(p=pyramids(), order=st.integers(1, 12), data=st.data())
-def test_pyramid_reader_matches_loop(p, order, data):
+@settings(max_examples=150, deadline=None)
+@given(p=pyramids(), order=st.integers(1, 12), size=chunk_chars,
+       ends=st.sampled_from((("\n", "\n", "\r\n"), ("\n", *TERMINATORS))),
+       data=st.data())
+def test_pyramid_reader_matches_loop(p, order, size, ends, data):
     lines = pyramid_loop(p, order).splitlines()
-    text = data.draw(dressed(lines, PYRAMID_CORRUPTIONS))
-    both = same_outcome(cli._parse_pyramid, parse_pyramid_loop, text)
+    text = data.draw(dressed(lines, PYRAMID_CORRUPTIONS, ends))
+    with mock.patch.object(cli, "_CHUNK_CHARS", size):
+        both = same_outcome(cli._parse_pyramid, parse_pyramid_loop, text)
     if both:
         (order_want, want), (order_got, got) = both
         assert order_got == order_want
@@ -333,3 +385,29 @@ def test_coo_reader_matches_loop(text):
         want, got = both
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------- memory
+
+def test_dwt_text_memory_stays_bounded(tmp_path, monkeypatch):
+    # a 2^18-value signal is a 5 MiB file.  A whole-file line list and a
+    # whole output string beside it took each run near 27 MiB; read and
+    # written in bounded parts, each stays near 16
+    monkeypatch.chdir(tmp_path)
+    x = np.random.default_rng(18).standard_normal(2**18)
+    (tmp_path / "x.csv").write_text("".join("%.17g\n" % v for v in x))
+    base = ["dwt", "--order", "3", "--levels", "8"]
+    assert cli.run(base + ["--input", "x.csv", "--direction", "forward",
+                           "--output", "p.txt"]) == 0
+    for args in (["--input", "x.csv", "--direction", "forward",
+                  "--output", "q.txt"],
+                 ["--input", "p.txt", "--direction", "inverse",
+                  "--output", "y.csv"]):
+        tracemalloc.start()
+        try:
+            assert cli.run(base + args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20, (args, peak)
+    assert (tmp_path / "q.txt").read_bytes() == (tmp_path / "p.txt").read_bytes()
