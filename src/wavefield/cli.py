@@ -33,7 +33,6 @@ from itertools import chain, compress, count, repeat
 from operator import contains
 
 import numpy as np
-import scipy.sparse
 
 from . import __version__
 from .connection import (
@@ -396,11 +395,23 @@ def _cmd_coeffs(args):
 
 # ---------------------------------------------------------------- hamiltonian
 
+def _coo_text(dim, rows, cols, vals):
+    """'dim nnz' and one 'row col value' line per entry, in parts."""
+    return chain([f"{dim} {len(vals)}\n"],
+                 _rows("%d %d %.17g\n", rows, cols, vals))
+
+
 def _matrix_coo_text(mat):
-    """The matrix as 'dim nnz' and one 'row col value' line per entry, in parts."""
+    """A sparse matrix's entries, row by row with sorted columns."""
     coo = mat.tocsr().sorted_indices().tocoo()
-    return chain([f"{coo.shape[0]} {coo.nnz}\n"],
-                 _rows("%d %d %.17g\n", coo.row, coo.col, coo.data))
+    return _coo_text(coo.shape[0], coo.row, coo.col, coo.data)
+
+
+def _dense_coo_text(mat):
+    """A dense matrix's nonzero entries in the same row-major order; like
+    the sparse form of the matrix it leaves out both signed zeros."""
+    rows, cols = np.nonzero(mat)
+    return _coo_text(mat.shape[0], rows, cols, mat[rows, cols])
 
 
 def _cmd_hamiltonian(args):
@@ -513,7 +524,7 @@ def _cmd_flow(args):
             "matrix": final.h_matrix.tolist(),
         })
     else:
-        text = _matrix_coo_text(scipy.sparse.csr_matrix(final.h_matrix))
+        text = _dense_coo_text(final.h_matrix)
     return text, files, [args.input]
 
 

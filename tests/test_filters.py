@@ -1,4 +1,5 @@
 import hashlib
+from math import comb
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from wavefield.errors import UnsupportedOrderError
 from wavefield.filters import (
     K_MAX,
-    _extremal_roots,
     constraint_residuals,
     make_filters,
 )
@@ -54,11 +54,53 @@ TAP_SHA256 = {
 }
 
 
+def _extremal_roots(K):
+    """Roots of the extremal-phase factor outside the unit circle, sorted.
+
+    P(y) is factorized in y; each root y_k maps back to the reciprocal
+    pair z, 1/z solving z^2 - (2 - 4 y_k) z + 1 = 0.  Runs at the caller's
+    mpmath precision.
+    """
+    from mpmath import mp, mpf, polyroots
+
+    coeffs = [mpf(comb(K - 1 + j, j)) for j in reversed(range(K))]
+    keep = []
+    for y in polyroots(coeffs, maxsteps=200, extraprec=160):
+        b = 1 - 2 * y
+        disc = mp.sqrt(b * b - 1)
+        keep.append(b + disc if abs(b + disc) > 1 else b - disc)
+    # deterministic ordering of the kept half
+    keep.sort(key=lambda r: (mp.re(r), mp.im(r)))
+    return keep
+
+
+def _spectral_factor_mp(K):
+    """Extremal-phase taps at 60-digit precision; returns a list of mpf.
+
+    h(z) ~ ((1+z)/2)^K * prod (z - r), the binomial factor exact.
+    """
+    from mpmath import mp, mpf
+
+    with mp.workdps(60):
+        poly = [mpf(comb(K, i)) / 2**K for i in range(K + 1)]
+        for r in _extremal_roots(K):
+            poly = [b - r * a for a, b in zip(poly + [0], [0] + poly)]
+        h = [mp.re(c) for c in poly]
+        norm = mp.sqrt(2) / sum(h)
+        return [c * norm for c in h]
+
+
+@pytest.mark.parametrize("K", range(1, K_MAX + 1))
+def test_literal_taps_are_the_factorization_rounded_once(K):
+    # the oracle for the literals in filters._TAPS: the 60-digit spectral
+    # factorization, each tap rounded to float64 once
+    derived = np.array([float(c) for c in _spectral_factor_mp(K)])
+    assert derived.tobytes() == make_filters(K).h.tobytes()
+
+
 def _laurent_roots_outside(K):
     """Reference: roots of z^{K-1} P(y(z)), the degree-(2K-2) polynomial
     in z, that lie outside the unit circle."""
-    from math import comb
-
     from mpmath import mpf, polyroots
 
     coeffs = [mpf(0)] * (2 * K - 1)
