@@ -16,14 +16,15 @@ annihilators) terms; the quartic part is one array pass over every
 (site, offset, split) row, its weights summed per term in row order.
 Each term acts only on the box of occupation states where it is nonzero
 and stays under the cutoff, with sources in ascending order.  Of a key
-and its conjugate only one is applied, and the matrix is built in three
-steps.  One stable in-place sort sums the triplets per matrix entry in
-term order, which fixes every value bit for bit and leaves the sums in
-CSR order.  A counting-sort transpose of their strictly off-diagonal
-part is the mirror.  One merge of sorted rows adds the two, so the
-stored matrix is exactly symmetric (entry by entry, not within a
-tolerance).  A sum of exactly zero is not stored, just as a term with a
-zero coefficient is never applied.
+and its conjugate only one is applied, and the matrix is built one
+diagonal at a time.  A term keeps to one diagonal, so a stable sort per
+diagonal sums the entries in term order, which fixes every value bit
+for bit.  Each diagonal pair s and -s is added into one vector whose
+values fill both triangles, so the stored matrix is exactly symmetric
+(entry by entry, not within a tolerance).  The rows are counted and the
+CSR arrays written once, columns in order with no sort.  A sum of
+exactly zero is not stored, just as a term with a zero coefficient is
+never applied.
 
 The volume truncation wraps tensor offsets modulo the mode count.  The
 wrapped sums are well defined for any N >= 1; for N < 2K distinct
@@ -305,115 +306,92 @@ def _quartic_terms(t_dense, coupling, gamma, modes, terms):
     return terms
 
 
-_RUN_CHUNK = 2**16  # sorted entries per summing step of _dedup
+def _index_dtype(n):
+    """The index type scipy stores for values up to n."""
+    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
 
 
-def _runs(pos, order, shift):
-    """Chunks of whole runs of the sorted entries: per chunk the flat
-    positions row * dim + col, the input indices of the entries and the
-    offsets at which runs of equal positions start.  Each chunk ends with
-    its last run, so no run is cut, and only pos from the chunk on is
-    read.  pos holds the sorted positions shifted left by shift with the
-    input index in the low bits, or, where order is given, the positions
-    alone, in the order of the input indices in order."""
-    mask = (1 << shift) - 1
-    a, n = 0, len(pos)
-    while a < n:
-        # past the largest packed value of the position at the nominal end
-        end = pos[min(a + _RUN_CHUNK, n) - 1] | mask
-        b = a + int(np.searchsorted(pos[a:], end, side="right"))
-        keys = pos[a:b] >> shift
-        idx = pos[a:b] & mask if order is None else order[a:b]
-        yield keys, idx, np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        a = b
-
-
-def _dedup(pos, vals, dim):
-    """Sum the values at equal flat positions row * dim + col: the
-    assembler's one sort.
-
-    Sorts pos in place and overwrites it; vals is only read.  The sort is
-    stable, so each sum adds its entries in input order, which fixes every
-    matrix value bit for bit.  Where (position, input index) packs into
-    one int64, a plain in-place sort of those unique keys, packed in pos
-    itself, gives the stable order at about a third of the cost of a
-    stable argsort.  The sums are taken a chunk of whole runs at a time,
-    from the values gathered at the chunk's input indices, and each
-    chunk's positions go to the head of pos, which the chunks have
-    already passed.  So on the packed path no full-length permutation,
-    permuted copy of vals or row array is made.  Returns (rows, cols,
-    sums) in (row, col) order; rows is a view of pos's head."""
-    if len(pos) == 0:
-        return pos, pos, vals
-    width = (len(pos) - 1).bit_length()
-    if (dim * dim - 1).bit_length() + width <= 63:
-        pos <<= width
-        pos |= np.arange(len(pos))
-        pos.sort()
-        order = None
-    else:
-        order = np.argsort(pos, kind="stable")
-        pos[:] = pos[order]
-        width = 0
-    u = sum(len(starts) for _, _, starts in _runs(pos, order, width))
-    sums = np.empty(u)
+def _diagonal_sums(group):
+    """One diagonal of S: the entries coeff * amp of a group of applied
+    terms (coeff, src, amp) at columns src, summed per column in term
+    order by a stable sort.  Returns (cols, sums), cols ascending."""
+    n = sum(src.size for _, src, _ in group)
+    cols, vals = np.empty(n, np.int64), np.empty(n)
     at = 0
-    for keys, idx, starts in _runs(pos, order, width):
-        run = slice(at, at + len(starts))
-        np.add.reduceat(vals[idx], starts, out=sums[run])
-        pos[run] = keys[starts]
-        at += len(starts)
-    rows, cols = np.divmod(pos[:u], dim, out=(pos[:u], np.empty(u, np.int64)))
-    return rows, cols, sums
+    for coeff, src, amp in group:
+        block = slice(at, at + src.size)
+        cols[block].reshape(src.shape)[...] = src
+        np.multiply(coeff, amp, out=vals[block].reshape(src.shape))
+        at += src.size
+    order = np.argsort(cols, kind="stable")
+    cols, vals = cols[order], vals[order]
+    first = np.ones(n, bool)  # where a run of equal columns starts
+    np.not_equal(cols[1:], cols[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return cols[starts], np.add.reduceat(vals, starts)
 
 
 def _symmetric_csr(terms, dim):
-    """H = S + T as a dim x dim CSR matrix, with S the summed entries of
-    the applied terms and T the transpose of S's strictly off-diagonal
-    part.
+    """H = S + S^T - diag(S) as a dim x dim CSR matrix, with S the summed
+    entries of the applied terms.
 
     terms lists (coeff, src, shift, amp), each an _apply_term result
-    with its coefficient: entries coeff * amp at (src + shift, src).
-    Their positions and values are written straight into one buffer
-    pair, in term order.  _dedup sums the buffer into S, whose entries
-    come out in (row, col) order, so S is CSR as it stands.  scipy's
-    O(nnz) counting sort transposes the off-diagonal part into T, and
-    S + T merges the sorted rows; both take their rows and columns as
-    int32, the index type they store.  Every off-diagonal value is then
-    the two-term sum a + b and a lone entry a + 0, so each keeps its
-    bits; a sum of exactly zero is not stored.
+    with its coefficient: entries coeff * amp at (src + shift, src), on
+    the diagonal shift = row - col.  Equal positions only meet within one
+    diagonal, so S is summed a diagonal at a time, in term order.  H on
+    diagonal s > 0 is then S_s(c) + S_-s(c + s) at column c, and on
+    diagonal -s its mirror: every value is the two-term sum a + b, or a
+    lone a, so it keeps its bits, and a sum of exactly zero is not
+    stored.  The rows are counted first and data and indices allocated
+    once.  Diagonals go in by descending s, the lower triangle filling
+    each row from its start and the upper one from its end, the main
+    diagonal last, so the columns come out ascending with no sort;
+    scipy only wraps the three arrays.
     """
     # an assembly loads scipy here, before its buffers exist; loaded
-    # between the sort and the mirror instead, it raised the peak RSS of a
-    # spectrum benchmark pass from 141.8 to 154.0 MiB (2-core host)
+    # after them, the import's own allocations stacked on the assembly
+    # and raised the peak RSS of a spectrum benchmark pass from 141.8 to
+    # 154.0 MiB (2-core host)
     import scipy.sparse as sp
 
-    def csr(rows, cols, vals):
-        # entries already in (row, col) order, each position once
-        indptr = np.searchsorted(rows, np.arange(dim + 1))
-        return sp.csr_matrix((vals, cols, indptr), shape=(dim, dim))
-
-    n = sum(src.size for _, src, _, _ in terms)
-    pos, vals = np.empty(n, np.int64), np.empty(n)
-    at = 0
+    groups = {}
     for coeff, src, shift, amp in terms:
-        block = slice(at, at + src.size)
-        # position row * dim + col = (src + shift) * dim + src
-        np.multiply(src, dim + 1, out=pos[block].reshape(src.shape))
-        pos[block] += shift * dim
-        np.multiply(coeff, amp, out=vals[block].reshape(src.shape))
-        at += src.size
-    # each stage frees its inputs before the next allocates
-    r, c, v = _dedup(pos, vals, dim)
-    del pos, vals
-    index = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
-    r, c = r.astype(index), c.astype(index)
-    off = r != c
-    t = csr(r[off], c[off], v[off]).T.tocsr()
-    del off
-    s = csr(r, c, v)
-    del r, c, v
-    return s + t
+        groups.setdefault(shift, []).append((coeff, src, amp))
+    col = _index_dtype(dim)
+    lower = []  # (s, cols, values) of H on diagonal s >= 0, s descending
+    count = np.zeros(dim, np.int64)  # entries per row
+    for s in sorted({abs(shift) for shift in groups}, reverse=True):
+        v = np.zeros(dim - s)
+        c, h = _diagonal_sums(groups.get(s, []))
+        v[c] = h
+        if s:
+            c, h = _diagonal_sums(groups.get(-s, []))
+            v[c - s] += h
+        stored = v != 0.0
+        count[s:] += stored
+        if s:
+            count[:dim - s] += stored
+        c = np.flatnonzero(stored)
+        lower.append((s, c.astype(col), v[c]))
+    nnz = int(count.sum())
+    index = _index_dtype(max(dim, nnz))
+    indptr = np.zeros(dim + 1, index)
+    np.cumsum(count, out=indptr[1:])
+    data, indices = np.empty(nnz), np.empty(nnz, index)
+    # the next free slot of each row from its start, and the last one
+    # taken from its end
+    head, tail = indptr[:-1].astype(np.intp), indptr[1:].astype(np.intp)
+    for s, c, h in lower:
+        c = c.astype(np.intp)
+        if s:
+            at = tail[c] - 1
+            tail[c] = at
+            data[at], indices[at] = h, c + s
+        rows = c + s
+        at = head[rows]
+        head[rows] = at + 1
+        data[at], indices[at] = h, c
+    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 
 def build_phi4_hamiltonian(p: ModelParams, d_tensor: CoeffTensor,
@@ -481,6 +459,29 @@ def free_reference_spectrum(p: ModelParams, d_tensor: CoeffTensor, modes: int):
     return omega, e0
 
 
+_BOUND_CHUNK = 2**16  # stored entries per step of _largest_row_sum
+
+
+def _largest_row_sum(mat):
+    """The largest absolute row sum of a CSR matrix, each non-empty row
+    reduced as scipy's sum(axis=1) does.  The rows are taken a chunk of
+    about _BOUND_CHUNK entries at a time, never cutting a row, so only a
+    chunk of |data| is ever copied."""
+    indptr, dim = mat.indptr, mat.shape[0]
+    best, row = 0.0, 0
+    while row < dim:
+        # the rows that end within the chunk, and at least one
+        end = int(np.searchsorted(indptr, indptr[row] + _BOUND_CHUNK, side="right")) - 1
+        end = max(end, row + 1)
+        ptr = indptr[row:end + 1]
+        starts = ptr[:-1][ptr[:-1] != ptr[1:]] - ptr[0]
+        if len(starts):
+            sums = np.add.reduceat(np.abs(mat.data[ptr[0]:ptr[-1]]), starts)
+            best = max(best, float(sums.max()))
+        row = end
+    return best
+
+
 def lanczos_lowest(op: FockOperator, count: int, tol: float = 1e-10):
     """Lowest eigenvalues with certified residual norms.
 
@@ -492,10 +493,7 @@ def lanczos_lowest(op: FockOperator, count: int, tol: float = 1e-10):
     dim = mat.shape[0]
     if count < 1 or count > dim:
         raise IndexRangeError("eigenvalue count out of range", count=count, dimension=dim)
-    # the largest absolute row sum, reduced over the non-empty rows as
-    # scipy's sum(axis=1) does, without copying the matrix
-    starts = mat.indptr[np.flatnonzero(np.diff(mat.indptr))]
-    hnorm = float(np.add.reduceat(np.abs(mat.data), starts).max(initial=0.0)) or 1.0
+    hnorm = _largest_row_sum(mat) or 1.0
     if dim <= max(128, count + 2):
         dense = mat.toarray()
         evals, evecs = np.linalg.eigh(dense)

@@ -855,6 +855,8 @@ BLAS_THREAD_RUNS = [
     ["flow", "--input", "h256.coo", "--generator", "diag",
      "--lambda-end", "0.001", "--output", "flow-diag.txt",
      "--log", "flow-diag.log"],
+    ["diagnose", "--order", "3", "--scale", "4", "--probe", "partition",
+     "--output", "partition.csv"],
     ["diagnose", "--order", "3", "--scale", "4", "--probe", "projection",
      "--output", "projection.csv"],
     ["diagnose", "--order", "3", "--scale", "4", "--probe", "commutator",
@@ -894,7 +896,7 @@ def test_outputs_independent_of_blas_threads(tmp_path):
     assert sorted(outputs[0]) == sorted([
         "back.csv", "filters.csv", "pyramid.txt", "scalfun.csv",
         "hamiltonian.csv", "h256.coo", "flow-block.txt", "flow-diag.txt",
-        "projection.csv", "commutator.csv", *FLOW_LOGS])
+        "partition.csv", "projection.csv", "commutator.csv", *FLOW_LOGS])
     logs = [{name: [line.rsplit(",", 1)[0]
                     for line in out.pop(name).decode().splitlines()]
              for name in FLOW_LOGS} for out in outputs]
