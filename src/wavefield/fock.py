@@ -19,12 +19,15 @@ and stays under the cutoff, with sources in ascending order.  Of a key
 and its conjugate only one is applied, and the matrix is built one
 diagonal at a time.  A term keeps to one diagonal, so a stable sort per
 diagonal sums the entries in term order, which fixes every value bit
-for bit.  Each diagonal pair s and -s is added into one vector whose
+for bit; a diagonal of one term, whose sources already ascend, needs no
+sort.  Each diagonal pair s and -s is added into one vector whose
 values fill both triangles, so the stored matrix is exactly symmetric
-(entry by entry, not within a tolerance).  The rows are counted and the
-CSR arrays written once, columns in order with no sort.  A sum of
-exactly zero is not stored, just as a term with a zero coefficient is
-never applied.
+(entry by entry, not within a tolerance).  A first pass over the
+diagonals counts the positions each row receives, so the CSR arrays are
+allocated once; a second pass sums each diagonal pair and writes it
+straight to its slots, columns in order with no sort.  A sum of exactly
+zero is not stored, just as a term with a zero coefficient is never
+applied.
 
 The volume truncation wraps tensor offsets modulo the mode count.  The
 wrapped sums are well defined for any N >= 1; for N < 2K distinct
@@ -314,7 +317,9 @@ def _index_dtype(n):
 def _diagonal_sums(group):
     """One diagonal of S: the entries coeff * amp of a group of applied
     terms (coeff, src, amp) at columns src, summed per column in term
-    order by a stable sort.  Returns (cols, sums), cols ascending."""
+    order by a stable sort.  Returns (cols, sums), cols ascending.  A
+    lone term whose sources ascend strictly, as _apply_term's do, is
+    already in that form; one comparison checks it and skips the sort."""
     n = sum(src.size for _, src, _ in group)
     cols, vals = np.empty(n, np.int64), np.empty(n)
     at = 0
@@ -323,6 +328,8 @@ def _diagonal_sums(group):
         cols[block].reshape(src.shape)[...] = src
         np.multiply(coeff, amp, out=vals[block].reshape(src.shape))
         at += src.size
+    if len(group) == 1 and (cols[1:] > cols[:-1]).all():
+        return cols, vals
     order = np.argsort(cols, kind="stable")
     cols, vals = cols[order], vals[order]
     first = np.ones(n, bool)  # where a run of equal columns starts
@@ -341,11 +348,18 @@ def _symmetric_csr(terms, dim):
     diagonal, so S is summed a diagonal at a time, in term order.  H on
     diagonal s > 0 is then S_s(c) + S_-s(c + s) at column c, and on
     diagonal -s its mirror: every value is the two-term sum a + b, or a
-    lone a, so it keeps its bits, and a sum of exactly zero is not
-    stored.  The rows are counted first and data and indices allocated
-    once.  Diagonals go in by descending s, the lower triangle filling
-    each row from its start and the upper one from its end, the main
-    diagonal last, so the columns come out ascending with no sort;
+    lone a, so it keeps its bits.
+
+    Two passes go over the diagonals by descending s.  The first counts
+    the positions each row receives from the sources, without computing
+    a value, so data and indices are allocated once.  The second sums
+    each diagonal pair into a dense vector and writes its values at those
+    positions straight to their slots, the lower triangle filling each
+    row from its start and the upper one from its end, the main diagonal
+    last, so the columns come out ascending with no sort.  A sum of
+    exactly zero (either sign) is not stored: when a position's sum
+    cancels, which the physical Hamiltonians never showed, one forward
+    compaction drops it and the index type follows the count left.
     scipy only wraps the three arrays.
     """
     # an assembly loads scipy here, before its buffers exist; loaded
@@ -357,22 +371,20 @@ def _symmetric_csr(terms, dim):
     groups = {}
     for coeff, src, shift, amp in terms:
         groups.setdefault(shift, []).append((coeff, src, amp))
-    col = _index_dtype(dim)
-    lower = []  # (s, cols, values) of H on diagonal s >= 0, s descending
-    count = np.zeros(dim, np.int64)  # entries per row
-    for s in sorted({abs(shift) for shift in groups}, reverse=True):
-        v = np.zeros(dim - s)
-        c, h = _diagonal_sums(groups.get(s, []))
-        v[c] = h
+    shifts = sorted({abs(shift) for shift in groups}, reverse=True)
+    count = np.zeros(dim, np.int64)  # written positions per row
+    for s in shifts:
+        # the columns c < dim - s where H on diagonal s (and on -s) or on
+        # the main diagonal gets a sum: sources of shift s, and those of
+        # shift -s moved by -s
+        written = np.zeros(dim - s, bool)
+        for _, src, _ in groups.get(s, ()):
+            written[src] = True
+        for _, src, _ in groups.get(-s, ()) if s else ():
+            written[src - s] = True
+        count[s:] += written
         if s:
-            c, h = _diagonal_sums(groups.get(-s, []))
-            v[c - s] += h
-        stored = v != 0.0
-        count[s:] += stored
-        if s:
-            count[:dim - s] += stored
-        c = np.flatnonzero(stored)
-        lower.append((s, c.astype(col), v[c]))
+            count[:dim - s] += written
     nnz = int(count.sum())
     index = _index_dtype(max(dim, nnz))
     indptr = np.zeros(dim + 1, index)
@@ -381,8 +393,17 @@ def _symmetric_csr(terms, dim):
     # the next free slot of each row from its start, and the last one
     # taken from its end
     head, tail = indptr[:-1].astype(np.intp), indptr[1:].astype(np.intp)
-    for s, c, h in lower:
-        c = c.astype(np.intp)
+    for s in shifts:
+        v, written = np.zeros(dim - s), np.zeros(dim - s, bool)
+        c, h = _diagonal_sums(groups.get(s, []))
+        v[c], written[c] = h, True
+        if s:
+            c, h = _diagonal_sums(groups.get(-s, []))
+            c -= s
+            v[c] += h
+            written[c] = True
+        c = np.flatnonzero(written)
+        h = v[c]
         if s:
             at = tail[c] - 1
             tail[c] = at
@@ -391,6 +412,13 @@ def _symmetric_csr(terms, dim):
         at = head[rows]
         head[rows] = at + 1
         data[at], indices[at] = h, c
+    if np.count_nonzero(data) < nnz:
+        keep = data != 0.0
+        kept = np.zeros(nnz + 1, np.int64)  # kept entries before each slot
+        np.cumsum(keep, out=kept[1:])
+        index = _index_dtype(max(dim, int(kept[-1])))
+        indptr = kept[indptr].astype(index, copy=False)
+        data, indices = data[keep], indices[keep].astype(index, copy=False)
     return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 
