@@ -869,8 +869,8 @@ def test_outputs_independent_of_blas_threads(tmp_path):
     # the analysis step, the eigensolver, the flow's right-hand sides and
     # the kernel probes' pairings are where BLAS could enter; one and two
     # threads must give the same bytes.  Both runs read one table cache,
-    # because a cold four-point table is still a dense lstsq solve whose
-    # last bits move with the thread count.  The flow logs' drift column
+    # because a cold four-point table is still a dense least-squares
+    # solve whose last bits move with the thread count.  The flow logs' drift column
     # comes from eigvalsh and is the one column left out; the lambda and
     # off-norm columns must agree
     vector = tmp_path / "v.csv"
