@@ -401,12 +401,6 @@ def _coo_text(dim, rows, cols, vals):
                  _rows("%d %d %.17g\n", rows, cols, vals))
 
 
-def _matrix_coo_text(mat):
-    """A sparse matrix's entries, row by row with sorted columns."""
-    coo = mat.tocsr().sorted_indices().tocoo()
-    return _coo_text(coo.shape[0], coo.row, coo.col, coo.data)
-
-
 def _dense_coo_text(mat):
     """A dense matrix's nonzero entries in the same row-major order; like
     the sparse form of the matrix it leaves out both signed zeros."""
@@ -432,7 +426,7 @@ def _cmd_hamiltonian(args):
         text = _csv("index,eigenvalue,residual", range(len(pairs)), *zip(*pairs))
     files = {}
     if args.dump_matrix:
-        files[args.dump_matrix] = _matrix_coo_text(op.matrix)
+        files[args.dump_matrix] = _coo_text(basis.dimension, *op.entries())
     return text, files, []
 
 

@@ -20,14 +20,22 @@ and its conjugate only one is applied, and the matrix is built one
 diagonal at a time.  A term keeps to one diagonal, so a stable sort per
 diagonal sums the entries in term order, which fixes every value bit
 for bit; a diagonal of one term, whose sources already ascend, needs no
-sort.  Each diagonal pair s and -s is added into one vector whose
-values fill both triangles, so the stored matrix is exactly symmetric
-(entry by entry, not within a tolerance).  A first pass over the
-diagonals counts the positions each row receives, so the CSR arrays are
-allocated once; a second pass sums each diagonal pair and writes it
-straight to its slots, columns in order with no sort.  A sum of exactly
-zero is not stored, just as a term with a zero coefficient is never
-applied.
+sort.  H is real symmetric, so only its diagonal (a dense vector) and
+its strict upper triangle (CSR arrays) are stored: each diagonal pair s
+and -s is added into one vector whose values fill the upper diagonal s,
+and the lower triangle, its exact mirror, is never written.  A first
+pass over the upper diagonals counts the positions each row receives,
+so the CSR arrays are allocated once; a second pass sums each diagonal
+pair and writes it straight to its slots, columns in order with no
+sort.  A sum of exactly zero is not stored, just as a term with a zero
+coefficient is never applied.
+
+The eigensolver multiplies by that half form with scipy's own CSR and
+CSC kernels, adding each row's lower, diagonal and upper entries in
+ascending column from zero: the same sequential sum scipy forms over a
+full row, so every product, and with it every ARPACK iterate, is the
+full matrix's bit for bit.  FockOperator.matrix builds the full scipy
+matrix on access, for callers that want one.
 
 The volume truncation wraps tensor offsets modulo the mode count.  The
 wrapped sums are well defined for any N >= 1; for N < 2K distinct
@@ -37,9 +45,9 @@ periodic lattice below the filter support means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from functools import lru_cache, partial
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -139,10 +147,87 @@ class FockBasis:
         return int(occ @ self.strides)
 
 
-@dataclass(frozen=True)
+class _Half(NamedTuple):
+    """A real symmetric matrix as its diagonal, a dense vector holding
+    +0.0 where nothing is stored, and the CSR arrays of its strict upper
+    triangle (one index type for indices and indptr)."""
+
+    diagonal: np.ndarray
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
 class FockOperator:
-    basis: FockBasis
-    matrix: scipy.sparse.csr_matrix = field(repr=False)
+    """An operator on a Fock basis.
+
+    The Hamiltonian keeps only its diagonal and strict upper triangle,
+    FockOperator(basis, half=...); `matrix` builds the full scipy CSR
+    matrix from them on each access.  Any other operator, such as a
+    ladder or field matrix, is made from its scipy matrix,
+    FockOperator(basis, matrix), and `matrix` returns it as given.
+    """
+
+    __slots__ = ("basis", "_matrix", "_half")
+
+    def __init__(self, basis: FockBasis, matrix: scipy.sparse.spmatrix | None = None,
+                 *, half: _Half | None = None):
+        if (matrix is None) == (half is None):
+            raise ShapeError("an operator is given by its matrix or by its half form")
+        self.basis, self._matrix, self._half = basis, matrix, half
+
+    @property
+    def matrix(self) -> scipy.sparse.csr_matrix:
+        return self._matrix if self._half is None else _full_csr(self._half)
+
+    @property
+    def half(self) -> _Half:
+        """The diagonal and strict upper triangle, which lanczos_lowest and
+        block_leakage_counts read.  For an operator made from its matrix
+        they are taken from that matrix, whose lower triangle is then
+        assumed to mirror the upper one."""
+        return self._half if self._half is not None else _half_of(self._matrix)
+
+    def entries(self):
+        """Row, column and value arrays of every stored entry, row by row
+        with the columns ascending."""
+        if self._half is not None:
+            return _entries(self._half)
+        coo = self._matrix.tocsr().sorted_indices().tocoo()
+        return coo.row, coo.col, coo.data
+
+
+def _half_of(mat):
+    """The half form of a scipy matrix: its diagonal, signed zeros read as
+    +0.0, and its strict upper triangle."""
+    import scipy.sparse as sp
+
+    upper = sp.triu(mat, k=1, format="csr")
+    upper.sort_indices()
+    return _Half(mat.diagonal() + 0.0, upper.data, upper.indices, upper.indptr)
+
+
+def _rows_of(indptr):
+    """The row of each entry of a CSR matrix."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+def _entries(half):
+    """Row, column and value arrays of the full matrix's stored entries,
+    row by row with the columns ascending."""
+    coo = _full_csr(half).tocoo()
+    return coo.row, coo.col, coo.data
+
+
+def _full_csr(half):
+    """The full scipy CSR matrix of a half form, U + U^T + diag: the three
+    share no position, so every stored value keeps its bits."""
+    import scipy.sparse as sp
+
+    diag, data, indices, indptr = half
+    dim = len(diag)
+    upper = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    return (upper + upper.T + sp.diags(diag, format="csr")).tocsr()
 
 
 @lru_cache(maxsize=16)
@@ -310,7 +395,8 @@ def _quartic_terms(t_dense, coupling, gamma, modes, terms):
 
 
 def _index_dtype(n):
-    """The index type scipy stores for values up to n."""
+    """The index type for values up to n, the one scipy would store: int32
+    while it holds, which keeps the upper triangle's indices at 4 bytes."""
     return np.int32 if n <= np.iinfo(np.int32).max else np.int64
 
 
@@ -339,79 +425,79 @@ def _diagonal_sums(group):
 
 
 def _symmetric_csr(terms, dim):
-    """H = S + S^T - diag(S) as a dim x dim CSR matrix, with S the summed
-    entries of the applied terms.
+    """H = S + S^T - diag(S) in its half form: the diagonal and the CSR
+    arrays of the strict upper triangle, with S the summed entries of the
+    applied terms.  The lower triangle is never stored.
 
     terms lists (coeff, src, shift, amp), each an _apply_term result
     with its coefficient: entries coeff * amp at (src + shift, src), on
     the diagonal shift = row - col.  Equal positions only meet within one
     diagonal, so S is summed a diagonal at a time, in term order.  H on
-    diagonal s > 0 is then S_s(c) + S_-s(c + s) at column c, and on
-    diagonal -s its mirror: every value is the two-term sum a + b, or a
-    lone a, so it keeps its bits.
+    upper diagonal s > 0 is then S_s(c) + S_-s(c + s) at row c, column
+    c + s: every value is the two-term sum a + b, or a lone a, so it keeps
+    its bits, and the lower triangle is its exact mirror.
 
-    Two passes go over the diagonals by descending s.  The first counts
-    the positions each row receives from the sources, without computing
-    a value, so data and indices are allocated once.  The second sums
+    The main diagonal is summed first, into its dense vector, so that
+    its sort's temporaries are gone before the upper arrays exist.  Then
+    two passes go over the upper diagonals by ascending s.  The first
+    counts the positions each row receives from the sources, without
+    computing a value, so data and indices are allocated once; a pair
+    whose only term is one source array adds it to the counts directly,
+    and any other marks its rows in a bool vector first.  The second sums
     each diagonal pair into a dense vector and writes its values at those
-    positions straight to their slots, the lower triangle filling each
-    row from its start and the upper one from its end, the main diagonal
-    last, so the columns come out ascending with no sort.  A sum of
-    exactly zero (either sign) is not stored: when a position's sum
+    positions straight to the next free slot of each row, so the columns
+    come out ascending with no sort.  A sum of exactly zero (either sign)
+    is not stored; on the diagonal it reads +0.0.  When a position's sum
     cancels, which the physical Hamiltonians never showed, one forward
     compaction drops it and the index type follows the count left.
-    scipy only wraps the three arrays.
     """
-    # an assembly loads scipy here, before its buffers exist; loaded
-    # after them, the import's own allocations stacked on the assembly
-    # and raised the peak RSS of a spectrum benchmark pass from 141.8 to
-    # 154.0 MiB (2-core host)
-    import scipy.sparse as sp
+    # an assembly loads scipy here, before its buffers exist, for the
+    # eigensolve's kernels; loaded after them, the import's own
+    # allocations stacked on the assembly and raised the peak RSS of a
+    # spectrum benchmark pass from 141.8 to 154.0 MiB (2-core host)
+    import scipy.sparse  # noqa: F401
 
     groups = {}
     for coeff, src, shift, amp in terms:
         groups.setdefault(shift, []).append((coeff, src, amp))
-    shifts = sorted({abs(shift) for shift in groups}, reverse=True)
-    count = np.zeros(dim, np.int64)  # written positions per row
+    # the main diagonal first, so that its sort's temporaries are gone
+    # before the upper arrays exist
+    diag = np.zeros(dim)
+    c, h = _diagonal_sums(groups.get(0, []))
+    diag[c] = h
+    diag[diag == 0.0] = 0.0  # a cancelled -0.0 reads +0.0, as unstored
+    shifts = sorted({abs(shift) for shift in groups} - {0})
+    count = np.zeros(dim, np.int64)  # upper positions per row
     for s in shifts:
-        # the columns c < dim - s where H on diagonal s (and on -s) or on
-        # the main diagonal gets a sum: sources of shift s, and those of
-        # shift -s moved by -s
+        # the rows c < dim - s where H on diagonal s gets a sum: sources of
+        # shift s, and those of shift -s moved by -s
+        pair = [src for _, src, _ in groups.get(s, ())]
+        pair += [src - s for _, src, _ in groups.get(-s, ())]
+        if len(pair) == 1:
+            count[pair[0]] += 1  # a repeated row still counts once
+            continue
         written = np.zeros(dim - s, bool)
-        for _, src, _ in groups.get(s, ()):
-            written[src] = True
-        for _, src, _ in groups.get(-s, ()) if s else ():
-            written[src - s] = True
-        count[s:] += written
-        if s:
-            count[:dim - s] += written
+        for rows in pair:
+            written[rows] = True
+        count[:dim - s] += written
     nnz = int(count.sum())
     index = _index_dtype(max(dim, nnz))
     indptr = np.zeros(dim + 1, index)
     np.cumsum(count, out=indptr[1:])
     data, indices = np.empty(nnz), np.empty(nnz, index)
-    # the next free slot of each row from its start, and the last one
-    # taken from its end
-    head, tail = indptr[:-1].astype(np.intp), indptr[1:].astype(np.intp)
+    head = indptr[:-1].astype(np.intp)  # the next free slot of each row
     for s in shifts:
         v, written = np.zeros(dim - s), np.zeros(dim - s, bool)
         c, h = _diagonal_sums(groups.get(s, []))
         v[c], written[c] = h, True
-        if s:
-            c, h = _diagonal_sums(groups.get(-s, []))
-            c -= s
-            v[c] += h
-            written[c] = True
+        c, h = _diagonal_sums(groups.get(-s, []))
+        c -= s
+        v[c] += h
+        written[c] = True
         c = np.flatnonzero(written)
-        h = v[c]
-        if s:
-            at = tail[c] - 1
-            tail[c] = at
-            data[at], indices[at] = h, c + s
-        rows = c + s
-        at = head[rows]
-        head[rows] = at + 1
-        data[at], indices[at] = h, c
+        at = head[c]
+        head[c] = at + 1
+        data[at], indices[at] = v[c], c + s
     if np.count_nonzero(data) < nnz:
         keep = data != 0.0
         kept = np.zeros(nnz + 1, np.int64)  # kept entries before each slot
@@ -419,7 +505,7 @@ def _symmetric_csr(terms, dim):
         index = _index_dtype(max(dim, int(kept[-1])))
         indptr = kept[indptr].astype(index, copy=False)
         data, indices = data[keep], indices[keep].astype(index, copy=False)
-    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    return _Half(diag, data, indices, indptr)
 
 
 def build_phi4_hamiltonian(p: ModelParams, d_tensor: CoeffTensor,
@@ -458,7 +544,7 @@ def build_phi4_hamiltonian(p: ModelParams, d_tensor: CoeffTensor,
     applied = [(coeff,) + _apply_term(basis, key[0], key[1])
                for key, coeff in terms.items()
                if key <= (key[1], key[0]) and coeff != 0.0]
-    return FockOperator(basis, _symmetric_csr(applied, basis.dimension))
+    return FockOperator(basis, half=_symmetric_csr(applied, basis.dimension))
 
 
 def _check_kind(t, kind):
@@ -490,22 +576,60 @@ def free_reference_spectrum(p: ModelParams, d_tensor: CoeffTensor, modes: int):
 _BOUND_CHUNK = 2**16  # stored entries per step of _largest_row_sum
 
 
-def _largest_row_sum(mat):
-    """The largest absolute row sum of a CSR matrix, each non-empty row
-    reduced as scipy's sum(axis=1) does.  The rows are taken a chunk of
-    about _BOUND_CHUNK entries at a time, never cutting a row, so only a
-    chunk of |data| is ever copied."""
-    indptr, dim = mat.indptr, mat.shape[0]
+def _half_product(half, x):
+    """H x for a vector or a C-ordered (dim, k) block x, from H's half
+    form.  Starting from zero, scipy's csc_matvec(s) reads the upper arrays
+    as the columns of the strict lower triangle and adds each row's lower
+    entries in ascending column, then the diagonal term is added, and
+    csr_matvec(s) continues each row's sum over its upper entries.  That is
+    the sequential sum csr_matvec(s) forms over a full row of H, so the
+    result equals scipy's full-matrix product bit for bit."""
+    from scipy.sparse import _sparsetools as kernels
+
+    diag, data, indices, indptr = half
+    dim = len(diag)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.zeros(x.shape)
+    if x.ndim == 1:
+        kernels.csc_matvec(dim, dim, indptr, indices, data, x, y)
+        y += diag * x
+        kernels.csr_matvec(dim, dim, indptr, indices, data, x, y)
+    else:
+        k = x.shape[1]
+        kernels.csc_matvecs(dim, dim, k, indptr, indices, data, x.ravel(), y.ravel())
+        y += diag[:, None] * x
+        kernels.csr_matvecs(dim, dim, k, indptr, indices, data, x.ravel(), y.ravel())
+    return y
+
+
+def _largest_row_sum(half):
+    """The largest absolute row sum of a symmetric matrix from its half
+    form, each row summed as _half_product sums it, so bit for bit scipy's
+    abs(H) @ 1 on the full matrix.  One pass goes down the upper rows a
+    chunk of about _BOUND_CHUNK entries at a time, never cutting a row, so
+    only a chunk of |data| is ever copied.  A chunk's entries, read as
+    columns of the lower triangle, finish the lower sums of its own rows
+    (every lower entry of row r sits in an upper row j < r, and the
+    chunks go in ascending j); then the diagonal and the upper entries
+    complete them."""
+    from scipy.sparse import _sparsetools as kernels
+
+    diag, data, indices, indptr = half
+    dim = len(diag)
+    sums, ones = np.zeros(dim), np.ones(dim)
     best, row = 0.0, 0
     while row < dim:
         # the rows that end within the chunk, and at least one
         end = int(np.searchsorted(indptr, indptr[row] + _BOUND_CHUNK, side="right")) - 1
         end = max(end, row + 1)
-        ptr = indptr[row:end + 1]
-        starts = ptr[:-1][ptr[:-1] != ptr[1:]] - ptr[0]
-        if len(starts):
-            sums = np.add.reduceat(np.abs(mat.data[ptr[0]:ptr[-1]]), starts)
-            best = max(best, float(sums.max()))
+        ptr = indptr[row:end + 1] - indptr[row]
+        cut = slice(indptr[row], indptr[end])
+        a, cols = np.abs(data[cut]), indices[cut]
+        kernels.csc_matvec(dim, end - row, ptr, cols, a, ones, sums)
+        part = sums[row:end]
+        part += np.abs(diag[row:end])
+        kernels.csr_matvec(end - row, dim, ptr, cols, a, ones, part)
+        best = max(best, float(part.max()))
         row = end
     return best
 
@@ -515,15 +639,19 @@ def lanczos_lowest(op: FockOperator, count: int, tol: float = 1e-10):
 
     Returns a list of (eigenvalue, residual) pairs sorted ascending.
     Small problems fall back to a dense solve; the iterative path uses a
-    deterministic start vector seeded with _START_SEED.
+    deterministic start vector seeded with _START_SEED.  Both read the
+    operator's half form; ARPACK multiplies by it through _half_product.
     """
-    mat = op.matrix
-    dim = mat.shape[0]
+    half = op.half
+    dim = len(half.diagonal)
     if count < 1 or count > dim:
         raise IndexRangeError("eigenvalue count out of range", count=count, dimension=dim)
-    hnorm = _largest_row_sum(mat) or 1.0
+    hnorm = _largest_row_sum(half) or 1.0
     if dim <= max(128, count + 2):
-        dense = mat.toarray()
+        diag, data, cols, indptr = half
+        rows = _rows_of(indptr)
+        dense = np.diag(diag)
+        dense[rows, cols] = dense[cols, rows] = data
         evals, evecs = np.linalg.eigh(dense)
         evals, evecs = evals[:count], evecs[:, :count]
         resid = np.linalg.norm(dense @ evecs - evecs * evals, axis=0)
@@ -532,6 +660,8 @@ def lanczos_lowest(op: FockOperator, count: int, tol: float = 1e-10):
 
         rng = np.random.default_rng(_START_SEED)
         v0 = rng.standard_normal(dim)
+        mat = spla.LinearOperator((dim, dim), matvec=partial(_half_product, half),
+                                  dtype=np.float64)
         try:
             evals, evecs = spla.eigsh(mat, k=count, which="SA", v0=v0, tol=tol)
         except spla.ArpackNoConvergence as exc:
@@ -542,7 +672,7 @@ def lanczos_lowest(op: FockOperator, count: int, tol: float = 1e-10):
             ) from None
         order = np.argsort(evals)
         evals, evecs = evals[order], evecs[:, order]
-        resid = np.linalg.norm(mat @ evecs - evecs * evals, axis=0)
+        resid = np.linalg.norm(_half_product(half, evecs) - evecs * evals, axis=0)
     bad = resid > tol * hnorm
     if bad.any():
         raise ConvergenceFailureError(
@@ -566,19 +696,21 @@ def block_leakage_counts(op: FockOperator, tol: float = 0.0):
 
     tol filters entries by magnitude; the default counts everything,
     including the ~1e-15 couplings inherited from tensor-table rounding.
+    The counts read the half form: a diagonal entry adds to none of them,
+    and each upper entry counts twice, once for its mirror.
     """
-    coo = op.matrix.tocoo()
+    _, data, indices, indptr = op.half
     occ = op.basis.occupations()
     totals = occ.sum(axis=1)
-    keep = np.abs(coo.data) > tol
-    r, c = coo.row[keep], coo.col[keep]
+    keep = np.abs(data) > tol
+    r, c = _rows_of(indptr)[keep], indices[keep]
     parity_violations = int(np.sum((totals[r] - totals[c]) % 2 != 0))
     off = totals[r] != totals[c]
     at_edge = (occ[r].max(axis=1) == op.basis.cutoff) | (
         occ[c].max(axis=1) == op.basis.cutoff
     )
     return {
-        "parity_violations": parity_violations,
-        "off_block": int(off.sum()),
-        "edge": int((off & at_edge).sum()),
+        "parity_violations": 2 * parity_violations,
+        "off_block": 2 * int(off.sum()),
+        "edge": 2 * int((off & at_edge).sum()),
     }

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
-from wavefield import cli
+from wavefield import cli, fock
 from wavefield.errors import ParseError, ShapeError, WavefieldError
 from wavefield.flow import MAX_FLOW_DIM
 from wavefield.transform import CoeffPyramid, CoeffVector
@@ -273,27 +273,31 @@ def test_pyramid_text_matches_loop(p, order, most):
 @settings(max_examples=60, deadline=None)
 @given(dim=st.integers(1, 8), most=part_lines, data=st.data())
 def test_coo_text_matches_loop(dim, most, data):
+    # a Hamiltonian dump writes the entries of its stored half: a symmetric
+    # matrix from the drawn upper triangle, whole rows possibly empty
     dense = np.array(data.draw(st.lists(st.one_of(st.just(0.0), finite),
                                         min_size=dim * dim, max_size=dim * dim)))
-    mat = scipy.sparse.csr_matrix(dense.reshape(dim, dim))
+    upper = np.triu(dense.reshape(dim, dim))
+    mat = scipy.sparse.csr_matrix(upper + np.triu(upper, 1).T)
+    entries = fock._entries(fock._half_of(mat))
     with mock.patch.object(cli, "_PART_LINES", most):
-        assert joined(cli._matrix_coo_text(mat), most) == coo_text_loop(mat)
+        assert joined(cli._coo_text(dim, *entries), most) == coo_text_loop(mat)
 
 
 @settings(max_examples=100, deadline=None)
 @given(dim=st.integers(1, 8), most=part_lines, data=st.data())
 def test_dense_coo_text_matches_sparse_path(dim, most, data):
-    # the flow output's former path, through scipy.sparse.csr_matrix of the
-    # dense matrix, is the reference: exact zeros of either sign are left
-    # out, and whole rows may be empty
+    # the flow output's former path, the stored entries of
+    # scipy.sparse.csr_matrix of the dense matrix, is the reference: exact
+    # zeros of either sign are left out, and whole rows may be empty
     entry = st.one_of(st.just(0.0), st.just(-0.0), finite)
     dense = np.array(data.draw(st.lists(entry, min_size=dim * dim,
                                         max_size=dim * dim))).reshape(dim, dim)
     for row in data.draw(st.sets(st.integers(0, dim - 1))):
         dense[row] = data.draw(st.sampled_from((0.0, -0.0)))
-    ref = cli._matrix_coo_text(scipy.sparse.csr_matrix(dense))
+    ref = coo_text_loop(scipy.sparse.csr_matrix(dense))
     with mock.patch.object(cli, "_PART_LINES", most):
-        assert joined(cli._dense_coo_text(dense), most) == joined(ref)
+        assert joined(cli._dense_coo_text(dense), most) == ref
 
 
 COLUMNS = {

@@ -33,7 +33,14 @@ from wavefield.fock import (
     lanczos_lowest,
     mode_operator,
 )
-from wavefield.fock import _quadratic_terms, _quartic_terms, _symmetric_csr
+from wavefield.fock import (
+    _full_csr,
+    _half_product,
+    _largest_row_sum,
+    _quadratic_terms,
+    _quartic_terms,
+    _symmetric_csr,
+)
 
 D3 = derivative_overlaps(3)
 G43 = gamma_tensor(3, 4)
@@ -263,6 +270,45 @@ def test_quartic_one_mode_matches_ladder_expansion():
     assert np.abs(h - ref).max() < 1e-12
 
 
+def sinc_dvr_levels(potential, count, half_width=8.0, points=401):
+    """Lowest levels of 1/2 p^2 + potential(x) by the sinc DVR of Colbert
+    and Miller, J. Chem. Phys. 96 (1992) 1982: a uniform grid on
+    [-half_width, half_width], the kinetic matrix in closed form and the
+    potential on the diagonal; no ladder operator enters."""
+    x, dx = np.linspace(-half_width, half_width, points, retstep=True)
+    k = np.subtract.outer(np.arange(points), np.arange(points))
+    with np.errstate(divide="ignore"):
+        kinetic = np.where(k == 0, np.pi**2 / 6.0, (-1.0) ** k / k.astype(float) ** 2)
+    h = kinetic / dx**2 + np.diag(potential(x))
+    return np.linalg.eigvalsh(h)[:count]
+
+
+def test_sinc_dvr_reproduces_hioe_montroll_ground_state():
+    # p^2 + x^2 + x^4 = 2 (1/2 p^2 + 1/2 x^2 + 1/2 x^4); Hioe and Montroll,
+    # J. Math. Phys. 16 (1975) 1945
+    e0 = 2.0 * sinc_dvr_levels(lambda x: 0.5 * x**2 + 0.5 * x**4, 1)[0]
+    assert abs(e0 - 1.392351641530) < 1e-11
+
+
+@pytest.mark.parametrize("mass2, lam, gamma", [(1.0, 0.1, 1.0), (1.0, 1.0, 1.0),
+                                               (0.5, 0.3, 1.3)])
+def test_one_mode_spectrum_matches_sinc_dvr(mass2, lam, gamma):
+    # on one mode the wrapped D sums to zero and the wrapped Gamma4 to one,
+    # so H is the quartic oscillator with the normal ordering (c = <Phi^2>
+    # = 1/(2 gamma)) moved into the mass and the constant:
+    # 1/2 p^2 + 1/2 (mu^2 - 12 lambda c) x^2 + lambda x^4
+    #     - gamma/4 - 1/2 mu^2 c + 3 lambda c^2
+    c = 1.0 / (2.0 * gamma)
+    shift = -gamma / 4.0 - 0.5 * mass2 * c + 3.0 * lam * c**2
+    ref = shift + sinc_dvr_levels(
+        lambda x: 0.5 * (mass2 - 12.0 * lam * c) * x**2 + lam * x**4, 4)
+    basis = FockBasis(1, 80)
+    assert basis.dimension <= 128  # dense path, from the half form
+    h = build_phi4_hamiltonian(ModelParams(mass2, lam, gamma), D3, G43, basis)
+    got = np.array([e for e, _ in lanczos_lowest(h, 4)])
+    assert np.abs(got - ref).max() < 1e-9
+
+
 def test_free_reference_closed_forms():
     om, e0 = free_reference_spectrum(ModelParams(1.0, 0.0, 1.0), D3, 1)
     assert abs(om[0] - 1.0) < 1e-9 and abs(e0) < 1e-9
@@ -332,6 +378,18 @@ def test_lanczos_diagonal_and_closed_form():
     assert abs(out[0][0] + eps) < 1e-14 and abs(out[1][0] - eps) < 1e-14
 
 
+def test_operator_takes_its_matrix_or_its_half_form():
+    b = FockBasis(1, 1)
+    m = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 0.0]]))
+    with pytest.raises(ShapeError):
+        FockOperator(b)
+    with pytest.raises(ShapeError):
+        FockOperator(b, m, half=FockOperator(b, m).half)
+    half = FockOperator(b, m).half
+    assert half.diagonal.tolist() == [1.0, 0.0] and half.data.tolist() == [2.0]
+    assert_csr_bitwise(FockOperator(b, half=half).matrix, m)
+
+
 def test_lanczos_sparse_path_deterministic():
     b = FockBasis(4, 3)
     h = build_phi4_hamiltonian(ModelParams(1.0, 0.1, 1.0), D3, G43, b)
@@ -364,7 +422,8 @@ def test_lanczos_arpack_no_convergence(monkeypatch):
 
 
 def test_lanczos_bound_is_largest_absolute_row_sum():
-    # rows 1 and 3 are empty; the bound scales scipy's row sums of |H|
+    # rows 1 and 3 are empty; the bound scales scipy's sequential row sums
+    # of |H|, the csr_matvec sums of abs(H) @ 1
     r = -np.sqrt(2.0)
     m = sp.csr_matrix(np.array([[0.5, 0.0, r, 0.0],
                                 [0.0, 0.0, 0.0, 0.0],
@@ -372,8 +431,12 @@ def test_lanczos_bound_is_largest_absolute_row_sum():
                                 [0.0, 0.0, 0.0, 0.0]]))
     with pytest.raises(ConvergenceFailureError) as exc:
         lanczos_lowest(FockOperator(FockBasis(1, 3), m), 2, tol=1e-30)
-    hnorm = float(np.abs(m).sum(axis=1).max())
-    assert bits(exc.value.context["bound"]) == bits(1e-30 * hnorm)
+    assert bits(exc.value.context["bound"]) == bits(1e-30 * largest_row_sum(m))
+
+
+def largest_row_sum(m):
+    """The largest of scipy's sequential row sums of |m|."""
+    return float((abs(m) @ np.ones(m.shape[0])).max())
 
 
 def tridiagonal_with_empty_rows(dim, empty, seed):
@@ -397,13 +460,14 @@ def test_lanczos_bound_chunks_keep_row_sums_whole(chunk, empty):
         with mock.patch.object(fock, "_BOUND_CHUNK", chunk), \
                 pytest.raises(ConvergenceFailureError) as exc:
             lanczos_lowest(FockOperator(FockBasis(1, 8), m), 2, tol=1e-30)
-        hnorm = float(np.abs(m).sum(axis=1).max())
-        assert bits(exc.value.context["bound"]) == bits(1e-30 * hnorm)
+        assert bits(exc.value.context["bound"]) == bits(1e-30 * largest_row_sum(m))
 
 
-def test_lanczos_peak_memory_within_quarter_matrix():
-    # the residual bound reads |H| a chunk of rows at a time; a full
-    # np.abs(data) copy took the peak to about two thirds of the matrix
+def test_lanczos_peak_memory_within_0_15_full_matrix():
+    # the eigensolve reads only the half form, and the residual bound reads
+    # |H| a chunk of rows at a time: about 0.11 times the full CSR matrix;
+    # a full np.abs(data) copy took the peak to about two thirds of it, and
+    # expanding the half form to the full matrix would take it above one
     basis = FockBasis(6, 3)
     h = build_phi4_hamiltonian(ModelParams(1.0, 0.3), D3, G43, basis)
     # a first iterative solve loads scipy.sparse.linalg outside the trace
@@ -416,8 +480,7 @@ def test_lanczos_peak_memory_within_quarter_matrix():
     finally:
         tracemalloc.stop()
     assert basis.dimension == 4096  # iterative path
-    m = h.matrix
-    assert peak <= 0.25 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+    assert peak <= 0.15 * full_csr_bytes(h)
 
 
 def test_ground_energy_variational_in_cutoff():
@@ -587,6 +650,15 @@ def applied_terms(draw):
     return terms, dim
 
 
+def assert_half_bitwise(half, ref):
+    """half is the diagonal and strict upper triangle of the symmetric CSR
+    matrix ref, bit for bit, and expands back to ref."""
+    assert (ref != ref.T).nnz == 0
+    assert bits(half.diagonal) == bits(ref.diagonal())
+    assert_csr_bitwise(half, sp.triu(ref, k=1, format="csr"))
+    assert_csr_bitwise(_full_csr(half), ref)
+
+
 @settings(max_examples=300, deadline=None)
 @given(applied_terms())
 # a lone term whose sources repeat must still be summed per column
@@ -597,7 +669,7 @@ def test_symmetric_csr_matches_mirror_tail(case):
     # the one rule that changed: a sum of exactly zero is not stored
     ref.eliminate_zeros()
     got = _symmetric_csr(terms, dim)
-    assert_csr_bitwise(got, ref)
+    assert_half_bitwise(got, ref)
     assert not (got.data == 0.0).any()
 
 
@@ -617,33 +689,93 @@ def test_symmetric_csr_stores_no_exact_zero():
              (-2.0, np.array([4]), -3, 1.0),
              (-1.0, np.array([4]), 0, 3.0)]
     got = _symmetric_csr(terms, 5)
-    assert got.nnz == 2
-    assert got.toarray().tolist() == [[0, 0, 0.25, 0, 0], [0, 0, 0, 0, 0],
-                                      [0.25, 0, 0, 0, 0], [0, 0, 0, 0, 0],
-                                      [0, 0, 0, 0, 0]]
-    assert got.indptr.tolist() == [0, 1, 1, 2, 2, 2]
+    assert got.data.tolist() == [0.25] and got.indices.tolist() == [2]
+    assert got.indptr.tolist() == [0, 1, 1, 1, 1, 1]
+    assert bits(got.diagonal) == bits(np.zeros(5))  # +0.0, the -0.0 too
+    full = _full_csr(got)
+    assert full.nnz == 2
+    assert full.toarray().tolist() == [[0, 0, 0.25, 0, 0], [0, 0, 0, 0, 0],
+                                       [0.25, 0, 0, 0, 0], [0, 0, 0, 0, 0],
+                                       [0, 0, 0, 0, 0]]
+    assert full.indptr.tolist() == [0, 1, 1, 2, 2, 2]
     ref = mirror_tail_reference(terms, 5)
     ref.eliminate_zeros()
-    assert_csr_bitwise(got, ref)
+    assert_half_bitwise(got, ref)
 
 
-def test_assembly_peak_memory_within_1_4_results():
-    # rows counted first, then each diagonal written straight to its CSR
-    # slots: about 1.26 times the result; holding the lower triangle until
-    # the arrays were sized peaked at 1.6 times, one sort of every entry
-    # and scipy's S + T merge at 2.2, and the mirrored COO arrays and
-    # scipy's per-row re-sort before that above five times
+# vector entries: both signed zeros and magnitudes from 1e-12 to 1e12
+wide_values = st.one_of(
+    st.sampled_from((0.0, -0.0)),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-9.99, 9.99), st.integers(-12, 11)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(applied_terms(), st.integers(1, 3), st.data())
+def test_half_product_matches_full_csr_product(case, k, draw):
+    # the reference keeps its exact-zero sums stored: a stored 0 adds a
+    # signed zero to a row sum that never holds -0.0, so it cannot show
+    terms, dim = case
+    ref = mirror_tail_reference(terms, dim)
+    half = _symmetric_csr(terms, dim)
+    x = np.array(draw.draw(st.lists(wide_values, min_size=dim, max_size=dim)))
+    assert bits(_half_product(half, x)) == bits(ref @ x)
+    block = np.array(draw.draw(st.lists(wide_values, min_size=dim * k,
+                                        max_size=dim * k))).reshape(dim, k)
+    assert bits(_half_product(half, block)) == bits(ref @ block)
+    for chunk in (1, 2, fock._BOUND_CHUNK):
+        with mock.patch.object(fock, "_BOUND_CHUNK", chunk):
+            assert bits(_largest_row_sum(half)) == bits(largest_row_sum(ref))
+
+
+def full_csr_lanczos(mat, count, tol=1e-10):
+    """The iterative path on the full CSR matrix, the oracle for
+    lanczos_lowest: scipy's eigsh on mat itself from the same start vector,
+    residuals from mat's own product, and the bound from its sequential
+    row sums."""
+    import scipy.sparse.linalg as spla
+
+    v0 = np.random.default_rng(fock._START_SEED).standard_normal(mat.shape[0])
+    evals, evecs = spla.eigsh(mat, k=count, which="SA", v0=v0, tol=tol)
+    order = np.argsort(evals)
+    evals, evecs = evals[order], evecs[:, order]
+    resid = np.linalg.norm(mat @ evecs - evecs * evals, axis=0)
+    return evals, resid, tol * largest_row_sum(mat)
+
+
+def test_lanczos_matches_full_csr_eigsh_bitwise():
+    basis = FockBasis(6, 3)
+    h = build_phi4_hamiltonian(ModelParams(1.0, 0.3), D3, G43, basis)
+    assert basis.dimension == 4096  # iterative path
+    evals, resid, bound = full_csr_lanczos(h.matrix, 4)
+    got = lanczos_lowest(h, 4)
+    assert bits([e for e, _ in got]) == bits(evals)
+    assert bits([r for _, r in got]) == bits(resid)
+    assert bits(1e-10 * _largest_row_sum(h.half)) == bits(bound)
+
+
+def full_csr_bytes(op):
+    m = op.matrix
+    return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+
+
+def test_assembly_peak_memory_within_0_65_full_matrix():
+    # the diagonal and the upper triangle only, the diagonal summed before
+    # the upper arrays exist, rows counted first and each diagonal written
+    # straight to its slots: about 0.61 times the full CSR matrix.  With
+    # the diagonal summed last the peak was 0.76 times, with both
+    # triangles stored 1.26, holding the lower triangle until the arrays
+    # were sized 1.6, one sort of every entry and scipy's S + T merge 2.2,
+    # and the mirrored COO arrays and scipy's per-row re-sort above five
     p, basis = ModelParams(1.0, 0.3), FockBasis(6, 3)
     build_phi4_hamiltonian(p, D3, G43, FockBasis(2, 2))
     tracemalloc.start()
     try:
-        got = build_phi4_hamiltonian(p, D3, G43, basis).matrix
+        h = build_phi4_hamiltonian(p, D3, G43, basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert basis.dimension == 4096
-    result = got.data.nbytes + got.indices.nbytes + got.indptr.nbytes
-    assert peak <= 1.4 * result
+    assert peak <= 0.65 * full_csr_bytes(h)
 
 
 def mode_operator_reference(basis, mode, which, gamma):
