@@ -14,10 +14,13 @@ Bulk text is written and read at array speed, in bounded parts, with
 these formats unchanged.  A writer yields its text in parts of at most
 _PART_LINES lines, each formatted by one %-operation, and run() writes
 and digests the parts one at a time, so no whole output string exists.
-A reader cuts its input into chunks of about _CHUNK_CHARS characters,
-each ending just after a newline, and parses each chunk's lines in one
-pass of C-level iteration; it scans a chunk line by line only after
-that pass has failed, to name the line at fault in its ParseError.
+A dwt reader streams its file _CHUNK_CHARS characters at a time, each
+read cut just after its last newline, so no whole file is held, and
+parses each piece's lines in one pass of C-level iteration; it scans a
+piece line by line only after that pass has failed, and reads the file
+again only to name the line of a nan, an inf or a byte that is not
+UTF-8, so every ParseError names the line at fault.  The manifest
+digests each input file's bytes, read in binary parts.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import os
 import re
 import sys
 import time
+from contextlib import contextmanager
 from itertools import chain, compress, count, repeat
 from operator import contains
 
@@ -68,7 +72,7 @@ from .transform import CoeffPyramid, CoeffVector, multilevel
 __all__ = ["build_parser", "run", "main"]
 
 _PART_LINES = 2**14  # lines per part a writer yields
-_CHUNK_CHARS = 2**20  # a reader's chunk: this many characters, on to a newline
+_CHUNK_CHARS = 2**16  # characters a reader reads at a time
 
 
 def _rows(fmt: str, *columns):
@@ -90,9 +94,16 @@ def _csv(header: str, *columns):
     """CSV table of equal-length columns: ints and strings are printed
     through str, every other value through %.17g.  The rule holds value by
     value, so a column mixing the two kinds is converted one value at a
-    time; any other column takes one conversion for all its rows."""
+    time; any other column takes one conversion for all its rows.  A
+    float64 array goes to _rows as it is, which converts it a part at a
+    time."""
     specs, cols = [], []
-    for col in map(list, columns):
+    for col in columns:
+        if isinstance(col, np.ndarray) and col.dtype == np.float64:
+            specs.append("%.17g")
+            cols.append(col)
+            continue
+        col = list(col)
         as_str = {issubclass(t, (int, str)) for t in set(map(type, col))}
         if len(as_str) == 2:
             col = [str(v) if isinstance(v, (int, str)) else "%.17g" % float(v)
@@ -106,10 +117,6 @@ def _json(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _write_parts(fh, text) -> str:
     """Write text, a str or an iterable of str parts, to fh one part at a
     time; the sha256 digest of its UTF-8 bytes, updated part by part."""
@@ -120,12 +127,76 @@ def _write_parts(fh, text) -> str:
     return digest.hexdigest()
 
 
-def _read_text(path: str) -> str:
+def _sha256_file(path: str) -> str:
+    """sha256 digest of the file's bytes, read in binary parts."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for part in iter(lambda: fh.read(_CHUNK_CHARS), b""):
+            digest.update(part)
+    return digest.hexdigest()
+
+
+@contextmanager
+def _text_file(path: str, errors: str = "strict"):
+    """The file at path opened as UTF-8 text in universal newline mode; a
+    failed read, or a byte that is not UTF-8, is a ParseError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "r", encoding="utf-8", errors=errors) as fh:
+            yield fh
     except OSError as e:
         raise ParseError(f"cannot read input file: {e}", path=path)
+    except UnicodeDecodeError:
+        raise ParseError("input is not UTF-8 text", path=path,
+                         line=_first_line(path, _UNDECODED.search))
+
+
+def _read_text(path: str) -> str:
+    with _text_file(path) as fh:
+        return fh.read()
+
+
+def _line_chunks(fh):
+    """The lines of an open text file in consecutive pieces, each with the
+    number of its first line.  The file is read _CHUNK_CHARS characters at
+    a time, each read is cut just after its last '\n', and the rest is
+    carried on to the next read.  A '\n' always ends a line and never
+    splits a '\r\n', so the pieces joined are exactly the splitlines() of
+    the whole text."""
+    first, rest = 1, ""
+    for text in iter(lambda: fh.read(_CHUNK_CHARS), ""):
+        cut = text.rfind("\n") + 1
+        if not cut:
+            rest += text
+            continue
+        lines = (rest + text[:cut]).splitlines()
+        rest = text[cut:]
+        yield first, lines
+        first += len(lines)
+    if rest:
+        yield first, rest.splitlines()
+
+
+def _read_lines(path: str):
+    """_line_chunks of the file at path."""
+    with _text_file(path) as fh:
+        yield from _line_chunks(fh)
+
+
+# a byte that is not UTF-8, read with errors="surrogateescape": a lone
+# surrogate, which no UTF-8 text holds
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+def _first_line(path: str, test) -> int | None:
+    """Number of the first line of the file for which test(line) holds,
+    each byte that is not UTF-8 read as a lone surrogate: the rescan that
+    names the line at fault once a reader has failed."""
+    with _text_file(path, "surrogateescape") as fh:
+        for first, lines in _line_chunks(fh):
+            for ln, s in enumerate(lines, first):
+                if test(s):
+                    return ln
+    return None
 
 
 def _cache_dir(args) -> str:
@@ -204,17 +275,19 @@ def _cmd_scalfun(args):
 
 # ---------------------------------------------------------------- dwt
 
-def _checked_finite(values, text, path, column=0):
+def _checked_finite(values, path, column=0):
     """values, refused if any is nan or inf by one array check; only then is
-    the text scanned for the first non-'#' line with a bad column field."""
+    the file read again for the first non-'#' line with a bad column field."""
     if np.isfinite(values).all():
         return values
-    line = next(
-        ln for ln, parts in enumerate(map(str.split, text.splitlines()), 1)
-        if len(parts) > column and not parts[0].startswith("#")
-        and not np.isfinite(float(parts[column]))
-    )
-    raise ParseError("non-finite value in input", path=path, line=line)
+
+    def bad(s):
+        parts = s.split()
+        return (len(parts) > column and not parts[0].startswith("#")
+                and not np.isfinite(float(parts[column])))
+
+    raise ParseError("non-finite value in input", path=path,
+                     line=_first_line(path, bad))
 
 
 def _floats(lines) -> np.ndarray:
@@ -234,23 +307,9 @@ def _first_refused(lines, first_line) -> int:
                 return ln
 
 
-def _line_chunks(text):
-    """text.splitlines() in consecutive pieces, each with the number of its
-    first line.  A piece is the lines of at least _CHUNK_CHARS characters
-    of text (the last may be shorter) cut just after a '\n'.  A '\n'
-    always ends a line and never splits a '\r\n', so the pieces joined
-    are exactly text.splitlines()."""
-    start, first = 0, 1
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
-        lines = text[start:end].splitlines()
-        yield first, lines
-        start, first = end, first + len(lines)
-
-
-def _parse_plain_values(text, path):
+def _parse_plain_values(path):
     runs = [np.empty(0)]  # the values of each chunk
-    for first, lines in _line_chunks(text):
+    for first, lines in _read_lines(path):
         try:
             runs.append(_floats(lines))
         except ValueError:
@@ -259,7 +318,7 @@ def _parse_plain_values(text, path):
     vals = np.concatenate(runs)
     if not len(vals):
         raise ParseError("empty input", path=path)
-    return _checked_finite(vals, text, path)
+    return _checked_finite(vals, path)
 
 
 def _serialize_pyramid(p: CoeffPyramid, order: int):
@@ -278,7 +337,7 @@ _PYRAMID_META = re.compile(r"# order (\d+) levels (\d+) length (\d+)")
 _PYRAMID_BLOCK = re.compile(r"# (coarse|detail \d+) scale (-?\d+) length (\d+)")
 
 
-def _parse_pyramid(text, path) -> tuple:
+def _parse_pyramid(path) -> tuple:
     """Read _serialize_pyramid output back: block 0 is the coarse block,
     block i the detail i, and every declared length matches its values.
 
@@ -287,7 +346,7 @@ def _parse_pyramid(text, path) -> tuple:
     parsed whole."""
     heads = []  # (line, text, number of values before it) of each '#' line
     runs = [np.empty(0)]  # the values of each run of value lines
-    for first, lines in _line_chunks(text):
+    for first, lines in _read_lines(path):
         marks = [i for i in compress(count(), map(contains, lines, repeat("#")))
                  if lines[i].lstrip().startswith("#")]
         for head, end in zip([-1, *marks], [*marks, len(lines)]):
@@ -316,7 +375,7 @@ def _parse_pyramid(text, path) -> tuple:
         raise ParseError(
             f"expected {levels + 1} blocks, found {len(heads) - 2}", path=path
         )
-    vals = _checked_finite(np.concatenate(runs), text, path)
+    vals = _checked_finite(np.concatenate(runs), path)
     ends = [first for *_, first in heads[3:]] + [len(vals)]
     vecs = []
     for i, ((ln, s, first), end) in enumerate(zip(heads[2:], ends)):
@@ -338,10 +397,11 @@ def _parse_pyramid(text, path) -> tuple:
 
 def _cmd_dwt(args):
     fp = make_filters(args.order)
-    # the input text is held only by the reader, and dropped once parsed
+    # the readers hold one chunk of the input text at a time, and the
+    # parsed signal is held only by its vector
     if args.direction == "forward":
-        vals = _parse_plain_values(_read_text(args.input), args.input)
-        pyr = multilevel(CoeffVector(0, vals), fp, args.levels, "forward")
+        pyr = multilevel(CoeffVector(0, _parse_plain_values(args.input)), fp,
+                         args.levels, "forward")
         if args.format == "json":
             out = _json({
                 "order": args.order,
@@ -356,7 +416,7 @@ def _cmd_dwt(args):
         else:
             out = _serialize_pyramid(pyr, args.order)
     else:
-        order_in, pyr = _parse_pyramid(_read_text(args.input), args.input)
+        order_in, pyr = _parse_pyramid(args.input)
         if order_in != args.order or pyr.levels != args.levels:
             raise ParseError(
                 "pyramid metadata disagrees with the flags",
@@ -462,7 +522,8 @@ def _coo_entries(entries, dim):
     return np.array(rows, np.int64), np.array(cols, np.int64), vals
 
 
-def _parse_coo(text, path) -> np.ndarray:
+def _parse_coo(path) -> np.ndarray:
+    text = _read_text(path)
     lines = text.splitlines()
     head_line = next((ln for ln, s in enumerate(lines, 1) if s.strip()), None)
     if head_line is None:
@@ -489,8 +550,8 @@ def _parse_coo(text, path) -> np.ndarray:
         rows, cols, vals = _coo_entries(entries, dim)
     except ValueError:
         raise _coo_entry_error(text, dim, path)
-    del entries
-    vals = _checked_finite(vals, text, path, column=2)
+    del entries, text
+    vals = _checked_finite(vals, path, column=2)
     # repeated entries add up in file order from 0.0, as np.add.at on a
     # zero matrix adds them; a sum that overflows is left as inf for
     # FlowState to refuse.  With no entries bincount counts in integers.
@@ -499,7 +560,7 @@ def _parse_coo(text, path) -> np.ndarray:
 
 
 def _cmd_flow(args):
-    h0 = _parse_coo(_read_text(args.input), args.input)
+    h0 = _parse_coo(args.input)
     genspec = "wegner-diagonal" if args.generator == "diag" else "wegner-block"
     if genspec == "wegner-block" and args.partition is None:
         raise ShapeError("--generator block requires --partition")
@@ -709,10 +770,7 @@ def run(argv=None) -> int:
                 "version": __version__,
                 "subcommand": args.cmd,
                 "parameters": params,
-                "inputs": {
-                    path: _sha256(_read_text(path).encode())
-                    for path in input_paths
-                },
+                "inputs": {path: _sha256_file(path) for path in input_paths},
                 "outputs": outputs,
                 "wall_time_s": round(wall, 6),
             }

@@ -18,7 +18,10 @@ already decays the off-generator blocks.  srg_flow integrates it as an
 autonomous ODE with the Dormand-Prince 8(5,3) pair (DOP853), re-reading
 the generator at every stage; the right-hand side uses the structure of
 G (one n x n product for the diagonal generator, six block products for
-the block one).  At the flow's tolerance the step size is limited by
+the block one).  Both generators keep a direct sum block diagonal, so
+the flow runs on the connected components of the start matrix's
+nonzero pattern, each a dense block of its own, with one shared step.
+At the flow's tolerance the step size is limited by
 accuracy, not stability, so a high-order pair takes far fewer steps.  A
 sign probe still watches the first accepted step and raises a flag
 instead of proceeding silently if the off norm grows.
@@ -26,7 +29,8 @@ instead of proceeding silently if the off norm grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -263,25 +267,49 @@ def _combine(h, weights, ks, dt):
     return y
 
 
-def _dop853_step(h, k1, dt, rhs):
-    """One DOP853 attempt from h, where k1 = rhs(h).
+def _dop853_step(blocks, k1s, dt, rhss):
+    """One DOP853 attempt from every block with one shared dt, where
+    k1s[i] = rhss[i](blocks[i]).
 
-    Returns the eighth-order point and Hairer's combined error estimate
-    in the Frobenius norm, dt |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2): of
-    eighth order, with the third-order difference guarding against a
-    fifth-order difference that vanishes by accident.  The squared norms
-    are numpy sums of squares, not BLAS dot products, so the estimate
-    does not depend on the BLAS thread count.  Costs eleven right-hand
-    sides.
+    Returns the blocks' eighth-order points and Hairer's combined error
+    estimate in the Frobenius norm over all the blocks,
+    dt |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2): of eighth order, with the
+    third-order difference guarding against a fifth-order difference that
+    vanishes by accident.  Each squared norm is summed block by block from
+    numpy sums of squares, not BLAS dot products, so the estimate does not
+    depend on the BLAS thread count.  The blocks are stepped one after the
+    other, so only one block's stages are held at a time.  Costs eleven
+    right-hand sides per block.
     """
-    ks = [k1]
-    for row in _DOP_A:
-        ks.append(rhs(_combine(h, row, ks, dt)))
-    zero = np.zeros_like(h)
-    e5 = float((_combine(zero, _DOP_E5, ks, 1.0) ** 2).sum())
-    e3 = float((_combine(zero, _DOP_E3, ks, 1.0) ** 2).sum())
+    points, e5, e3 = [], 0.0, 0.0
+    for h, k1, rhs in zip(blocks, k1s, rhss):
+        ks = [k1]
+        for row in _DOP_A:
+            ks.append(rhs(_combine(h, row, ks, dt)))
+        zero = np.zeros_like(h)
+        e5 += float((_combine(zero, _DOP_E5, ks, 1.0) ** 2).sum())
+        e3 += float((_combine(zero, _DOP_E3, ks, 1.0) ** 2).sum())
+        points.append(_combine(h, _DOP_B, ks, dt))
     err = 0.0 if e5 == 0.0 else dt * e5 / np.sqrt(e5 + 0.01 * e3)
-    return _combine(h, _DOP_B, ks, dt), float(err)
+    return points, float(err)
+
+
+def _components(h):
+    """Index arrays of the connected components of h's nonzero pattern,
+    each ascending, in the order of their smallest index."""
+    linked = h != 0
+    left = np.ones(h.shape[0], dtype=bool)
+    comps = []
+    while left.any():
+        members = np.zeros_like(left)
+        members[np.argmax(left)] = True
+        frontier = members.copy()
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~members
+            members |= frontier
+        left &= ~members
+        comps.append(np.flatnonzero(members))
+    return comps
 
 
 def srg_flow(state: FlowState, lambda_end: float, control: StepControl | None = None):
@@ -299,10 +327,24 @@ def srg_flow(state: FlowState, lambda_end: float, control: StepControl | None = 
     drift by at most 3.2e-14, and tightening tol to 1e-15 moves the final
     matrix by roundoff only.  Step control takes its norms as numpy sums,
     not BLAS dot products, so it adds no dependence on the BLAS thread
-    count to that of the right-hand side's matrix products.  Returns the
-    final state, the trajectory log
+    count to that of the right-hand side's matrix products.
+
+    The flow keeps a direct sum block diagonal (Wegner, Ann. Phys.
+    (Leipzig) 3 (1994) 77): both generators are direct sums when H is, so
+    no entry between two blocks ever becomes nonzero.  The connected
+    components of H_0's nonzero pattern are therefore found once, and each
+    is flowed as a dense block of its own, all with one shared step; the
+    block generator splits a block after its indices below the partition,
+    and a block on one side of it stays constant.  The error estimate and
+    the off norm are summed over the blocks and the drift is taken over
+    the union of their spectra.  A matrix of one component takes exactly
+    the arithmetic of a dense flow of the whole.
+
+    Returns the final state, the trajectory log
     [(lambda, off_norm, eigen_drift), ...] with one row per accepted
     step, and a report dict with step statistics and the sign-probe flag.
+    A StiffnessError carries the trajectory so far and the state, with
+    the blocks put back in place.
     """
     if control is None:
         control = StepControl()
@@ -312,42 +354,59 @@ def srg_flow(state: FlowState, lambda_end: float, control: StepControl | None = 
         raise ShapeError("flow end point must be finite", end=lambda_end)
     h = 0.5 * (state.h_matrix + state.h_matrix.T)
     spec, part = state.generator_spec, state.partition
-    eig0 = np.sort(np.linalg.eigvalsh(h))
-    escale = max(1.0, float(np.abs(eig0).max()))
+    n = h.shape[0]
+    index = _components(h)
+    parts = [None if part is None else int(np.count_nonzero(idx < part))
+             for idx in index]
+    rhss = [partial(_wegner_rhs, spec=spec, partition=p) for p in parts]
     hnorm = max(1.0, float(np.sqrt((h**2).sum())))
+    blocks = [h[np.ix_(idx, idx)] for idx in index]
+    del h
     tol_eff = control.tol * hnorm
 
-    def drift_of(m):
-        return float(np.abs(np.sort(np.linalg.eigvalsh(m)) - eig0).max()) / escale
+    def spectrum(ms):
+        return np.sort(np.concatenate([np.linalg.eigvalsh(m) for m in ms]))
 
-    def rhs(m):
-        return _wegner_rhs(m, spec, part)
+    eig0 = spectrum(blocks)
+    escale = max(1.0, float(np.abs(eig0).max()))
+
+    def drift_of(ms):
+        return float(np.abs(spectrum(ms) - eig0).max()) / escale
+
+    def off_of(ms):
+        return sum(_off_norm2(m, spec, p) for m, p in zip(ms, parts))
+
+    def state_of(lam, ms):
+        h = np.zeros((n, n))
+        for idx, m in zip(index, ms):
+            h[np.ix_(idx, idx)] = m
+        return FlowState(lam, h, spec, part)
 
     lam = state.lam
-    off = _off_norm2(h, spec, part)
+    off = off_of(blocks)
     trajectory = [(lam, np.sqrt(off), 0.0)]
     dt = min(control.initial_step, max(lambda_end - lam, control.min_step))
     sign_flag = False
     monotonicity_breaks = 0
     accepted = rejected = 0
     first_accept = True
-    k1 = rhs(h)
+    k1s = [rhs(b) for rhs, b in zip(rhss, blocks)]
     while lam < lambda_end and accepted + rejected < control.max_steps:
         remaining = lambda_end - lam
         dt_try = min(dt, remaining)
-        h_new, err = _dop853_step(h, k1, dt_try, rhs)
+        points, err = _dop853_step(blocks, k1s, dt_try, rhss)
         if err <= tol_eff:
-            h, k1 = h_new, rhs(h_new)
+            blocks, k1s = points, [rhs(b) for rhs, b in zip(rhss, points)]
             lam = lambda_end if dt_try >= remaining else lam + dt_try
             accepted += 1
-            new_off = _off_norm2(h, spec, part)
+            new_off = off_of(blocks)
             if new_off > off + 1e-13 * hnorm**2:
                 if first_accept:
                     sign_flag = True
                 monotonicity_breaks += 1
             off = new_off
             first_accept = False
-            trajectory.append((lam, np.sqrt(max(off, 0.0)), drift_of(h)))
+            trajectory.append((lam, np.sqrt(max(off, 0.0)), drift_of(blocks)))
         else:
             rejected += 1
         grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol_eff / err) ** 0.125))
@@ -358,7 +417,7 @@ def srg_flow(state: FlowState, lambda_end: float, control: StepControl | None = 
                 lam=lam,
                 step=dt,
                 trajectory=trajectory,
-                state=FlowState(lam, h, spec, part),
+                state=state_of(lam, blocks),
             )
     if lam < lambda_end:
         raise StiffnessError(
@@ -366,9 +425,9 @@ def srg_flow(state: FlowState, lambda_end: float, control: StepControl | None = 
             lam=lam,
             steps=accepted + rejected,
             trajectory=trajectory,
-            state=FlowState(lam, h, spec, part),
+            state=state_of(lam, blocks),
         )
-    final = FlowState(lam, h, spec, part)
+    final = state_of(lam, blocks)
     report = {
         "accepted": accepted,
         "rejected": rejected,

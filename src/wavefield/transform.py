@@ -5,7 +5,10 @@ coarse and a detail channel of length N/2 at scale k-1, via the filter
 pair (h, g).  Periodization keeps the step exactly orthogonal, so the
 multilevel pyramid preserves the Euclidean norm to rounding.  The same
 step applied to the N x N identity is the stage matrix W that the
-two-scale split of `flow` contracts the coefficient tensors with.
+two-scale split of `flow` contracts the coefficient tensors with.  The
+step forms its stride-2 windows a fixed block of output rows at a time,
+straight from the input, so neither the whole window array nor the
+periodic extension of a long signal exists.
 """
 
 from __future__ import annotations
@@ -76,12 +79,32 @@ class CoeffPyramid:
         return np.concatenate(parts)
 
 
-def _step_windows(x, taps):
-    """Entry [m, ..., l] is x[(2m + l) mod n, ...], l = 0..taps-1: the
-    stride-2 windows along axis 0 of the periodically extended input,
-    tap axis last, copied once to contiguous memory."""
-    ext = np.concatenate([x, x[:taps - 2]])
-    return np.ascontiguousarray(sliding_window_view(ext, taps, axis=0)[::2])
+_STEP_ROWS = 2**14  # output rows of a step formed at a time; a power of two
+
+
+def _step_products(x, fp: FilterPair):
+    """Row m of (coarse, detail) sums h_l (g_l) x[(2m + l) mod n] along
+    axis 0, l = 0..taps-1.  The stride-2 windows are copied to contiguous
+    memory _STEP_ROWS output rows at a time, straight from x, and each
+    block takes one product with h and one with g; only a block that
+    reaches past the end of x joins its wrapped head on.  When the rows
+    are one block or a whole number of them, as for every power-of-two
+    length, each output has the bits of one product over all the
+    windows; blocks of other sizes can move last bits."""
+    n, taps = len(x), len(fp.h)
+    m = n // 2
+    coarse = np.empty((m,) + x.shape[1:])
+    detail = np.empty_like(coarse)
+    for start in range(0, m, _STEP_ROWS):
+        end = min(start + _STEP_ROWS, m)
+        stop = 2 * end + taps - 2  # one past the last input the block reads
+        seg = (x[2 * start:stop] if stop <= n
+               else np.concatenate([x[2 * start:], x[:stop - n]]))
+        windows = np.ascontiguousarray(
+            sliding_window_view(seg, taps, axis=0)[::2])
+        coarse[start:end] = windows @ fp.h
+        detail[start:end] = windows @ fp.g
+    return coarse, detail
 
 
 def analysis_step(v: CoeffVector, fp: FilterPair):
@@ -96,11 +119,8 @@ def analysis_step(v: CoeffVector, fp: FilterPair):
             length=n,
             order=fp.order,
         )
-    windows = _step_windows(v.values, len(fp.h))
-    return (
-        CoeffVector(v.scale - 1, windows @ fp.h),
-        CoeffVector(v.scale - 1, windows @ fp.g),
-    )
+    coarse, detail = _step_products(v.values, fp)
+    return CoeffVector(v.scale - 1, coarse), CoeffVector(v.scale - 1, detail)
 
 
 def stage_matrix(fp: FilterPair, n: int) -> np.ndarray:
@@ -109,8 +129,7 @@ def stage_matrix(fp: FilterPair, n: int) -> np.ndarray:
     the g (detail) rows, with periodic wrapping of the column index."""
     if n < 2 * fp.order or n % 2:
         raise ShapeError("stage needs even N >= 2K", n=n, order=fp.order)
-    windows = _step_windows(np.eye(n), len(fp.h))
-    return np.concatenate([windows @ fp.h, windows @ fp.g])
+    return np.concatenate(_step_products(np.eye(n), fp))
 
 
 def synthesis_step(coarse: CoeffVector, detail: CoeffVector, fp: FilterPair):

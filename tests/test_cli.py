@@ -226,6 +226,32 @@ def test_dwt_forward_names_bad_line(text, message, line, tmp_path, capsys,
     assert err.rstrip().endswith(f"line={line}")
 
 
+# a byte that is no UTF-8 is refused as a parse error naming its line,
+# whether it sits in the first piece a reader reads or far past it
+@pytest.mark.parametrize("before", [2, 40000])
+def test_dwt_forward_refuses_non_utf8(before, tmp_path, capsys, cachedir):
+    src = tmp_path / "v.csv"
+    src.write_bytes(b"1\r\n" * before + b"2\xff\n" + b"3\n" * 5)
+    rc, out, err = invoke(
+        ["dwt", "--order", "1", "--levels", "1", "--input", str(src),
+         "--direction", "forward"], capsys)
+    assert rc == 1 and out == ""
+    assert err == (f"parse: input is not UTF-8 text path={src} "
+                   f"line={before + 1}\n")
+
+
+def test_dwt_inverse_refuses_non_utf8(tmp_path, capsys, cachedir):
+    lines = [s.encode() for s in PYRAMID_OK]
+    lines[6] = b"0\xff"
+    src = tmp_path / "p.txt"
+    src.write_bytes(b"\n".join(lines) + b"\n")
+    rc, out, err = invoke(
+        ["dwt", "--order", "1", "--levels", "1", "--input", str(src),
+         "--direction", "inverse"], capsys)
+    assert rc == 1 and out == ""
+    assert err == f"parse: input is not UTF-8 text path={src} line=7\n"
+
+
 # ------------------------------------------------------------- coeffs
 
 def test_coeffs_table_and_cache_hit(capsys, cachedir):
@@ -564,6 +590,16 @@ def test_flow_names_bad_line(text, message, line, tmp_path, capsys, cachedir):
     assert err.rstrip().endswith(f"line={line}")
 
 
+def test_flow_refuses_non_utf8(tmp_path, capsys, cachedir):
+    src = tmp_path / "h.coo"
+    src.write_bytes(b"2 2\n0 0 1\n1 1 \xff\n")
+    rc, out, err = invoke(
+        ["flow", "--input", str(src), "--generator", "diag",
+         "--lambda-end", "0.5"], capsys)
+    assert rc == 1 and out == ""
+    assert err == f"parse: input is not UTF-8 text path={src} line=3\n"
+
+
 def test_flow_cap_checked_before_allocation(tmp_path, capsys, cachedir):
     # a dense 10^8 x 10^8 matrix cannot be allocated; the header is refused
     # before anything is
@@ -746,6 +782,21 @@ def test_manifest_tracks_inputs(tmp_path, capsys, cachedir):
     assert rec["inputs"][str(src)] == digest
     assert rec["outputs"]["stdout"] == hashlib.sha256(
         out.encode()).hexdigest()
+
+
+def test_manifest_hashes_input_bytes(tmp_path, capsys, cachedir):
+    # the digest is of the file as stored, not of the text read from it in
+    # universal newline mode, which reads '1\r\n' as '1\n'
+    src = tmp_path / "v.csv"
+    src.write_bytes(b"1\r\n" * 4)
+    mani = tmp_path / "runs.jsonl"
+    rc, _, _ = invoke(
+        ["dwt", "--order", "1", "--levels", "1", "--input", str(src),
+         "--direction", "forward", "--manifest", str(mani)], capsys)
+    assert rc == 0
+    digest = json.loads(mani.read_text())["inputs"][str(src)]
+    assert digest == hashlib.sha256(b"1\r\n" * 4).hexdigest()
+    assert digest != hashlib.sha256(b"1\n" * 4).hexdigest()
 
 
 def test_cache_flag_overrides_env(tmp_path, capsys, cachedir):

@@ -4,10 +4,15 @@ The loops below are the writers and readers the CLI had before it
 formatted and parsed whole blocks at once; they stay here as the
 reference.  A writer's parts, joined, must give the same text, a reader
 the same values or the same ParseError (message and context), whatever
-the part and chunk sizes.
+the part and chunk sizes.  A reader takes the path of a file, so each
+text is written to a file byte for byte; the reference loop takes the
+text itself.
 """
 
+import os
+import tempfile
 import tracemalloc
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -59,7 +64,8 @@ def coo_text_loop(mat):
     return "\n".join(lines) + "\n"
 
 
-# the readers share cli._checked_finite, which no change here touches
+# the readers share cli._checked_finite, which reads the file at path
+# again to name the line of a nan or inf
 
 def parse_plain_loop(text, path):
     vals = []
@@ -73,7 +79,7 @@ def parse_plain_loop(text, path):
             raise ParseError("non-numeric value in input", path=path, line=ln)
     if not vals:
         raise ParseError("empty input", path=path)
-    return cli._checked_finite(np.array(vals), text, path)
+    return cli._checked_finite(np.array(vals), path)
 
 
 def parse_pyramid_loop(text, path):
@@ -104,7 +110,7 @@ def parse_pyramid_loop(text, path):
         raise ParseError(
             f"expected {levels + 1} blocks, found {len(heads) - 2}", path=path
         )
-    vals = cli._checked_finite(np.array(vals), text, path)
+    vals = cli._checked_finite(np.array(vals), path)
     ends = [first for *_, first in heads[3:]] + [len(vals)]
     vecs = []
     for i, ((ln, s, first), end) in enumerate(zip(heads[2:], ends)):
@@ -158,7 +164,7 @@ def parse_coo_loop(text, path):
         rows.append(r)
         cols.append(c)
         vals.append(v)
-    vals = cli._checked_finite(np.array(vals), text, path, column=2)
+    vals = cli._checked_finite(np.array(vals), path, column=2)
     mat = np.zeros((dim, dim))
     with np.errstate(over="ignore"):
         np.add.at(mat, (np.array(rows, np.int64), np.array(cols, np.int64)), vals)
@@ -198,9 +204,9 @@ def pyramids():
 # after a '\n', so each of these must survive sitting at or beside a cut
 TERMINATORS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
                "\x85", "\u2028", "\u2029")
-# characters per reader chunk: 1 to 64 cut nearly every line, 2**20 is
+# characters per reader chunk: 1 to 64 cut nearly every line, 2**16 is
 # the CLI's own
-chunk_chars = st.one_of(st.integers(1, 64), st.just(2**20))
+chunk_chars = st.one_of(st.integers(1, 64), st.just(2**16))
 
 
 @st.composite
@@ -226,18 +232,32 @@ def dressed(draw, lines, corruptions=(), ends=("\n", "\n", "\r\n")):
     return text if draw(st.booleans()) else text.rstrip("\r\n")
 
 
+@contextmanager
+def text_file(text):
+    """Path of a temporary file holding text as UTF-8, its line ends
+    written as they are."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "in.txt")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        yield path
+
+
 def same_outcome(new, old, text):
-    """new(text) and old(text) return equal values or raise the same error."""
-    try:
-        want = old(text, "in.txt")
-    except WavefieldError as e:
+    """new(path) on a file holding text and old(text, path) return equal
+    values or raise the same error."""
+    with text_file(text) as path:
         try:
-            new(text, "in.txt")
-        except WavefieldError as f:
-            assert (type(f), str(f), f.context) == (type(e), str(e), e.context)
-            return None
-        raise AssertionError(f"accepted what the loop refuses: {e}")
-    return want, new(text, "in.txt")
+            want = old(text, path)
+        except WavefieldError as e:
+            try:
+                new(path)
+            except WavefieldError as f:
+                assert ((type(f), str(f), f.context)
+                        == (type(e), str(e), e.context))
+                return None
+            raise AssertionError(f"accepted what the loop refuses: {e}")
+        return want, new(path)
 
 
 # ---------------------------------------------------------------- writers
@@ -339,8 +359,11 @@ PLAIN_CORRUPTIONS = ("x", "1 2", "1,5", "nan", "-inf", "1e999", "#1", "0x1")
 @given(text=st.lists(st.sampled_from(("1", " ", "#", *TERMINATORS)),
                      max_size=60).map("".join), size=st.integers(1, 64))
 def test_line_chunks_join_to_splitlines(text, size):
-    with mock.patch.object(cli, "_CHUNK_CHARS", size):
-        pieces = list(cli._line_chunks(text))
+    # read in universal newline mode, as the readers open their files: a
+    # '\r' or '\r\n' becomes '\n', which ends the same lines
+    with text_file(text) as path, open(path, encoding="utf-8") as fh, \
+            mock.patch.object(cli, "_CHUNK_CHARS", size):
+        pieces = list(cli._line_chunks(fh))
     assert [ln for _, lines in pieces for ln in lines] == text.splitlines()
     starts = np.cumsum([1] + [len(lines) for _, lines in pieces])
     assert [first for first, _ in pieces] == starts[:-1].tolist()
@@ -409,25 +432,46 @@ def test_coo_reader_matches_loop(text):
 
 # ---------------------------------------------------------------- memory
 
+def traced_peak(argv):
+    """tracemalloc's peak over one cli.run(argv), which must succeed."""
+    tracemalloc.start()
+    try:
+        assert cli.run(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_dwt_text_memory_stays_bounded(tmp_path, monkeypatch):
-    # a 2^18-value signal is a 5 MiB file.  A whole-file line list and a
-    # whole output string beside it took each run near 27 MiB; read and
-    # written in bounded parts, each stays near 16
+    # a 2^18-value signal is a 5 MiB file.  Read and written in bounded
+    # parts a run took near 15 (K=3) and 17 MiB (K=5), most of it the
+    # whole-file str, a 2^20-character chunk's lines and the forward
+    # step's window copy; read 2^16 characters at a time and stepped a
+    # block of windows at a time, each run stays near 7 to 8 MiB
     monkeypatch.chdir(tmp_path)
     x = np.random.default_rng(18).standard_normal(2**18)
     (tmp_path / "x.csv").write_text("".join("%.17g\n" % v for v in x))
-    base = ["dwt", "--order", "3", "--levels", "8"]
-    assert cli.run(base + ["--input", "x.csv", "--direction", "forward",
-                           "--output", "p.txt"]) == 0
-    for args in (["--input", "x.csv", "--direction", "forward",
-                  "--output", "q.txt"],
-                 ["--input", "p.txt", "--direction", "inverse",
-                  "--output", "y.csv"]):
-        tracemalloc.start()
-        try:
-            assert cli.run(base + args) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 24 * 2**20, (args, peak)
-    assert (tmp_path / "q.txt").read_bytes() == (tmp_path / "p.txt").read_bytes()
+    for order in ("3", "5"):
+        base = ["dwt", "--order", order, "--levels", "8"]
+        assert cli.run(base + ["--input", "x.csv", "--direction", "forward",
+                               "--output", "p.txt"]) == 0
+        runs = [["--input", "x.csv", "--direction", "forward",
+                 "--output", "q.txt"]]
+        if order == "3":
+            runs.append(["--input", "p.txt", "--direction", "inverse",
+                         "--output", "y.csv"])
+        for args in runs:
+            peak = traced_peak(base + args)
+            assert peak <= 10 * 2**20, (order, args, peak)
+        assert (tmp_path / "q.txt").read_bytes() == (tmp_path / "p.txt").read_bytes()
+
+
+def test_scalfun_text_memory_stays_bounded(tmp_path, monkeypatch):
+    # 81921 rows of two float columns: the CSV writer formats each array
+    # column a part at a time, near 4 MiB a run in all; a list of numpy
+    # scalars made of each whole column first took it near 7
+    monkeypatch.chdir(tmp_path)
+    argv = ["scalfun", "--order", "3", "--level", "14"]
+    assert cli.run(argv + ["--output", "warm.csv"]) == 0
+    peak = traced_peak(argv + ["--output", "s.csv"])
+    assert peak <= 5.25 * 2**20, peak

@@ -342,14 +342,18 @@ class TestSrgFlow:
             srg_flow(FlowState(1.0, np.eye(2)), 0.5)
 
     def test_stiffness_carries_partial_trajectory(self):
-        # an unreachable tolerance forces rejections until the step floor
-        h0 = np.array([[1.0, 0.3], [0.3, -1.0]])
+        # an unreachable tolerance forces rejections until the step floor;
+        # a matrix of two blocks, {0, 2} and {1}, comes back whole
         ctl = StepControl(tol=1e-300, initial_step=1e-3, min_step=1e-4)
-        with pytest.raises(StiffnessError) as exc:
-            srg_flow(FlowState(0.0, h0), 1.0, ctl)
-        assert isinstance(exc.value.trajectory, list)
-        assert len(exc.value.trajectory) >= 1
-        assert exc.value.state.lam < 1.0
+        for h0 in (np.array([[1.0, 0.3], [0.3, -1.0]]),
+                   np.array([[1.0, 0.0, 0.3], [0.0, 5.0, 0.0],
+                             [0.3, 0.0, -1.0]])):
+            with pytest.raises(StiffnessError) as exc:
+                srg_flow(FlowState(0.0, h0), 1.0, ctl)
+            assert isinstance(exc.value.trajectory, list)
+            assert len(exc.value.trajectory) >= 1
+            assert exc.value.state.lam < 1.0
+            assert np.array_equal(exc.value.state.h_matrix, h0)
 
     def test_step_budget_exhaustion(self):
         rng = np.random.default_rng(3)
@@ -420,7 +424,7 @@ def test_dop853_step_is_eighth_order(genspec, part):
 
     errors = []
     for dt in (0.05, 0.025):
-        y, _ = _dop853_step(h, rhs(h), dt, rhs)
+        (y,), _ = _dop853_step([h], [rhs(h)], dt, [rhs])
         errors.append(np.abs(y - rk4_reference(h, dt, 200, rhs)).max())
     assert errors[1] > 1e-13  # well above the reference's roundoff
     assert errors[0] >= 2.0**8 * errors[1], errors
@@ -444,6 +448,57 @@ def test_flow_conserves_spectrum_trace_and_norm(n, seed, lam, block, data):
     assert np.abs(np.linalg.eigvalsh(h1) - np.linalg.eigvalsh(h0)).max() <= bound
     assert abs(np.trace(h1) - np.trace(h0)) <= bound
     assert abs(np.linalg.norm(h1) - np.linalg.norm(h0)) <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1), lam=st.floats(0.01, 0.3),
+       data=st.data())
+def test_flow_of_direct_sum_is_direct_sum_of_flows(sizes, seed, lam, data):
+    # Wegner (1994): both generators keep a direct sum block diagonal, so
+    # the flow of randomly placed blocks is the blocks' own flows put in
+    # place.  The block generator splits each block after its indices
+    # below the partition; with two blocks or more the first lies wholly
+    # on one side of it, where the generator is the block itself and the
+    # block does not move.
+    rng = np.random.default_rng(seed)
+    blocks = [random_symmetric(int(rng.integers(2**32)), k) for k in sizes]
+    n = sum(sizes)
+    order = rng.permutation(n)
+    part = None
+    if n > 1:
+        if len(sizes) > 1:
+            below = data.draw(st.booleans(), label="first block below")
+            lo, hi = (sizes[0], n - 1) if below else (1, n - sizes[0])
+            part = data.draw(st.integers(lo, hi), label="partition")
+            side = np.arange(part) if below else np.arange(part, n)
+            first = rng.choice(side, sizes[0], replace=False)
+            order = np.concatenate([first, rng.permutation(np.setdiff1d(order, first))])
+        else:
+            part = data.draw(st.integers(1, n - 1), label="partition")
+    index = np.split(order, np.cumsum(sizes)[:-1])
+    index = [np.sort(idx) for idx in index]
+    h0 = np.zeros((n, n))
+    inside = np.zeros((n, n), dtype=bool)
+    for idx, b in zip(index, blocks):
+        h0[np.ix_(idx, idx)] = b
+        inside[np.ix_(idx, idx)] = True
+    control = StepControl(tol=1e-15)
+    gens = [("wegner-diagonal", None)]
+    if part is not None:
+        gens.append(("wegner-block", part))
+    for genspec, p in gens:
+        got = srg_flow(FlowState(0.0, h0, genspec, p), lam, control)[0].h_matrix
+        want = np.zeros((n, n))
+        for idx, b in zip(index, blocks):
+            bp = None if p is None else int((idx < p).sum())
+            if bp in (0, len(idx)):
+                want[np.ix_(idx, idx)] = b
+            else:
+                state = FlowState(0.0, b, genspec, bp)
+                want[np.ix_(idx, idx)] = srg_flow(state, lam, control)[0].h_matrix
+        assert not got[~inside].any(), genspec
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(h0).max(), genspec
 
 
 @pytest.mark.parametrize("seed,genspec,part", [(202, "wegner-diagonal", None),

@@ -211,6 +211,18 @@ def test_analysis_step_bits_match_gather_long():
     assert_step_matches_gather(x, make_filters(5))
 
 
+@pytest.mark.parametrize("order", range(1, 11))
+def test_analysis_step_blocks_match_one_product(order):
+    # the step forms its windows 2^14 output rows at a time: lengths up to
+    # 2^15 are one block, not a whole number of them, and 2^16 and 2^17
+    # are two and four whole blocks, the last of them wrapping
+    fp = make_filters(order)
+    rng = np.random.default_rng(order)
+    for p in range(1, 18):
+        if 2**p >= 2 * order:
+            assert_step_matches_gather(rng.standard_normal(2**p), fp)
+
+
 def synthesis_add_at(coarse, detail, fp):
     """Two np.add.at passes over the periodic source indices, coarse terms
     then detail terms: the reference for synthesis_step's summation order."""
