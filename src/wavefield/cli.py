@@ -14,12 +14,12 @@ Bulk text is written and read at array speed, in bounded parts, with
 these formats unchanged.  A writer yields its text in parts of at most
 _PART_LINES lines, each formatted by one %-operation, and run() writes
 and digests the parts one at a time, so no whole output string exists.
-A dwt reader streams its file _CHUNK_CHARS characters at a time, each
-read cut just after its last newline, so no whole file is held, and
-parses each piece's lines in one pass of C-level iteration; it scans a
-piece line by line only after that pass has failed, and reads the file
-again only to name the line of a nan, an inf or a byte that is not
-UTF-8, so every ParseError names the line at fault.  The manifest
+A dwt or flow reader streams its file _CHUNK_CHARS characters at a time,
+each read cut just after its last newline, parses each piece's lines in
+one pass of C-level iteration into one array, so no whole file is held;
+it scans a piece line by line only after that pass has failed, and reads
+the file again only to name the line of a nan, an inf or a byte that is
+not UTF-8, so every ParseError names the line at fault.  The manifest
 digests each input file's bytes, read in binary parts.
 """
 
@@ -34,7 +34,7 @@ import sys
 import time
 from contextlib import contextmanager
 from itertools import chain, compress, count, repeat
-from operator import contains
+from operator import contains, itemgetter
 
 import numpy as np
 
@@ -71,7 +71,7 @@ from .transform import CoeffPyramid, CoeffVector, multilevel
 
 __all__ = ["build_parser", "run", "main"]
 
-_PART_LINES = 2**14  # lines per part a writer yields
+_PART_LINES = 2**12  # lines per part a writer yields
 _CHUNK_CHARS = 2**16  # characters a reader reads at a time
 
 
@@ -148,11 +148,6 @@ def _text_file(path: str, errors: str = "strict"):
     except UnicodeDecodeError:
         raise ParseError("input is not UTF-8 text", path=path,
                          line=_first_line(path, _UNDECODED.search))
-
-
-def _read_text(path: str) -> str:
-    with _text_file(path) as fh:
-        return fh.read()
 
 
 def _line_chunks(fh):
@@ -307,18 +302,28 @@ def _first_refused(lines, first_line) -> int:
                 return ln
 
 
+def _stored(buf, n, values) -> int:
+    """n + len(values), once values are written into buf from index n on,
+    buf first grown in place to the next power of two that holds them."""
+    end = n + len(values)
+    if end > len(buf):
+        buf.resize(1 << (end - 1).bit_length(), refcheck=False)
+    buf[n:end] = values
+    return end
+
+
 def _parse_plain_values(path):
-    runs = [np.empty(0)]  # the values of each chunk
+    buf, n = np.empty(0), 0
     for first, lines in _read_lines(path):
         try:
-            runs.append(_floats(lines))
+            n = _stored(buf, n, _floats(lines))
         except ValueError:
             raise ParseError("non-numeric value in input", path=path,
                              line=_first_refused(lines, first))
-    vals = np.concatenate(runs)
-    if not len(vals):
+    if not n:
         raise ParseError("empty input", path=path)
-    return _checked_finite(vals, path)
+    buf.setflags(write=False)
+    return _checked_finite(buf[:n], path)
 
 
 def _serialize_pyramid(p: CoeffPyramid, order: int):
@@ -343,16 +348,15 @@ def _parse_pyramid(path) -> tuple:
 
     Only a line holding '#' can be a '#' line, so in each chunk those few
     are found by one scan, and the value lines between two of them are
-    parsed whole."""
+    parsed whole.  Every block is a read-only view of one array."""
     heads = []  # (line, text, number of values before it) of each '#' line
-    runs = [np.empty(0)]  # the values of each run of value lines
+    buf, n = np.empty(0), 0
     for first, lines in _read_lines(path):
         marks = [i for i in compress(count(), map(contains, lines, repeat("#")))
                  if lines[i].lstrip().startswith("#")]
         for head, end in zip([-1, *marks], [*marks, len(lines)]):
             if head >= 0:
-                heads.append((first + head, lines[head].strip(),
-                              sum(map(len, runs))))
+                heads.append((first + head, lines[head].strip(), n))
             run = lines[head + 1:end]
             if len(heads) < 3 and any(map(str.strip, run)):
                 raise ParseError("values before any block header", path=path,
@@ -360,7 +364,7 @@ def _parse_pyramid(path) -> tuple:
                                            enumerate(run, first + head + 1)
                                            if s.strip()))
             try:
-                runs.append(_floats(run))
+                n = _stored(buf, n, _floats(run))
             except ValueError:
                 raise ParseError("non-numeric pyramid value", path=path,
                                  line=_first_refused(run, first + head + 1))
@@ -375,7 +379,8 @@ def _parse_pyramid(path) -> tuple:
         raise ParseError(
             f"expected {levels + 1} blocks, found {len(heads) - 2}", path=path
         )
-    vals = _checked_finite(np.concatenate(runs), path)
+    buf.setflags(write=False)
+    vals = _checked_finite(buf[:n], path)
     ends = [first for *_, first in heads[3:]] + [len(vals)]
     vecs = []
     for i, ((ln, s, first), end) in enumerate(zip(heads[2:], ends)):
@@ -398,7 +403,7 @@ def _parse_pyramid(path) -> tuple:
 def _cmd_dwt(args):
     fp = make_filters(args.order)
     # the readers hold one chunk of the input text at a time, and the
-    # parsed signal is held only by its vector
+    # parsed signal is held only by its vector, which takes it uncopied
     if args.direction == "forward":
         pyr = multilevel(CoeffVector(0, _parse_plain_values(args.input)), fp,
                          args.levels, "forward")
@@ -450,7 +455,8 @@ def _cmd_coeffs(args):
         return text, {}, []
     # without verification the table itself is the output, in its
     # canonical container format
-    return _read_text(cache_path), {}, []
+    with _text_file(cache_path) as fh:
+        return fh.read(), {}, []
 
 
 # ---------------------------------------------------------------- hamiltonian
@@ -492,12 +498,10 @@ def _cmd_hamiltonian(args):
 
 # ---------------------------------------------------------------- flow
 
-def _coo_entry_error(text, dim, path) -> ParseError:
-    """The error of the first entry line that is not 'row col value' or
-    indexes outside the matrix: the rescan after a whole-file parse failed."""
-    lines = [(ln, s) for ln, s in enumerate(map(str.strip, text.splitlines()), 1)
-             if s]
-    for ln, s in lines[1:]:
+def _coo_entry_error(lines, first, dim, path) -> ParseError:
+    """The error of the first entry line, counting from first, that is not
+    'row col value' or indexes outside the matrix: a failed piece's rescan."""
+    for ln, s in filter(itemgetter(1), enumerate(map(str.strip, lines), first)):
         try:
             r, c, v = s.split()
             r, c, v = int(r), int(c), float(v)
@@ -509,8 +513,8 @@ def _coo_entry_error(text, dim, path) -> ParseError:
 
 
 def _coo_entries(entries, dim):
-    """Row, column and value arrays of the 'row col value' entry lines;
-    ValueError if any line is malformed or indexes outside the matrix."""
+    """Flat indices row * dim + col and values of the 'row col value' entry
+    lines; ValueError if one is malformed or indexes outside the matrix."""
     if set(map(len, map(str.split, entries))) - {3}:
         raise ValueError("an entry line without three fields")
     fields = " ".join(entries).split()
@@ -518,44 +522,57 @@ def _coo_entries(entries, dim):
     if rows and not (0 <= min(rows) and max(rows) < dim
                      and 0 <= min(cols) and max(cols) < dim):
         raise ValueError("an entry index outside the matrix")
-    vals = np.fromiter(map(float, fields[2::3]), float)
-    return np.array(rows, np.int64), np.array(cols, np.int64), vals
+    return (np.array(rows, np.int64) * dim + cols,
+            np.fromiter(map(float, fields[2::3]), float))
 
 
 def _parse_coo(path) -> np.ndarray:
-    text = _read_text(path)
-    lines = text.splitlines()
-    head_line = next((ln for ln, s in enumerate(lines, 1) if s.strip()), None)
-    if head_line is None:
+    """The matrix of a 'dim nnz' file, its entries read a piece at a time
+    into index and value arrays grown by _stored up to nnz entries.  A bad
+    header is named at once, then a wrong entry count, the first bad entry,
+    a nan or an inf."""
+    nnz = bad = None  # the header's entry count; the first bad entry's error
+    found = 0  # nonblank lines after the header
+    index, vals = np.empty(0, np.int64), np.empty(0)
+    for first, lines in _read_lines(path):
+        if nnz is None:
+            at = next((i for i, s in enumerate(lines) if s.strip()), None)
+            if at is None:
+                continue
+            try:
+                dim, nnz = map(int, lines[at].split())
+            except ValueError:
+                raise ParseError("matrix header must be 'dim nnz'", path=path,
+                                 line=first + at)
+            if dim < 0 or nnz < 0:
+                raise ParseError("matrix header counts must be nonnegative",
+                                 path=path, line=first + at)
+            if dim > MAX_FLOW_DIM:
+                raise ShapeError(f"flow matrices are capped at {MAX_FLOW_DIM}",
+                                 dim=dim)
+            first, lines = first + at + 1, lines[at + 1:]
+        entries = list(filter(None, map(str.strip, lines)))
+        end = found + len(entries)
+        if bad is None and end <= nnz:
+            try:
+                flat, values = _coo_entries(entries, dim)
+            except ValueError:
+                bad = _coo_entry_error(lines, first, dim, path)
+            else:
+                _stored(index, found, flat)
+                _stored(vals, found, values)
+        found = end
+    if nnz is None:
         raise ParseError("empty matrix file", path=path)
-    head = lines[head_line - 1].strip()
-    try:
-        dim, nnz = map(int, head.split())
-    except ValueError:
-        raise ParseError("matrix header must be 'dim nnz'", path=path,
-                         line=head_line)
-    if dim < 0 or nnz < 0:
-        raise ParseError("matrix header counts must be nonnegative",
-                         path=path, line=head_line)
-    if dim > MAX_FLOW_DIM:
-        raise ShapeError(f"flow matrices are capped at {MAX_FLOW_DIM}",
-                         dim=dim)
-    entries = list(filter(None, map(str.strip, lines[head_line:])))
-    del lines
-    if len(entries) != nnz:
-        raise ParseError(
-            f"expected {nnz} entries, found {len(entries)}", path=path
-        )
-    try:
-        rows, cols, vals = _coo_entries(entries, dim)
-    except ValueError:
-        raise _coo_entry_error(text, dim, path)
-    del entries, text
-    vals = _checked_finite(vals, path, column=2)
+    if found != nnz:
+        raise ParseError(f"expected {nnz} entries, found {found}", path=path)
+    if bad is not None:
+        raise bad
+    vals = _checked_finite(vals[:found], path, column=2)
     # repeated entries add up in file order from 0.0, as np.add.at on a
     # zero matrix adds them; a sum that overflows is left as inf for
     # FlowState to refuse.  With no entries bincount counts in integers.
-    mat = np.bincount(rows * dim + cols, vals, dim * dim)
+    mat = np.bincount(index[:found], vals, dim * dim)
     return mat.astype(float, copy=False).reshape(dim, dim)
 
 

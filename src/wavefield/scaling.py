@@ -111,8 +111,8 @@ def refine(samples, target_level):
     """Cascade the samples down to target_level (never up) on their order's taps.
 
     Even-index points of each new grid are copied verbatim from the previous
-    one; odd points are filled from the refinement sum. Derivative samples
-    refine with the extra factor 2 from the chain rule.
+    one; odd points are filled from the refinement sum, a tap at a time over
+    strided slices. Derivative samples refine with the chain rule's factor 2.
     """
     if target_level < samples.level:
         raise InsufficientResolutionError("cannot coarsen samples")
@@ -128,12 +128,11 @@ def refine(samples, target_level):
         new = np.zeros(2 * m - 1)
         new[0::2] = vals
         odd = new[1::2]  # odd new index 2t+1, t = 0..m-2
-        t = np.arange(m - 1)
         for l in range(2 * K):
             # 2x - l at x = (2t+1)/2^{j+1} is level-j sample 2t+1 - l*2^j
-            src = 2 * t + 1 - (l << j)
-            ok = (src >= 0) & (src < m)
-            odd[t[ok]] += fac * h[l] * vals[src[ok]]
+            L = l << j  # so 2t+1 - L is in [0, m) for t in [L // 2, (m + L) // 2)
+            t0, t1 = L // 2, min(m - 1, (m + L) // 2)
+            odd[t0:t1] += fac * h[l] * vals[1 - L % 2::2][:max(t1 - t0, 0)]
         vals = new
     return DyadicSamples(K, target_level, samples.derivative_order, vals)
 

@@ -39,7 +39,9 @@ class CoeffVector:
     Length must be a power of two.  The per-step lower bound (length at
     least 2K) is checked where the filter is known, i.e. in the step
     functions, so the short coarse vector at the top of a deep pyramid
-    remains representable.
+    remains representable.  Values are held read-only: an array is taken
+    uncopied only when it is float64 and its memory's owner is read-only
+    too, so no view can write to it; any other array is copied.
     """
 
     scale: int
@@ -53,8 +55,10 @@ class CoeffVector:
                 "coefficient vector length must be a power of two",
                 length=None if v.ndim != 1 else n,
             )
-        v = v.copy()
-        v.setflags(write=False)
+        owner = v if v.base is None else v.base
+        if not isinstance(owner, np.ndarray) or owner.flags.writeable:
+            v = v.copy()
+            v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     def __len__(self):
@@ -79,7 +83,7 @@ class CoeffPyramid:
         return np.concatenate(parts)
 
 
-_STEP_ROWS = 2**14  # output rows of a step formed at a time; a power of two
+_STEP_ROWS = 2**13  # output rows of a step formed at a time; a power of two
 
 
 def _step_products(x, fp: FilterPair):
@@ -104,6 +108,7 @@ def _step_products(x, fp: FilterPair):
             sliding_window_view(seg, taps, axis=0)[::2])
         coarse[start:end] = windows @ fp.h
         detail[start:end] = windows @ fp.g
+        del windows  # before the next block's is made
     return coarse, detail
 
 
@@ -120,6 +125,8 @@ def analysis_step(v: CoeffVector, fp: FilterPair):
             order=fp.order,
         )
     coarse, detail = _step_products(v.values, fp)
+    for a in (coarse, detail):
+        a.setflags(write=False)  # so the vectors take them without a copy
     return CoeffVector(v.scale - 1, coarse), CoeffVector(v.scale - 1, detail)
 
 
@@ -159,13 +166,17 @@ def synthesis_step(coarse: CoeffVector, detail: CoeffVector, fp: FilterPair):
     # 0.0.  A row gives j at most one term, and ascending m is descending
     # l, first over the rows where 2m + l < n, then over the last l // 2
     # rows, whose terms wrap to 2m + l - n.  Adding one whole tap at a time
-    # in that order gives every sum bit for bit, with no index arrays.
-    out = np.zeros(n)
+    # in that order gives every sum bit for bit, with no index arrays; a
+    # tap's products go through one reused buffer of _STEP_ROWS at a time.
+    out, prod = np.zeros(n), np.empty(min(m, _STEP_ROWS))
     for f, v in ((fp.h, coarse.values), (fp.g, detail.values)):
         for l in reversed(range(len(f))):
-            out[l::2] += f[l] * v[:m - l // 2]
+            for s in range(0, m - l // 2, len(prod)):
+                e = min(s + len(prod), m - l // 2)
+                out[l::2][s:e] += np.multiply(v[s:e], f[l], out=prod[:e - s])
         for l in reversed(range(len(f))):
             out[l % 2::2][:l // 2] += f[l] * v[m - l // 2:]
+    out.setflags(write=False)
     return CoeffVector(coarse.scale + 1, out)
 
 
@@ -186,7 +197,7 @@ def multilevel(data, fp: FilterPair, levels: int, direction: str = "forward"):
     inverse: CoeffPyramid -> CoeffVector; `levels` must match the pyramid.
     """
     if direction == "forward":
-        v = data
+        v, data = data, None  # the caller's input is freed once stepped
         if not isinstance(v, CoeffVector):
             raise ShapeError("forward multilevel expects a CoeffVector")
         if levels < 0 or levels > max_levels(len(v), fp.order):

@@ -600,6 +600,67 @@ def test_flow_refuses_non_utf8(tmp_path, capsys, cachedir):
     assert err == f"parse: input is not UTF-8 text path={src} line=3\n"
 
 
+# the flow reader streams its file; each error keeps its message and line
+# when the bad line sits far past the first 2^16-character read.  FAR
+# entry lines "0 0 1" come to 120000 characters.
+FAR = 20000
+
+
+@pytest.mark.parametrize("text,message,line", [
+    ("\n" * 70000 + "2 x\n0 0 1\n", "matrix header must be 'dim nnz'", 70001),
+    ("\r\n" * 70000 + "-2 0\n", "matrix header counts must be nonnegative",
+     70001),
+    (f"2 {FAR + 2}\n" + "0 0 1\n" * FAR + "1 1 1\n",
+     f"expected {FAR + 2} entries, found {FAR + 1}", None),
+    # the count is named before a bad entry line, wherever that sits
+    (f"2 {FAR}\n0 0\n" + "0 0 1\n" * FAR,
+     f"expected {FAR} entries, found {FAR + 1}", None),
+    (f"2 {FAR + 1}\n" + "0 0 1\n" * FAR + "1 1\n",
+     "matrix entries are 'row col value'", FAR + 2),
+    (f"2 {FAR + 2}\n" + "0 0 1\n" * FAR + "1 2 1\n1 x 1\n",
+     "matrix index out of range", FAR + 2),
+    # the first bad entry line is named before a nan further up
+    (f"2 {FAR + 2}\n0 0 nan\n" + "0 0 1\n" * FAR + "1 x 1\n",
+     "matrix entries are 'row col value'", FAR + 3),
+    (f"2 {FAR + 1}\n" + "0 0 1\n" * FAR + "1 1 -inf\n",
+     "non-finite value in input", FAR + 2),
+])
+def test_flow_names_bad_line_far_in(text, message, line, tmp_path, capsys,
+                                    cachedir):
+    src = tmp_path / "h.coo"
+    src.write_bytes(text.encode())
+    rc, out, err = invoke(
+        ["flow", "--input", str(src), "--generator", "diag",
+         "--lambda-end", "0.5"], capsys)
+    assert rc == 1 and out == ""
+    assert err == (f"parse: {message} path={src}"
+                   + (f" line={line}" if line else "") + "\n")
+
+
+def test_flow_refuses_non_utf8_far_in(tmp_path, capsys, cachedir):
+    src = tmp_path / "h.coo"
+    src.write_bytes(f"2 {FAR + 1}\n".encode() + b"0 0 1\n" * FAR + b"1 1 \xff\n")
+    rc, out, err = invoke(
+        ["flow", "--input", str(src), "--generator", "diag",
+         "--lambda-end", "0.5"], capsys)
+    assert rc == 1 and out == ""
+    assert err == f"parse: input is not UTF-8 text path={src} line={FAR + 2}\n"
+
+
+def test_flow_count_beyond_the_file_allocates_nothing(tmp_path, capsys,
+                                                     cachedir):
+    # the entry arrays grow only as entry lines are read, so a header's
+    # count alone allocates nothing
+    src = tmp_path / "h.coo"
+    src.write_text("2 100000000000000\n0 0 1\n")
+    rc, out, err = invoke(
+        ["flow", "--input", str(src), "--generator", "diag",
+         "--lambda-end", "0.5"], capsys)
+    assert rc == 1 and out == ""
+    assert err == (f"parse: expected 100000000000000 entries, found 1 "
+                   f"path={src}\n")
+
+
 def test_flow_cap_checked_before_allocation(tmp_path, capsys, cachedir):
     # a dense 10^8 x 10^8 matrix cannot be allocated; the header is refused
     # before anything is

@@ -11,6 +11,7 @@ text itself.
 
 import os
 import tempfile
+import threading
 import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
@@ -262,8 +263,8 @@ def same_outcome(new, old, text):
 
 # ---------------------------------------------------------------- writers
 
-# lines per writer part: 1 and 2 cut every block, 2**14 is the CLI's own
-part_lines = st.sampled_from((1, 2, 3, 5, 2**14))
+# lines per writer part: 1 and 2 cut every block, 2**12 is the CLI's own
+part_lines = st.sampled_from((1, 2, 3, 5, 2**12))
 
 
 def joined(parts, most=None):
@@ -430,6 +431,36 @@ def test_coo_reader_matches_loop(text):
         assert got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=150, deadline=None)
+@given(text=coo_files(), size=st.integers(1, 64))
+def test_coo_reader_in_pieces_matches_loop(text, size):
+    # pieces of a few characters put the header, a bad entry line and the
+    # count past the first read
+    with mock.patch.object(cli, "_CHUNK_CHARS", size):
+        both = same_outcome(cli._parse_coo, parse_coo_loop, text)
+    if both:
+        want, got = both
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_readers_fill_one_read_only_array():
+    # the values are parsed into one array, which the vectors take uncopied
+    with mock.patch.object(cli, "_CHUNK_CHARS", 16):
+        with text_file("".join(f"{v}\n" for v in range(64))) as path:
+            vals = cli._parse_plain_values(path)
+        p = CoeffPyramid(CoeffVector(-2, [1.0, 2.0]),
+                         (CoeffVector(-1, np.arange(4.0)),
+                          CoeffVector(-2, [3.0, 4.0])))
+        with text_file(pyramid_loop(p, 1)) as path:
+            _, got = cli._parse_pyramid(path)
+    assert vals.tolist() == list(range(64)) and not vals.flags.writeable
+    blocks = [got.coarse.values, *(d.values for d in got.details)]
+    assert [b.tolist() for b in blocks] == [[1, 2], [0, 1, 2, 3], [3, 4]]
+    assert not any(b.flags.writeable for b in blocks)
+    assert all(np.shares_memory(blocks[0].base, b) for b in blocks)
+
+
 # ---------------------------------------------------------------- memory
 
 def traced_peak(argv):
@@ -447,7 +478,11 @@ def test_dwt_text_memory_stays_bounded(tmp_path, monkeypatch):
     # parts a run took near 15 (K=3) and 17 MiB (K=5), most of it the
     # whole-file str, a 2^20-character chunk's lines and the forward
     # step's window copy; read 2^16 characters at a time and stepped a
-    # block of windows at a time, each run stays near 7 to 8 MiB
+    # block of windows at a time, near 7 to 8 MiB, with the readers'
+    # pieces, their concatenation and each vector's copy of its values.
+    # Parsed into one array that the vectors take uncopied, the input
+    # freed after the first step, 2^13-row window blocks and products
+    # summed through one 2^13-value buffer, each run stays near 4.6 to 5.1
     monkeypatch.chdir(tmp_path)
     x = np.random.default_rng(18).standard_normal(2**18)
     (tmp_path / "x.csv").write_text("".join("%.17g\n" % v for v in x))
@@ -462,16 +497,55 @@ def test_dwt_text_memory_stays_bounded(tmp_path, monkeypatch):
                          "--output", "y.csv"])
         for args in runs:
             peak = traced_peak(base + args)
-            assert peak <= 10 * 2**20, (order, args, peak)
+            assert peak <= 5.5 * 2**20, (order, args, peak)
         assert (tmp_path / "q.txt").read_bytes() == (tmp_path / "p.txt").read_bytes()
 
 
 def test_scalfun_text_memory_stays_bounded(tmp_path, monkeypatch):
     # 81921 rows of two float columns: the CSV writer formats each array
-    # column a part at a time, near 4 MiB a run in all; a list of numpy
-    # scalars made of each whole column first took it near 7
+    # column a part of 2^12 rows at a time and the cascade adds each tap
+    # over strided slices, near 2 MiB a run in all; parts of 2^14 rows and
+    # the cascade's index arrays took it near 4, and a list of numpy
+    # scalars made of each whole column first near 7
     monkeypatch.chdir(tmp_path)
     argv = ["scalfun", "--order", "3", "--level", "14"]
     assert cli.run(argv + ["--output", "warm.csv"]) == 0
     peak = traced_peak(argv + ["--output", "s.csv"])
-    assert peak <= 5.25 * 2**20, peak
+    assert peak <= 2.5 * 2**20, peak
+
+
+def test_coo_reader_memory_stays_bounded(tmp_path):
+    # a dense 512^2 dump, the flow cap, is a 7 MiB file.  Streamed into
+    # index and value arrays grown to 2^18 entries the reader peaks near
+    # 6 MiB; the whole text, its lines and their fields took near 94
+    mat = np.random.default_rng(512).standard_normal((512, 512))
+    path = tmp_path / "h.coo"
+    with open(path, "w", encoding="utf-8") as fh:
+        cli._write_parts(fh, cli._dense_coo_text(mat))
+    tracemalloc.start()
+    try:
+        got = cli._parse_coo(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == mat.tobytes()
+    assert peak <= 16 * 2**20, peak
+
+
+def test_coo_reader_reads_a_pipe(tmp_path):
+    # a pipe has no size to go by: the entries are read all the same
+    mat = np.random.default_rng(3).standard_normal((40, 40))
+    path = tmp_path / "h.coo"
+    with open(path, "w", encoding="utf-8") as fh:
+        cli._write_parts(fh, cli._dense_coo_text(mat))
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(
+        target=lambda: fifo.write_bytes(path.read_bytes()))
+    writer.start()
+    try:
+        got = cli._parse_coo(str(fifo))
+    finally:
+        writer.join()
+    assert got.tobytes() == cli._parse_coo(str(path)).tobytes()
+    assert got.tobytes() == mat.tobytes()

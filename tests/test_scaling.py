@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavefield.errors import (
     DegenerateRefinementError,
@@ -10,6 +11,7 @@ from wavefield.errors import (
 from wavefield.filters import make_filters
 from wavefield.scaling import (
     MAX_LEVEL,
+    DyadicSamples,
     _eigenvector,
     derivative_samples,
     derivative_values,
@@ -233,3 +235,40 @@ def test_wavelet_samples_match_deeper_cascade_bitwise(K):
         got = wavelet_samples(K, level).values
         ref = _wavelet_samples_one_level_deeper(K, level)
         assert got.tobytes() == ref.tobytes(), level
+
+
+def refine_index_arrays(samples, target_level):
+    """The cascade as refine computed it with index arrays: every odd point
+    t of the new grid gathers its in-range sources 2t+1 - l*2^j through a
+    boolean mask.  The reference for refine's strided slices."""
+    K = samples.order
+    h = make_filters(K).h
+    fac = 2.0 * np.sqrt(2.0) if samples.derivative_order else np.sqrt(2.0)
+    vals = samples.values
+    for j in range(samples.level, target_level):
+        m = len(vals)
+        new = np.zeros(2 * m - 1)
+        new[0::2] = vals
+        odd = new[1::2]
+        t = np.arange(m - 1)
+        for l in range(2 * K):
+            src = 2 * t + 1 - (l << j)
+            ok = (src >= 0) & (src < m)
+            odd[t[ok]] += fac * h[l] * vals[src[ok]]
+        vals = new
+    return DyadicSamples(K, target_level, samples.derivative_order, vals)
+
+
+@settings(max_examples=144, deadline=None)
+@given(K=st.integers(1, 12), level=st.integers(0, 12), data=st.data())
+def test_refine_slices_match_index_arrays(K, level, data):
+    # bit for bit, from the integer values or from an intermediate grid,
+    # for s and (K >= 3) for s'
+    derivative = K >= 3 and data.draw(st.booleans(), label="derivative")
+    start = (derivative_values if derivative else integer_values)(K)
+    start = refine_index_arrays(start, data.draw(st.integers(0, level),
+                                                 label="start"))
+    got = refine(start, level)
+    want = refine_index_arrays(start, level)
+    assert (got.level, got.derivative_order) == (want.level, want.derivative_order)
+    assert got.values.tobytes() == want.values.tobytes()

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wavefield import transform
 from wavefield.errors import DepthError, ShapeError
 from wavefield.filters import K_MAX, make_filters
 from wavefield.scaling import reproduction_coeffs
@@ -121,6 +124,39 @@ def test_shape_errors():
         multilevel(CoeffVector(0, np.zeros(8)), fp, 1, "sideways")
 
 
+def test_coeff_vector_copies_only_writeable_input():
+    # a writeable array is copied, so changing it later leaves the vector
+    # as it was; a read-only float64 array whose memory is read-only too
+    # is taken without a copy
+    a = np.arange(8.0)
+    v = CoeffVector(0, a)
+    a[:] = -1.0
+    assert v.values.tolist() == list(range(8))
+    assert not v.values.flags.writeable and not np.shares_memory(v.values, a)
+    b = np.arange(8.0)
+    b.setflags(write=False)
+    assert CoeffVector(0, b).values is b
+    assert CoeffVector(0, b[2:6]).values.base is b
+    # a read-only view of a writeable array is copied: the array could
+    # still change the view
+    w = np.arange(8.0)
+    r = w.view()
+    r.setflags(write=False)
+    u = CoeffVector(0, r)
+    w[:] = -1.0
+    assert u.values.tolist() == list(range(8)) and u.values is not r
+    # a read-only array of another dtype is converted, hence a new array
+    c = np.arange(8)
+    c.setflags(write=False)
+    assert CoeffVector(0, c).values.dtype == np.float64
+    # the steps hand their fresh outputs over read-only, uncopied
+    fp = make_filters(2)
+    coarse, detail = analysis_step(v, fp)
+    assert not coarse.values.flags.writeable
+    assert not detail.values.flags.writeable
+    assert not synthesis_step(coarse, detail, fp).values.flags.writeable
+
+
 def test_pyramid_depth_mismatch_on_inverse():
     fp = make_filters(2)
     p = multilevel(CoeffVector(0, np.arange(16.0)), fp, 2)
@@ -213,9 +249,9 @@ def test_analysis_step_bits_match_gather_long():
 
 @pytest.mark.parametrize("order", range(1, 11))
 def test_analysis_step_blocks_match_one_product(order):
-    # the step forms its windows 2^14 output rows at a time: lengths up to
-    # 2^15 are one block, not a whole number of them, and 2^16 and 2^17
-    # are two and four whole blocks, the last of them wrapping
+    # the step forms its windows 2^13 output rows at a time: lengths up to
+    # 2^14 are one block, not a whole number of them, and 2^15 to 2^17
+    # are two, four and eight whole blocks, the last of them wrapping
     fp = make_filters(order)
     rng = np.random.default_rng(order)
     for p in range(1, 18):
@@ -234,6 +270,16 @@ def synthesis_add_at(coarse, detail, fp):
     return out
 
 
+def spread_pair(rng, m):
+    """Coarse and detail values spread over 60 decades, with signed zeros
+    and subnormals, so every reordering of a sum shows."""
+    c, d = (rng.standard_normal(m) * 10.0 ** rng.integers(-30, 30, m)
+            for _ in range(2))
+    c[rng.random(m) < 0.1] = -0.0
+    d[rng.random(m) < 0.1] = 5e-324
+    return c, d
+
+
 @settings(max_examples=80, deadline=None)
 @given(order=st.integers(1, K_MAX), data=st.data())
 def test_synthesis_step_sums_as_add_at(order, data):
@@ -241,12 +287,34 @@ def test_synthesis_step_sums_as_add_at(order, data):
     # spread over 60 decades make every reordering of a sum show
     m = data.draw(st.sampled_from([2**p for p in range(0, 12) if 2**p >= order]),
                   label="m")
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    c, d = (rng.standard_normal(m) * 10.0 ** rng.integers(-30, 30, m)
-            for _ in range(2))
-    c[rng.random(m) < 0.1] = -0.0
-    d[rng.random(m) < 0.1] = 5e-324
+    c, d = spread_pair(np.random.default_rng(
+        data.draw(st.integers(0, 2**32 - 1), label="seed")), m)
     fp = make_filters(order)
     got = synthesis_step(CoeffVector(-1, c), CoeffVector(-1, d), fp)
     assert got.scale == 0
+    assert got.values.tobytes() == synthesis_add_at(c, d, fp).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.integers(1, K_MAX), rows=st.sampled_from((1, 2, 3, 5, 8)),
+       data=st.data())
+def test_synthesis_step_blocks_sum_as_add_at(order, rows, data):
+    # a tap's products pass through a buffer of _STEP_ROWS rows at a time;
+    # every block size, a short last block included, gives the same bits
+    m = data.draw(st.sampled_from([2**p for p in range(0, 7) if 2**p >= order]),
+                  label="m")
+    c, d = spread_pair(np.random.default_rng(
+        data.draw(st.integers(0, 2**32 - 1), label="seed")), m)
+    fp = make_filters(order)
+    with mock.patch.object(transform, "_STEP_ROWS", rows):
+        got = synthesis_step(CoeffVector(-1, c), CoeffVector(-1, d), fp)
+    assert got.values.tobytes() == synthesis_add_at(c, d, fp).tobytes()
+
+
+@pytest.mark.parametrize("order", (1, 5, 10))
+def test_synthesis_step_sums_as_add_at_long(order):
+    # 2^15 coarse rows are four of the step's own blocks
+    c, d = spread_pair(np.random.default_rng(order), 2**15)
+    fp = make_filters(order)
+    got = synthesis_step(CoeffVector(-1, c), CoeffVector(-1, d), fp)
     assert got.values.tobytes() == synthesis_add_at(c, d, fp).tobytes()
