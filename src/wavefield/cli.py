@@ -14,25 +14,27 @@ Bulk text is written and read at array speed, in bounded parts, with
 these formats unchanged.  A writer yields its text in parts of at most
 _PART_LINES lines, each formatted by one %-operation, and run() writes
 and digests the parts one at a time, so no whole output string exists.
-A dwt or flow reader streams its file _CHUNK_CHARS characters at a time,
-each read cut just after its last newline, parses each piece's lines in
-one pass of C-level iteration into one array, so no whole file is held;
-it scans a piece line by line only after that pass has failed, and reads
-the file again only to name the line of a nan, an inf or a byte that is
-not UTF-8, so every ParseError names the line at fault.  The manifest
-digests each input file's bytes, read in binary parts.
+A dwt or flow reader opens its input once, in binary, and reads it
+_CHUNK_CHARS bytes at a time; a strict incremental UTF-8 decoder turns
+the reads into pieces of whole lines, each parsed in one pass of C-level
+iteration into one array, so no whole file is held.  A piece is scanned
+line by line only after that pass has failed, or its values hold a nan
+or an inf, so every ParseError names the line at fault from the text in
+hand, and a byte that is not UTF-8 is named from the decoder's error
+offset.  An input is read once: with --manifest the same reads feed its
+sha256 digest, which is of the bytes as read.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import hashlib
 import json
 import os
 import re
 import sys
 import time
-from contextlib import contextmanager
 from itertools import chain, compress, count, repeat
 from operator import contains, itemgetter
 
@@ -72,7 +74,7 @@ from .transform import CoeffPyramid, CoeffVector, multilevel
 __all__ = ["build_parser", "run", "main"]
 
 _PART_LINES = 2**12  # lines per part a writer yields
-_CHUNK_CHARS = 2**16  # characters a reader reads at a time
+_CHUNK_CHARS = 2**16  # bytes a reader reads at a time
 
 
 def _rows(fmt: str, *columns):
@@ -127,71 +129,41 @@ def _write_parts(fh, text) -> str:
     return digest.hexdigest()
 
 
-def _sha256_file(path: str) -> str:
-    """sha256 digest of the file's bytes, read in binary parts."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for part in iter(lambda: fh.read(_CHUNK_CHARS), b""):
-            digest.update(part)
-    return digest.hexdigest()
-
-
-@contextmanager
-def _text_file(path: str, errors: str = "strict"):
-    """The file at path opened as UTF-8 text in universal newline mode; a
-    failed read, or a byte that is not UTF-8, is a ParseError."""
+def _line_chunks(path: str, digest=None):
+    """The lines of the UTF-8 file at path in consecutive pieces, each with
+    the number of its first line.  The file is opened once, in binary, and
+    read _CHUNK_CHARS bytes at a time; each read updates digest, when one
+    is given, and a strict incremental decoder turns it into text.  The
+    text is cut just after its last '\n', or its last '\r' with a character
+    after it, and the rest is carried on to the next read, so no cut
+    splits a '\r\n' and the pieces joined are exactly the splitlines() of
+    the whole text.  A failed read is a ParseError, and so is a byte that
+    is not UTF-8, which is named by its line."""
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    first, rest = 1, ""
     try:
-        with open(path, "r", encoding="utf-8", errors=errors) as fh:
-            yield fh
+        with open(path, "rb") as fh:
+            for data in iter(lambda: fh.read(_CHUNK_CHARS), b""):
+                if digest is not None:
+                    digest.update(data)
+                text = rest + decode(data)
+                cut = max(text.rfind("\n"), text.rfind("\r", 0, -1)) + 1
+                lines, rest = text[:cut].splitlines(), text[cut:]
+                if lines:
+                    yield first, lines
+                    first += len(lines)
+            rest += decode(b"", True)
     except OSError as e:
         raise ParseError(f"cannot read input file: {e}", path=path)
-    except UnicodeDecodeError:
+    except UnicodeDecodeError as e:
+        # the bad byte's line is first plus the line breaks before it, in
+        # the rest held back and the part of this read that decodes; with
+        # one character put after them they split into one line more
+        before = rest + e.object[:e.start].decode()
         raise ParseError("input is not UTF-8 text", path=path,
-                         line=_first_line(path, _UNDECODED.search))
-
-
-def _line_chunks(fh):
-    """The lines of an open text file in consecutive pieces, each with the
-    number of its first line.  The file is read _CHUNK_CHARS characters at
-    a time, each read is cut just after its last '\n', and the rest is
-    carried on to the next read.  A '\n' always ends a line and never
-    splits a '\r\n', so the pieces joined are exactly the splitlines() of
-    the whole text."""
-    first, rest = 1, ""
-    for text in iter(lambda: fh.read(_CHUNK_CHARS), ""):
-        cut = text.rfind("\n") + 1
-        if not cut:
-            rest += text
-            continue
-        lines = (rest + text[:cut]).splitlines()
-        rest = text[cut:]
-        yield first, lines
-        first += len(lines)
+                         line=first + len((before + ".").splitlines()) - 1)
     if rest:
         yield first, rest.splitlines()
-
-
-def _read_lines(path: str):
-    """_line_chunks of the file at path."""
-    with _text_file(path) as fh:
-        yield from _line_chunks(fh)
-
-
-# a byte that is not UTF-8, read with errors="surrogateescape": a lone
-# surrogate, which no UTF-8 text holds
-_UNDECODED = re.compile("[\udc80-\udcff]")
-
-
-def _first_line(path: str, test) -> int | None:
-    """Number of the first line of the file for which test(line) holds,
-    each byte that is not UTF-8 read as a lone surrogate: the rescan that
-    names the line at fault once a reader has failed."""
-    with _text_file(path, "surrogateescape") as fh:
-        for first, lines in _line_chunks(fh):
-            for ln, s in enumerate(lines, first):
-                if test(s):
-                    return ln
-    return None
 
 
 def _cache_dir(args) -> str:
@@ -246,7 +218,7 @@ def _cmd_filters(args):
         text = _json({"order": fp.order, "h": list(fp.h), "g": list(fp.g)})
     else:
         text = _csv("tap,h,g", range(len(fp.h)), fp.h, fp.g)
-    return text, {}, []
+    return text, {}, {}
 
 
 # ---------------------------------------------------------------- scalfun
@@ -265,24 +237,22 @@ def _cmd_scalfun(args):
         })
     else:
         text = _csv("x,value", xs, samp.values)
-    return text, {}, []
+    return text, {}, {}
 
 
 # ---------------------------------------------------------------- dwt
 
-def _checked_finite(values, path, column=0):
-    """values, refused if any is nan or inf by one array check; only then is
-    the file read again for the first non-'#' line with a bad column field."""
+def _nonfinite(values, lines, first, path, column=0):
+    """None when every value parsed from a piece's lines is finite, by one
+    array check; else the error naming the first of the lines, counting
+    from first, whose column field is a nan or an inf.  A reader keeps the
+    first such error and raises it once the checks before it have passed."""
     if np.isfinite(values).all():
-        return values
-
-    def bad(s):
-        parts = s.split()
-        return (len(parts) > column and not parts[0].startswith("#")
-                and not np.isfinite(float(parts[column])))
-
-    raise ParseError("non-finite value in input", path=path,
-                     line=_first_line(path, bad))
+        return None
+    for ln, s in enumerate(lines, first):
+        fields = s.split()
+        if len(fields) > column and not np.isfinite(float(fields[column])):
+            return ParseError("non-finite value in input", path=path, line=ln)
 
 
 def _floats(lines) -> np.ndarray:
@@ -312,18 +282,22 @@ def _stored(buf, n, values) -> int:
     return end
 
 
-def _parse_plain_values(path):
-    buf, n = np.empty(0), 0
-    for first, lines in _read_lines(path):
+def _parse_plain_values(path, digest=None):
+    buf, n, nonfinite = np.empty(0), 0, None
+    for first, lines in _line_chunks(path, digest):
         try:
-            n = _stored(buf, n, _floats(lines))
+            values = _floats(lines)
         except ValueError:
             raise ParseError("non-numeric value in input", path=path,
                              line=_first_refused(lines, first))
+        nonfinite = nonfinite or _nonfinite(values, lines, first, path)
+        n = _stored(buf, n, values)
     if not n:
         raise ParseError("empty input", path=path)
+    if nonfinite:
+        raise nonfinite
     buf.setflags(write=False)
-    return _checked_finite(buf[:n], path)
+    return buf[:n]
 
 
 def _serialize_pyramid(p: CoeffPyramid, order: int):
@@ -342,7 +316,7 @@ _PYRAMID_META = re.compile(r"# order (\d+) levels (\d+) length (\d+)")
 _PYRAMID_BLOCK = re.compile(r"# (coarse|detail \d+) scale (-?\d+) length (\d+)")
 
 
-def _parse_pyramid(path) -> tuple:
+def _parse_pyramid(path, digest=None) -> tuple:
     """Read _serialize_pyramid output back: block 0 is the coarse block,
     block i the detail i, and every declared length matches its values.
 
@@ -350,8 +324,8 @@ def _parse_pyramid(path) -> tuple:
     are found by one scan, and the value lines between two of them are
     parsed whole.  Every block is a read-only view of one array."""
     heads = []  # (line, text, number of values before it) of each '#' line
-    buf, n = np.empty(0), 0
-    for first, lines in _read_lines(path):
+    buf, n, nonfinite = np.empty(0), 0, None
+    for first, lines in _line_chunks(path, digest):
         marks = [i for i in compress(count(), map(contains, lines, repeat("#")))
                  if lines[i].lstrip().startswith("#")]
         for head, end in zip([-1, *marks], [*marks, len(lines)]):
@@ -364,10 +338,13 @@ def _parse_pyramid(path) -> tuple:
                                            enumerate(run, first + head + 1)
                                            if s.strip()))
             try:
-                n = _stored(buf, n, _floats(run))
+                values = _floats(run)
             except ValueError:
                 raise ParseError("non-numeric pyramid value", path=path,
                                  line=_first_refused(run, first + head + 1))
+            nonfinite = nonfinite or _nonfinite(values, run, first + head + 1,
+                                                path)
+            n = _stored(buf, n, values)
     if len(heads) < 2 or heads[0][1] != "# wavefield-pyramid 1":
         raise ParseError("missing pyramid header", path=path)
     meta = _PYRAMID_META.fullmatch(heads[1][1])
@@ -379,8 +356,10 @@ def _parse_pyramid(path) -> tuple:
         raise ParseError(
             f"expected {levels + 1} blocks, found {len(heads) - 2}", path=path
         )
+    if nonfinite:
+        raise nonfinite
     buf.setflags(write=False)
-    vals = _checked_finite(buf[:n], path)
+    vals = buf[:n]
     ends = [first for *_, first in heads[3:]] + [len(vals)]
     vecs = []
     for i, ((ln, s, first), end) in enumerate(zip(heads[2:], ends)):
@@ -402,11 +381,12 @@ def _parse_pyramid(path) -> tuple:
 
 def _cmd_dwt(args):
     fp = make_filters(args.order)
+    digest = hashlib.sha256() if args.manifest else None
     # the readers hold one chunk of the input text at a time, and the
     # parsed signal is held only by its vector, which takes it uncopied
     if args.direction == "forward":
-        pyr = multilevel(CoeffVector(0, _parse_plain_values(args.input)), fp,
-                         args.levels, "forward")
+        pyr = multilevel(CoeffVector(0, _parse_plain_values(args.input, digest)),
+                         fp, args.levels, "forward")
         if args.format == "json":
             out = _json({
                 "order": args.order,
@@ -421,7 +401,7 @@ def _cmd_dwt(args):
         else:
             out = _serialize_pyramid(pyr, args.order)
     else:
-        order_in, pyr = _parse_pyramid(args.input)
+        order_in, pyr = _parse_pyramid(args.input, digest)
         if order_in != args.order or pyr.levels != args.levels:
             raise ParseError(
                 "pyramid metadata disagrees with the flags",
@@ -434,7 +414,7 @@ def _cmd_dwt(args):
                          "values": vec.values.tolist()})
         else:
             out = _values(vec.values)
-    return out, {}, [args.input]
+    return out, {}, {args.input: digest}
 
 
 # ---------------------------------------------------------------- coeffs
@@ -452,11 +432,11 @@ def _cmd_coeffs(args):
         else:
             text = _csv("kind,order,scale,level,max_oracle_deviation",
                         [args.kind], [args.order], [args.scale], [level], [dev])
-        return text, {}, []
+        return text, {}, {}
     # without verification the table itself is the output, in its
     # canonical container format
-    with _text_file(cache_path) as fh:
-        return fh.read(), {}, []
+    with open(cache_path, encoding="utf-8") as fh:
+        return fh.read(), {}, {}
 
 
 # ---------------------------------------------------------------- hamiltonian
@@ -493,7 +473,7 @@ def _cmd_hamiltonian(args):
     files = {}
     if args.dump_matrix:
         files[args.dump_matrix] = _coo_text(basis.dimension, *op.entries())
-    return text, files, []
+    return text, files, {}
 
 
 # ---------------------------------------------------------------- flow
@@ -526,15 +506,17 @@ def _coo_entries(entries, dim):
             np.fromiter(map(float, fields[2::3]), float))
 
 
-def _parse_coo(path) -> np.ndarray:
+def _parse_coo(path, digest=None) -> np.ndarray:
     """The matrix of a 'dim nnz' file, its entries read a piece at a time
     into index and value arrays grown by _stored up to nnz entries.  A bad
     header is named at once, then a wrong entry count, the first bad entry,
     a nan or an inf."""
-    nnz = bad = None  # the header's entry count; the first bad entry's error
+    # the header's entry count; the errors of the first bad entry and the
+    # first nan or inf
+    nnz = bad = nonfinite = None
     found = 0  # nonblank lines after the header
     index, vals = np.empty(0, np.int64), np.empty(0)
-    for first, lines in _read_lines(path):
+    for first, lines in _line_chunks(path, digest):
         if nnz is None:
             at = next((i for i, s in enumerate(lines) if s.strip()), None)
             if at is None:
@@ -559,6 +541,8 @@ def _parse_coo(path) -> np.ndarray:
             except ValueError:
                 bad = _coo_entry_error(lines, first, dim, path)
             else:
+                nonfinite = nonfinite or _nonfinite(values, lines, first, path,
+                                                    column=2)
                 _stored(index, found, flat)
                 _stored(vals, found, values)
         found = end
@@ -566,18 +550,18 @@ def _parse_coo(path) -> np.ndarray:
         raise ParseError("empty matrix file", path=path)
     if found != nnz:
         raise ParseError(f"expected {nnz} entries, found {found}", path=path)
-    if bad is not None:
-        raise bad
-    vals = _checked_finite(vals[:found], path, column=2)
+    if bad or nonfinite:
+        raise bad or nonfinite
     # repeated entries add up in file order from 0.0, as np.add.at on a
     # zero matrix adds them; a sum that overflows is left as inf for
     # FlowState to refuse.  With no entries bincount counts in integers.
-    mat = np.bincount(index[:found], vals, dim * dim)
+    mat = np.bincount(index[:found], vals[:found], dim * dim)
     return mat.astype(float, copy=False).reshape(dim, dim)
 
 
 def _cmd_flow(args):
-    h0 = _parse_coo(args.input)
+    digest = hashlib.sha256() if args.manifest else None
+    h0 = _parse_coo(args.input, digest)
     genspec = "wegner-diagonal" if args.generator == "diag" else "wegner-block"
     if genspec == "wegner-block" and args.partition is None:
         raise ShapeError("--generator block requires --partition")
@@ -597,7 +581,7 @@ def _cmd_flow(args):
         })
     else:
         text = _dense_coo_text(final.h_matrix)
-    return text, files, [args.input]
+    return text, files, {args.input: digest}
 
 
 # ---------------------------------------------------------------- diagnose
@@ -651,7 +635,7 @@ def _cmd_diagnose(args):
         })
     else:
         text = _csv("k,value", *zip(*rows))
-    return text, {}, []
+    return text, {}, {}
 
 
 # ---------------------------------------------------------------- plumbing
@@ -758,7 +742,7 @@ def run(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 2
     t0 = time.perf_counter()
     try:
-        primary, extra_files, input_paths = args.func(args)
+        primary, extra_files, inputs = args.func(args)
     except WavefieldError as e:
         context = "".join(f" {k}={v}" for k, v in e.context.items())
         print(f"{e.name}: {e}{context}", file=sys.stderr)
@@ -787,7 +771,7 @@ def run(argv=None) -> int:
                 "version": __version__,
                 "subcommand": args.cmd,
                 "parameters": params,
-                "inputs": {path: _sha256_file(path) for path in input_paths},
+                "inputs": {path: d.hexdigest() for path, d in inputs.items()},
                 "outputs": outputs,
                 "wall_time_s": round(wall, 6),
             }

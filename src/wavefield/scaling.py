@@ -154,15 +154,15 @@ def wavelet_samples(K, level):
     """
     sv = scaling_samples(K, level).values
     g = make_filters(K).g
-    n = (2 * K - 1) * 2**level + 1
-    out = np.zeros(n)
-    i = np.arange(n)
+    out = np.zeros(len(sv))
     for l in range(2 * K):
         # at x = i/2^level the argument 2x - l sits on the same grid, at
-        # sample index (2x - l) * 2^level = 2i - l * 2^level
-        src = 2 * i - (l << level)
-        ok = (src >= 0) & (src < len(sv))
-        out[i[ok]] += np.sqrt(2.0) * g[l] * sv[src[ok]]
+        # sample index (2x - l) * 2^level = 2i - L, L = l * 2^level: from
+        # i = ceil(L/2) on it runs over every other sample from L % 2, and
+        # as L < len(sv) each of those i is in range
+        L = l << level
+        part, i0 = sv[L % 2::2], (L + 1) // 2
+        out[i0:i0 + len(part)] += np.sqrt(2.0) * g[l] * part
     return DyadicSamples(K, level, 0, out)
 
 

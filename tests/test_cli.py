@@ -14,6 +14,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -858,6 +859,97 @@ def test_manifest_hashes_input_bytes(tmp_path, capsys, cachedir):
     digest = json.loads(mani.read_text())["inputs"][str(src)]
     assert digest == hashlib.sha256(b"1\r\n" * 4).hexdigest()
     assert digest != hashlib.sha256(b"1\n" * 4).hexdigest()
+
+
+# ------------------------------------------------------------- inputs read once
+
+# an input is opened once and read through once, so a named pipe or a
+# pipe on stdin is read as a file is: its bad line named, its bytes
+# digested.  These runs go through a subprocess with a timeout, so a
+# reader that blocks fails its test instead of hanging it.
+
+FLOW = ["flow", "--generator", "diag", "--lambda-end", "0.5"]
+FORWARD = ["dwt", "--order", "1", "--levels", "1", "--direction", "forward"]
+INVERSE = ["dwt", "--order", "1", "--levels", "1", "--direction", "inverse"]
+PIPED = [
+    (FLOW, b"2 1\n0 0 nan\n", "non-finite value in input", 2),
+    (FORWARD, b"1\n\n2\n-inf\n", "non-finite value in input", 4),
+    (FORWARD, b"1\r\n2\xff\n", "input is not UTF-8 text", 2),
+    (INVERSE, "\n".join(PYRAMID_OK[:6] + ["nan", "0"]).encode(),
+     "non-finite value in input", 7),
+]
+
+
+def run_module(argv, tmp_path, **kw):
+    env = dict(src_env(), WAVEFIELD_CACHE=str(tmp_path / "cache"))
+    return subprocess.run([sys.executable, "-m", "wavefield.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          timeout=30, **kw)
+
+
+@pytest.mark.parametrize("argv,data,message,line", PIPED)
+def test_reader_names_bad_line_of_a_fifo(argv, data, message, line, tmp_path):
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+    # the writer's open waits for the reader's; a daemon thread, so a
+    # reader that never opens the pipe leaves nothing behind that waits
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,),
+                              daemon=True)
+    writer.start()
+    proc = run_module(argv + ["--input", str(fifo)], tmp_path)
+    writer.join(5)
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert proc.stderr.decode() == (f"parse: {message} path={fifo} "
+                                    f"line={line}\n")
+
+
+@pytest.mark.parametrize("argv,data,message,line", PIPED)
+def test_reader_names_bad_line_of_stdin(argv, data, message, line, tmp_path):
+    proc = run_module(argv + ["--input", "/dev/stdin"], tmp_path, input=data)
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert proc.stderr.decode() == (f"parse: {message} path=/dev/stdin "
+                                    f"line={line}\n")
+
+
+@pytest.mark.parametrize("argv,data", [
+    (FORWARD, b"1\r\n2\n\n3\n4"),
+    (FLOW, b"2 2\r\n0 0 1\n1 1 2\n"),
+])
+def test_manifest_digests_piped_input(argv, data, tmp_path):
+    mani = tmp_path / "runs.jsonl"
+    proc = run_module(argv + ["--input", "/dev/stdin", "--manifest", str(mani)],
+                      tmp_path, input=data)
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(mani.read_text())
+    assert rec["inputs"] == {"/dev/stdin": hashlib.sha256(data).hexdigest()}
+
+
+def test_manifest_runs_open_their_input_once(tmp_path, capsys, cachedir,
+                                            monkeypatch):
+    opened = []
+
+    def counted(opener):
+        def wrapper(file, *args, **kwargs):
+            opened.append(file)
+            return opener(file, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr("builtins.open", counted(open))
+    monkeypatch.setattr(os, "open", counted(os.open))
+    (tmp_path / "v.csv").write_text("".join(f"{v}\n" for v in range(8)))
+    (tmp_path / "h.coo").write_text("2 2\n0 0 1\n1 1 2\n")
+    mani = str(tmp_path / "runs.jsonl")
+    runs = [FORWARD + ["--input", "v.csv", "--output", "p.txt"],
+            INVERSE + ["--input", "p.txt", "--output", "y.csv"],
+            FLOW + ["--input", "h.coo", "--output", "f.coo"]]
+    monkeypatch.chdir(tmp_path)
+    for argv in runs:
+        opened.clear()
+        assert run(argv + ["--manifest", mani]) == 0
+        source = argv[argv.index("--input") + 1]
+        assert opened.count(source) == 1, (argv, opened)
+    recs = map(json.loads, (tmp_path / "runs.jsonl").read_text().splitlines())
+    assert [list(r["inputs"]) for r in recs] == [["v.csv"], ["p.txt"], ["h.coo"]]
 
 
 def test_cache_flag_overrides_env(tmp_path, capsys, cachedir):

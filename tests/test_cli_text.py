@@ -9,6 +9,8 @@ text is written to a file byte for byte; the reference loop takes the
 text itself.
 """
 
+import hashlib
+import math
 import os
 import tempfile
 import threading
@@ -65,11 +67,16 @@ def coo_text_loop(mat):
     return "\n".join(lines) + "\n"
 
 
-# the readers share cli._checked_finite, which reads the file at path
-# again to name the line of a nan or inf
+# each loop notes the line of its first nan or inf as it reads, and
+# refuses it once every other check has passed
+
+def refuse_nonfinite(line, path):
+    if line is not None:
+        raise ParseError("non-finite value in input", path=path, line=line)
+
 
 def parse_plain_loop(text, path):
-    vals = []
+    vals, nonfinite = [], None
     for ln, raw in enumerate(text.splitlines(), 1):
         s = raw.strip()
         if not s:
@@ -78,14 +85,17 @@ def parse_plain_loop(text, path):
             vals.append(float(s))
         except ValueError:
             raise ParseError("non-numeric value in input", path=path, line=ln)
+        if nonfinite is None and not math.isfinite(vals[-1]):
+            nonfinite = ln
     if not vals:
         raise ParseError("empty input", path=path)
-    return cli._checked_finite(np.array(vals), path)
+    refuse_nonfinite(nonfinite, path)
+    return np.array(vals)
 
 
 def parse_pyramid_loop(text, path):
     heads = []
-    vals = []
+    vals, nonfinite = [], None
     for ln, s in enumerate(map(str.strip, text.splitlines()), 1):
         if not s:
             continue
@@ -100,6 +110,8 @@ def parse_pyramid_loop(text, path):
             except ValueError:
                 raise ParseError("non-numeric pyramid value", path=path,
                                  line=ln)
+            if nonfinite is None and not math.isfinite(vals[-1]):
+                nonfinite = ln
     if len(heads) < 2 or heads[0][1] != "# wavefield-pyramid 1":
         raise ParseError("missing pyramid header", path=path)
     meta = cli._PYRAMID_META.fullmatch(heads[1][1])
@@ -111,7 +123,8 @@ def parse_pyramid_loop(text, path):
         raise ParseError(
             f"expected {levels + 1} blocks, found {len(heads) - 2}", path=path
         )
-    vals = cli._checked_finite(np.array(vals), path)
+    refuse_nonfinite(nonfinite, path)
+    vals = np.array(vals)
     ends = [first for *_, first in heads[3:]] + [len(vals)]
     vecs = []
     for i, ((ln, s, first), end) in enumerate(zip(heads[2:], ends)):
@@ -152,7 +165,7 @@ def parse_coo_loop(text, path):
         raise ParseError(
             f"expected {nnz} entries, found {len(lines) - 1}", path=path
         )
-    rows, cols, vals = [], [], []
+    rows, cols, vals, nonfinite = [], [], [], None
     for ln, s in lines[1:]:
         try:
             r, c, v = s.split()
@@ -162,13 +175,16 @@ def parse_coo_loop(text, path):
                              line=ln)
         if not (0 <= r < dim and 0 <= c < dim):
             raise ParseError("matrix index out of range", path=path, line=ln)
+        if nonfinite is None and not math.isfinite(v):
+            nonfinite = ln
         rows.append(r)
         cols.append(c)
         vals.append(v)
-    vals = cli._checked_finite(np.array(vals), path, column=2)
+    refuse_nonfinite(nonfinite, path)
     mat = np.zeros((dim, dim))
     with np.errstate(over="ignore"):
-        np.add.at(mat, (np.array(rows, np.int64), np.array(cols, np.int64)), vals)
+        np.add.at(mat, (np.array(rows, np.int64), np.array(cols, np.int64)),
+                  np.array(vals))
     return mat
 
 
@@ -205,9 +221,12 @@ def pyramids():
 # after a '\n', so each of these must survive sitting at or beside a cut
 TERMINATORS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
                "\x85", "\u2028", "\u2029")
-# characters per reader chunk: 1 to 64 cut nearly every line, 2**16 is
-# the CLI's own
+# bytes per reader read: 1 to 64 cut nearly every line, 2**16 is the
+# CLI's own
 chunk_chars = st.one_of(st.integers(1, 64), st.just(2**16))
+# characters of two, three and four UTF-8 bytes, which a read of a few
+# bytes cuts inside
+WIDE = ("\xe9", "\u20ac", "\U0001d11e")
 
 
 @st.composite
@@ -356,19 +375,78 @@ def test_csv_matches_loop(kinds, n, array_columns, most, data):
 PLAIN_CORRUPTIONS = ("x", "1 2", "1,5", "nan", "-inf", "1e999", "#1", "0x1")
 
 
-@settings(max_examples=200, deadline=None)
-@given(text=st.lists(st.sampled_from(("1", " ", "#", *TERMINATORS)),
-                     max_size=60).map("".join), size=st.integers(1, 64))
-def test_line_chunks_join_to_splitlines(text, size):
-    # read in universal newline mode, as the readers open their files: a
-    # '\r' or '\r\n' becomes '\n', which ends the same lines
-    with text_file(text) as path, open(path, encoding="utf-8") as fh, \
-            mock.patch.object(cli, "_CHUNK_CHARS", size):
-        pieces = list(cli._line_chunks(fh))
-    assert [ln for _, lines in pieces for ln in lines] == text.splitlines()
+def line_pieces(path, size, digest=None):
+    with mock.patch.object(cli, "_CHUNK_CHARS", size):
+        pieces = list(cli._line_chunks(path, digest))
     starts = np.cumsum([1] + [len(lines) for _, lines in pieces])
     assert [first for first, _ in pieces] == starts[:-1].tolist()
     assert all(lines for _, lines in pieces)
+    return [ln for _, lines in pieces for ln in lines]
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.lists(st.sampled_from(("1", " ", "#", *WIDE, *TERMINATORS)),
+                     max_size=60).map("".join), size=st.integers(1, 64))
+def test_line_chunks_join_to_splitlines(text, size):
+    # the file is read in binary a few bytes at a time, so reads end inside
+    # a multibyte character and between the '\r' and '\n' of a '\r\n'; the
+    # pieces still join to the lines of the whole text, and the digest is
+    # of every byte read
+    digest = hashlib.sha256()
+    with text_file(text) as path:
+        assert line_pieces(path, size, digest) == text.splitlines()
+    assert digest.hexdigest() == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_line_chunks_cut_anywhere():
+    # every read size, so each byte boundary is a read's end once
+    text = "1\r\n\xe9\r\r\n2\r\u2028\U0001d11e\x85\r\n\n3\r"
+    with text_file(text) as path:
+        for size in range(1, len(text.encode()) + 1):
+            assert line_pieces(path, size) == text.splitlines(), size
+
+
+def refused_line(raw, size):
+    """The line that _line_chunks names when it refuses the bytes raw,
+    which are no UTF-8, read size bytes at a time."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "in.txt")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            line_pieces(path, size)
+        except ParseError as e:
+            assert str(e) == "input is not UTF-8 text"
+            assert e.context.keys() == {"path", "line"}
+            assert e.context["path"] == path
+            return e.context["line"]
+    raise AssertionError("accepted bytes that are no UTF-8")
+
+
+def test_truncated_last_character_names_last_line():
+    # a file ending in the first byte of a two-byte character
+    for size in (1, 2, 3, 7, 2**16):
+        assert refused_line(b"1\r\n\xc3\xa9\n2\n1\xc3", size) == 4, size
+
+
+# byte runs that are no UTF-8, each put where a character starts
+UNDECODABLE = (b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xc3(", b"\xed\xa0\x80",
+               b"\xf4\x90\x80\x80")
+
+
+@settings(max_examples=200, deadline=None)
+@given(chars=st.lists(st.sampled_from(("1", " ", *WIDE, *TERMINATORS)),
+                      max_size=40), bad=st.sampled_from(UNDECODABLE),
+       size=st.integers(1, 64), data=st.data())
+def test_line_chunks_name_an_undecodable_line(chars, bad, size, data):
+    # named as a rescan reading each bad byte as a lone surrogate would
+    # name it: the line of the first
+    at = data.draw(st.integers(0, len(chars)))
+    raw = "".join(chars[:at]).encode() + bad + "".join(chars[at:]).encode()
+    lines = raw.decode("utf-8", "surrogateescape").splitlines()
+    want = next(ln for ln, s in enumerate(lines, 1)
+                if any("\udc80" <= c <= "\udcff" for c in s))
+    assert refused_line(raw, size) == want
 
 
 @settings(max_examples=150, deadline=None)
