@@ -13,7 +13,8 @@ exact round-trip rendering.
 Bulk text is written and read at array speed, in bounded parts, with
 these formats unchanged.  A writer yields its text in parts of at most
 _PART_LINES lines, each formatted by one %-operation, and run() writes
-and digests the parts one at a time, so no whole output string exists.
+the parts one at a time, so no whole output string exists; with
+--manifest the same parts feed each output's sha256 digest.
 A dwt or flow reader opens its input once, in binary, and reads it
 _CHUNK_CHARS bytes at a time; a strict incremental UTF-8 decoder turns
 the reads into pieces of whole lines, each parsed in one pass of C-level
@@ -119,14 +120,14 @@ def _json(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _write_parts(fh, text) -> str:
+def _write_parts(fh, text, digest=None):
     """Write text, a str or an iterable of str parts, to fh one part at a
-    time; the sha256 digest of its UTF-8 bytes, updated part by part."""
-    digest = hashlib.sha256()
+    time; each part's UTF-8 bytes update digest, when one is given."""
     for part in (text,) if isinstance(text, str) else text:
         fh.write(part)
-        digest.update(part.encode())
-    return digest.hexdigest()
+        if digest is not None:
+            digest.update(part.encode())
+    return digest
 
 
 def _line_chunks(path: str, digest=None):
@@ -748,18 +749,22 @@ def run(argv=None) -> int:
         print(f"{e.name}: {e}{context}", file=sys.stderr)
         return 1
 
+    # the outputs are digested only for the manifest
+    def digest():
+        return hashlib.sha256() if args.manifest else None
+
     outputs = {}
     try:
         # a writer's parts are formatted as they are written, so the wall
         # time is taken once every output is out
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
-                outputs[args.output] = _write_parts(fh, primary)
+                outputs[args.output] = _write_parts(fh, primary, digest())
         else:
-            outputs["stdout"] = _write_parts(sys.stdout, primary)
+            outputs["stdout"] = _write_parts(sys.stdout, primary, digest())
         for path, text in extra_files.items():
             with open(path, "w", encoding="utf-8") as fh:
-                outputs[path] = _write_parts(fh, text)
+                outputs[path] = _write_parts(fh, text, digest())
         wall = time.perf_counter() - t0
         if args.manifest:
             params = {
@@ -772,7 +777,7 @@ def run(argv=None) -> int:
                 "subcommand": args.cmd,
                 "parameters": params,
                 "inputs": {path: d.hexdigest() for path, d in inputs.items()},
-                "outputs": outputs,
+                "outputs": {path: d.hexdigest() for path, d in outputs.items()},
                 "wall_time_s": round(wall, 6),
             }
             with open(args.manifest, "a", encoding="utf-8") as fh:

@@ -30,12 +30,12 @@ pair and writes it straight to its slots, columns in order with no
 sort.  A sum of exactly zero is not stored, just as a term with a zero
 coefficient is never applied.
 
-The eigensolver multiplies by that half form with scipy's own CSR and
-CSC kernels, adding each row's lower, diagonal and upper entries in
-ascending column from zero: the same sequential sum scipy forms over a
-full row, so every product, and with it every ARPACK iterate, is the
-full matrix's bit for bit.  FockOperator.matrix builds the full scipy
-matrix on access, for callers that want one.
+FockOperator holds only that half form.  One numpy pass expands it,
+copying every value, for the stored entries, the dense eigensolve and
+FockOperator.matrix.  Only ARPACK (dimension > 128) loads scipy: its CSR
+and CSC kernels multiply by the half form, adding each row's entries in
+ascending column from zero as scipy does over a full row, so every
+ARPACK iterate is the full matrix's bit for bit.
 
 The volume truncation wraps tensor offsets modulo the mode count.  The
 wrapped sums are well defined for any N >= 1; for N < 2K distinct
@@ -159,75 +159,76 @@ class _Half(NamedTuple):
 
 
 class FockOperator:
-    """An operator on a Fock basis.
+    """A real symmetric operator on a Fock basis, such as the Hamiltonian,
+    held as its half form: the diagonal and the strict upper triangle."""
 
-    The Hamiltonian keeps only its diagonal and strict upper triangle,
-    FockOperator(basis, half=...); `matrix` builds the full scipy CSR
-    matrix from them on each access.  Any other operator, such as a
-    ladder or field matrix, is made from its scipy matrix,
-    FockOperator(basis, matrix), and `matrix` returns it as given.
-    """
+    __slots__ = ("basis", "half")
 
-    __slots__ = ("basis", "_matrix", "_half")
-
-    def __init__(self, basis: FockBasis, matrix: scipy.sparse.spmatrix | None = None,
-                 *, half: _Half | None = None):
-        if (matrix is None) == (half is None):
-            raise ShapeError("an operator is given by its matrix or by its half form")
-        self.basis, self._matrix, self._half = basis, matrix, half
+    def __init__(self, basis: FockBasis, half: _Half):
+        self.basis, self.half = basis, half
 
     @property
     def matrix(self) -> scipy.sparse.csr_matrix:
-        return self._matrix if self._half is None else _full_csr(self._half)
+        """The full scipy CSR matrix, built on each access."""
+        import scipy.sparse as sp
 
-    @property
-    def half(self) -> _Half:
-        """The diagonal and strict upper triangle, which lanczos_lowest and
-        block_leakage_counts read.  For an operator made from its matrix
-        they are taken from that matrix, whose lower triangle is then
-        assumed to mirror the upper one."""
-        return self._half if self._half is not None else _half_of(self._matrix)
+        dim = self.basis.dimension
+        return sp.csr_matrix(_expand(self.half), shape=(dim, dim))
 
     def entries(self):
         """Row, column and value arrays of every stored entry, row by row
         with the columns ascending."""
-        if self._half is not None:
-            return _entries(self._half)
-        coo = self._matrix.tocsr().sorted_indices().tocoo()
-        return coo.row, coo.col, coo.data
-
-
-def _half_of(mat):
-    """The half form of a scipy matrix: its diagonal, signed zeros read as
-    +0.0, and its strict upper triangle."""
-    import scipy.sparse as sp
-
-    upper = sp.triu(mat, k=1, format="csr")
-    upper.sort_indices()
-    return _Half(mat.diagonal() + 0.0, upper.data, upper.indices, upper.indptr)
+        return _entries(self.half)
 
 
 def _rows_of(indptr):
-    """The row of each entry of a CSR matrix."""
-    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    """The row of each entry of a CSR matrix, in the index type of indptr."""
+    return np.repeat(np.arange(len(indptr) - 1, dtype=indptr.dtype), np.diff(indptr))
 
 
 def _entries(half):
     """Row, column and value arrays of the full matrix's stored entries,
     row by row with the columns ascending."""
-    coo = _full_csr(half).tocoo()
-    return coo.row, coo.col, coo.data
+    data, indices, indptr = _expand(half)
+    return _rows_of(indptr), indices, data
 
 
-def _full_csr(half):
-    """The full scipy CSR matrix of a half form, U + U^T + diag: the three
-    share no position, so every stored value keeps its bits."""
-    import scipy.sparse as sp
-
+def _expand(half):
+    """The CSR arrays (data, indices, indptr) of the full matrix of a half
+    form.  Row r holds its lower entries, the upper entries of column r by
+    ascending row, then its diagonal entry when nonzero, then its upper
+    entries; each part fills its slots of the row in order.  Every value
+    is copied, never summed, so it keeps its bits."""
     diag, data, indices, indptr = half
-    dim = len(diag)
-    upper = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
-    return (upper + upper.T + sp.diags(diag, format="csr")).tocsr()
+    dim, n = len(diag), len(data)
+    # the upper entries by column, ties in stored order: the sorted keys
+    # column << shift | position, whose low bits are the positions
+    shift = max(n - 1, 0).bit_length()
+    order = indices.astype(np.int64)
+    order <<= shift
+    order |= np.arange(n)
+    order.sort()
+    lower = np.diff(np.searchsorted(order, np.arange(dim + 1) << shift))
+    order &= (1 << shift) - 1
+    on = diag != 0.0
+    parts = np.stack([lower, on, np.diff(indptr)], axis=1)
+    nnz = 2 * n + int(on.sum())
+    index = _index_dtype(max(dim, nnz))
+    full_ptr = np.zeros(dim + 1, index)
+    np.cumsum(parts.sum(axis=1), out=full_ptr[1:])
+    # the part each slot of the full rows holds: 0 lower, 1 diagonal, 2 upper
+    part = np.repeat(np.tile(np.arange(3, dtype=np.int8), dim), parts.ravel())
+    full_data, full_indices = np.empty(nnz), np.empty(nnz, index)
+    slots = part == 0
+    full_data[slots] = data[order]
+    full_indices[slots] = _rows_of(indptr)[order]
+    slots = part == 1
+    full_data[slots] = diag[on]
+    full_indices[slots] = np.flatnonzero(on)
+    slots = part == 2
+    full_data[slots] = data
+    full_indices[slots] = indices
+    return full_data, full_indices, full_ptr
 
 
 @lru_cache(maxsize=16)
@@ -283,8 +284,10 @@ def _apply_term(basis, creators, annihilators):
     return src, shift, amp
 
 
-def mode_operator(basis: FockBasis, mode: int, which: str, gamma: float = 1.0) -> FockOperator:
-    """Single-mode ladder, field, or momentum matrix.
+def mode_operator(basis: FockBasis, mode: int, which: str,
+                  gamma: float = 1.0) -> scipy.sparse.csr_matrix:
+    """Single-mode ladder, field, or momentum matrix, as a scipy CSR matrix
+    (none of them is symmetric, so none has a half form).
 
     which: annihilate | create | phi | pi_times_i, with
     phi = (a + a^+)/sqrt(2 gamma) and pi_times_i the real antisymmetric
@@ -316,7 +319,7 @@ def mode_operator(basis: FockBasis, mode: int, which: str, gamma: float = 1.0) -
         out = mat((mode,), (), c) + mat((), (mode,), -c)
     else:
         raise ShapeError("unknown operator name", which=which)
-    return FockOperator(basis, out)
+    return out
 
 
 def _quadratic_terms(w_mat, mass_squared, gamma, modes):
@@ -451,12 +454,6 @@ def _symmetric_csr(terms, dim):
     cancels, which the physical Hamiltonians never showed, one forward
     compaction drops it and the index type follows the count left.
     """
-    # an assembly loads scipy here, before its buffers exist, for the
-    # eigensolve's kernels; loaded after them, the import's own
-    # allocations stacked on the assembly and raised the peak RSS of a
-    # spectrum benchmark pass from 141.8 to 154.0 MiB (2-core host)
-    import scipy.sparse  # noqa: F401
-
     groups = {}
     for coeff, src, shift, amp in terms:
         groups.setdefault(shift, []).append((coeff, src, amp))
@@ -544,7 +541,7 @@ def build_phi4_hamiltonian(p: ModelParams, d_tensor: CoeffTensor,
     applied = [(coeff,) + _apply_term(basis, key[0], key[1])
                for key, coeff in terms.items()
                if key <= (key[1], key[0]) and coeff != 0.0]
-    return FockOperator(basis, half=_symmetric_csr(applied, basis.dimension))
+    return FockOperator(basis, _symmetric_csr(applied, basis.dimension))
 
 
 def _check_kind(t, kind):
@@ -638,26 +635,27 @@ def lanczos_lowest(op: FockOperator, count: int, tol: float = 1e-10):
     """Lowest eigenvalues with certified residual norms.
 
     Returns a list of (eigenvalue, residual) pairs sorted ascending.
-    Small problems fall back to a dense solve; the iterative path uses a
-    deterministic start vector seeded with _START_SEED.  Both read the
-    operator's half form; ARPACK multiplies by it through _half_product.
+    Small problems fall back to a dense solve of the expanded matrix; ARPACK
+    multiplies by the half form from a start vector seeded with _START_SEED.
+    The bound scales the largest absolute row sum, each row added in
+    ascending column: down the columns of the dense |H|, or _largest_row_sum.
     """
     half = op.half
     dim = len(half.diagonal)
     if count < 1 or count > dim:
         raise IndexRangeError("eigenvalue count out of range", count=count, dimension=dim)
-    hnorm = _largest_row_sum(half) or 1.0
     if dim <= max(128, count + 2):
-        diag, data, cols, indptr = half
-        rows = _rows_of(indptr)
-        dense = np.diag(diag)
-        dense[rows, cols] = dense[cols, rows] = data
+        rows, cols, vals = op.entries()
+        dense = np.zeros((dim, dim))
+        dense[rows, cols] = vals
+        hnorm = float(np.abs(dense).sum(axis=0).max()) or 1.0
         evals, evecs = np.linalg.eigh(dense)
         evals, evecs = evals[:count], evecs[:, :count]
         resid = np.linalg.norm(dense @ evecs - evecs * evals, axis=0)
     else:
         import scipy.sparse.linalg as spla
 
+        hnorm = _largest_row_sum(half) or 1.0
         rng = np.random.default_rng(_START_SEED)
         v0 = rng.standard_normal(dim)
         mat = spla.LinearOperator((dim, dim), matvec=partial(_half_product, half),

@@ -952,6 +952,24 @@ def test_manifest_runs_open_their_input_once(tmp_path, capsys, cachedir,
     assert [list(r["inputs"]) for r in recs] == [["v.csv"], ["p.txt"], ["h.coo"]]
 
 
+def test_runs_without_a_manifest_digest_nothing(tmp_path, capsys, cachedir,
+                                                monkeypatch):
+    # outputs and inputs are hashed for the manifest alone
+    made = []
+    monkeypatch.setattr(hashlib, "sha256", lambda *a: made.append(a))
+    (tmp_path / "v.csv").write_text("".join(f"{v}\n" for v in range(8)))
+    (tmp_path / "h.coo").write_text("2 2\n0 0 1\n1 1 2\n")
+    monkeypatch.chdir(tmp_path)
+    for argv in (["filters", "--order", "2"],
+                 FORWARD + ["--input", "v.csv", "--output", "p.txt"],
+                 INVERSE + ["--input", "p.txt"],
+                 FLOW + ["--input", "h.coo", "--output", "f.coo",
+                         "--log", "f.log"]):
+        assert run(argv) == 0
+    capsys.readouterr()
+    assert made == []
+
+
 def test_cache_flag_overrides_env(tmp_path, capsys, cachedir):
     other = tmp_path / "other-cache"
     rc = run(["coeffs", "--order", "3", "--kind", "d",
@@ -1059,6 +1077,18 @@ BLAS_THREAD_RUNS = [
     ["flow", "--input", "h256.coo", "--generator", "diag",
      "--lambda-end", "0.001", "--output", "flow-diag.txt",
      "--log", "flow-diag.log"],
+    ["hamiltonian", "--order", "3", "--modes", "3", "--nmax", "4",
+     "--mass2", "1", "--lambda", "0.1", "--eigs", "4",
+     "--dump-matrix", "h125.coo", "--output", "hamiltonian125.csv"],
+    ["flow", "--input", "h125.coo", "--generator", "diag",
+     "--lambda-end", "0.05", "--output", "flow125-diag.txt",
+     "--log", "flow125-diag.log"],
+    ["flow", "--input", "h125.coo", "--generator", "block",
+     "--partition", "37", "--lambda-end", "0.001",
+     "--output", "flow125-block37.txt", "--log", "flow125-block37.log"],
+    ["flow", "--input", "h125.coo", "--generator", "block",
+     "--partition", "100", "--lambda-end", "0.05",
+     "--output", "flow125-block100.txt", "--log", "flow125-block100.log"],
     ["diagnose", "--order", "3", "--scale", "4", "--probe", "partition",
      "--output", "partition.csv"],
     ["diagnose", "--order", "3", "--scale", "4", "--probe", "projection",
@@ -1066,7 +1096,8 @@ BLAS_THREAD_RUNS = [
     ["diagnose", "--order", "3", "--scale", "4", "--probe", "commutator",
      "--output", "commutator.csv"],
 ]
-FLOW_LOGS = ("flow-block.log", "flow-diag.log")
+FLOW_LOGS = ("flow-block.log", "flow-diag.log", "flow125-diag.log",
+             "flow125-block37.log", "flow125-block100.log")
 
 
 def test_outputs_independent_of_blas_threads(tmp_path):
@@ -1100,6 +1131,8 @@ def test_outputs_independent_of_blas_threads(tmp_path):
     assert sorted(outputs[0]) == sorted([
         "back.csv", "filters.csv", "pyramid.txt", "scalfun.csv",
         "hamiltonian.csv", "h256.coo", "flow-block.txt", "flow-diag.txt",
+        "hamiltonian125.csv", "h125.coo", "flow125-diag.txt",
+        "flow125-block37.txt", "flow125-block100.txt",
         "partition.csv", "projection.csv", "commutator.csv", *FLOW_LOGS])
     logs = [{name: [line.rsplit(",", 1)[0]
                     for line in out.pop(name).decode().splitlines()]
@@ -1154,6 +1187,35 @@ def test_runs_without_a_hamiltonian_leave_scipy_and_mpmath_out(tmp_path):
         "loaded = [m for m in ('scipy.sparse', 'scipy.linalg',\n"
         "                      'scipy.integrate', 'mpmath') if m in sys.modules]\n"
         "sys.exit(', '.join(loaded) + ' imported' if loaded else 0)\n"
+    )
+    env = dict(src_env(), WAVEFIELD_CACHE=str(tmp_path / "cache"))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_hamiltonian_loads_scipy_only_for_arpack(tmp_path):
+    # up to dimension 128 the eigensolve is dense and the dump is written
+    # from the numpy expansion of the stored half; only ARPACK's path, the
+    # dimension-256 run last, loads scipy
+    small = ["hamiltonian", "--order", "3", "--modes", "3", "--nmax", "4",
+             "--mass2", "1", "--lambda", "0.1", "--eigs", "4"]
+    runs = [small, small + ["--dump-matrix", str(tmp_path / "h125.coo")]]
+    large = ["hamiltonian", "--order", "3", "--modes", "4", "--nmax", "3",
+             "--mass2", "1", "--lambda", "0.1", "--eigs", "4"]
+    code = (
+        "import sys\n"
+        "from wavefield.cli import run\n"
+        "def scipy_modules():\n"
+        "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        f"for argv in {runs!r}:\n"
+        f"    if run(argv + ['--output', {str(tmp_path / 'out.csv')!r}]):\n"
+        "        sys.exit('failed: ' + ' '.join(argv))\n"
+        "if scipy_modules():\n"
+        "    sys.exit('imported ' + ', '.join(sorted(scipy_modules())[:4]))\n"
+        f"if run({large!r} + ['--output', {str(tmp_path / 'out.csv')!r}]):\n"
+        "    sys.exit('failed at dimension 256')\n"
+        "sys.exit(0 if 'scipy.sparse.linalg' in sys.modules else 'no ARPACK')\n"
     )
     env = dict(src_env(), WAVEFIELD_CACHE=str(tmp_path / "cache"))
     proc = subprocess.run([sys.executable, "-c", code],

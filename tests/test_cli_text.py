@@ -319,7 +319,9 @@ def test_coo_text_matches_loop(dim, most, data):
                                         min_size=dim * dim, max_size=dim * dim)))
     upper = np.triu(dense.reshape(dim, dim))
     mat = scipy.sparse.csr_matrix(upper + np.triu(upper, 1).T)
-    entries = fock._entries(fock._half_of(mat))
+    strict = scipy.sparse.csr_matrix(np.triu(upper, 1))
+    entries = fock._entries(fock._Half(np.diag(upper) + 0.0, strict.data,
+                                       strict.indices, strict.indptr))
     with mock.patch.object(cli, "_PART_LINES", most):
         assert joined(cli._coo_text(dim, *entries), most) == coo_text_loop(mat)
 

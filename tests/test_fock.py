@@ -1,5 +1,6 @@
 import tracemalloc
 from functools import lru_cache
+from itertools import permutations
 from unittest import mock
 
 import numpy as np
@@ -34,7 +35,8 @@ from wavefield.fock import (
     mode_operator,
 )
 from wavefield.fock import (
-    _full_csr,
+    _Half,
+    _expand,
     _half_product,
     _largest_row_sum,
     _quadratic_terms,
@@ -48,6 +50,25 @@ G43 = gamma_tensor(3, 4)
 
 def dense(op):
     return op.matrix.toarray()
+
+
+def half_of(mat):
+    """The half form of a symmetric scipy matrix: its diagonal, signed
+    zeros read as +0.0, and its strict upper triangle."""
+    upper = sp.triu(mat, k=1, format="csr")
+    upper.sort_indices()
+    return _Half(mat.diagonal() + 0.0, upper.data, upper.indices, upper.indptr)
+
+
+def operator_of(mat):
+    """The FockOperator of a symmetric scipy matrix on one mode."""
+    return FockOperator(FockBasis(1, mat.shape[0] - 1), half_of(mat))
+
+
+def full_csr(half):
+    """The full scipy CSR matrix of a half form, from its expansion."""
+    dim = len(half.diagonal)
+    return sp.csr_matrix(_expand(half), shape=(dim, dim))
 
 
 def quartic_reference(t_dense, coupling, gamma, modes, terms):
@@ -159,13 +180,13 @@ def test_basis_enumeration_mode0_fastest():
 
 def test_annihilate_minimal():
     b = FockBasis(1, 1)
-    a = dense(mode_operator(b, 0, "annihilate"))
+    a = mode_operator(b, 0, "annihilate").toarray()
     np.testing.assert_array_equal(a, [[0, 1], [0, 0]])
 
 
 def test_commutator_truncation_artifact():
     b = FockBasis(1, 5)
-    a = dense(mode_operator(b, 0, "annihilate"))
+    a = mode_operator(b, 0, "annihilate").toarray()
     comm = a @ a.T - a.T @ a
     # the product of two ladder matrices is exactly diagonal; the values
     # carry sqrt(n)^2 rounding, so the deficit location is exact and the
@@ -178,14 +199,14 @@ def test_commutator_truncation_artifact():
 
 def test_phi_assembly_gamma2():
     b = FockBasis(1, 3)
-    phi = dense(mode_operator(b, 0, "phi", gamma=2.0))
-    a = dense(mode_operator(b, 0, "annihilate"))
+    phi = mode_operator(b, 0, "phi", gamma=2.0).toarray()
+    a = mode_operator(b, 0, "annihilate").toarray()
     np.testing.assert_allclose(phi, (a + a.T) / 2.0, atol=0)
 
 
 def test_pi_times_i_antisymmetric():
     b = FockBasis(1, 4)
-    pii = dense(mode_operator(b, 0, "pi_times_i", gamma=3.0))
+    pii = mode_operator(b, 0, "pi_times_i", gamma=3.0).toarray()
     np.testing.assert_array_equal(pii, -pii.T)
 
 
@@ -254,7 +275,7 @@ def test_quartic_one_mode_matches_ladder_expansion():
     lam, mu2, gam = 0.7, 1.3, 1.9
     b = FockBasis(1, 10)
     h = dense(build_phi4_hamiltonian(ModelParams(mu2, lam, gam), D3, G43, b))
-    a = dense(mode_operator(b, 0, "annihilate"))
+    a = mode_operator(b, 0, "annihilate").toarray()
     ad = a.T
     inv = 1.0 / (2.0 * gam)
     phi2 = inv * (ad @ ad + 2 * ad @ a + a @ a)
@@ -270,17 +291,22 @@ def test_quartic_one_mode_matches_ladder_expansion():
     assert np.abs(h - ref).max() < 1e-12
 
 
-def sinc_dvr_levels(potential, count, half_width=8.0, points=401):
-    """Lowest levels of 1/2 p^2 + potential(x) by the sinc DVR of Colbert
-    and Miller, J. Chem. Phys. 96 (1992) 1982: a uniform grid on
-    [-half_width, half_width], the kinetic matrix in closed form and the
-    potential on the diagonal; no ladder operator enters."""
+def sinc_grid(half_width, points):
+    """A uniform grid on [-half_width, half_width] and the sinc-DVR matrix
+    of 1/2 p^2 on it, in the closed form of Colbert and Miller, J. Chem.
+    Phys. 96 (1992) 1982; no ladder operator enters."""
     x, dx = np.linspace(-half_width, half_width, points, retstep=True)
     k = np.subtract.outer(np.arange(points), np.arange(points))
     with np.errstate(divide="ignore"):
         kinetic = np.where(k == 0, np.pi**2 / 6.0, (-1.0) ** k / k.astype(float) ** 2)
-    h = kinetic / dx**2 + np.diag(potential(x))
-    return np.linalg.eigvalsh(h)[:count]
+    return x, kinetic / dx**2
+
+
+def sinc_dvr_levels(potential, count, half_width=8.0, points=401):
+    """Lowest levels of 1/2 p^2 + potential(x) by the sinc DVR, the
+    potential on the diagonal."""
+    x, kinetic = sinc_grid(half_width, points)
+    return np.linalg.eigvalsh(kinetic + np.diag(potential(x)))[:count]
 
 
 def test_sinc_dvr_reproduces_hioe_montroll_ground_state():
@@ -307,6 +333,55 @@ def test_one_mode_spectrum_matches_sinc_dvr(mass2, lam, gamma):
     h = build_phi4_hamiltonian(ModelParams(mass2, lam, gamma), D3, G43, basis)
     got = np.array([e for e, _ in lanczos_lowest(h, 4)])
     assert np.abs(got - ref).max() < 1e-9
+
+
+def two_mode_dvr_levels(p, count):
+    """Lowest levels of the two-mode Hamiltonian with its normal ordering
+    undone, c = <Phi^2> = 1/(2 gamma):
+
+        1/2 p.p + 1/2 x.A x + lambda sum F_abcd x_a x_b x_c x_d + const,
+
+    F the wrapped Gamma4 table at sites (n, n+o2, n+o3, n+o4) made
+    symmetric, A = W + mu^2 I - 12 lambda c S with S_kl = sum_i F_iikl
+    (the quadratic shift -6 lambda c sum_kl S_kl x_k x_l) and const =
+    -2 gamma/4 - 1/2 c tr(W + mu^2 I) + 3 lambda c^2 sum_ij F_iijj.  The
+    wrapped D on two sites is [[w, -w], [-w, w]], so the sinc DVR runs
+    along the normal coordinates u = (x0 + x1)/sqrt2, of frequency mu, and
+    v = (x0 - x1)/sqrt2, near 3.9 at K=3, each grid sized to it."""
+    w_mat = wrap_matrix(D3, 2)
+    w_mat = 0.5 * (w_mat + w_mat.T)
+    wrapped = wrap_tensor_dense(G43, 2)
+    f = np.zeros((2,) * 4)
+    for n in range(2):
+        for o2, o3, o4 in np.ndindex(wrapped.shape):
+            f[n, (n + o2) % 2, (n + o3) % 2, (n + o4) % 2] += wrapped[o2, o3, o4]
+    f = sum(f.transpose(perm) for perm in permutations(range(4))) / 24.0
+    c, lam = 1.0 / (2.0 * p.gamma), p.coupling
+    mass = w_mat + p.mass_squared * np.eye(2)
+    a = mass - 12.0 * lam * c * np.einsum("iikl->kl", f)
+    const = -p.gamma / 2.0 - 0.5 * c * np.trace(mass) + 3.0 * lam * c**2 * np.einsum("iijj->", f)
+    u, t_u = sinc_grid(6.0, 41)
+    v, t_v = sinc_grid(2.5, 21)
+    u, v = np.meshgrid(u, v, indexing="ij")
+    x = np.stack([u + v, u - v]) / np.sqrt(2.0)
+    potential = (0.5 * np.einsum("kl,k...,l...->...", a, x, x)
+                 + lam * np.einsum("abcd,a...,b...,c...,d...->...", f, x, x, x, x))
+    h = (np.kron(t_u, np.eye(len(t_v))) + np.kron(np.eye(len(t_u)), t_v)
+         + np.diag(potential.ravel()))
+    return const + np.linalg.eigvalsh(h)[:count]
+
+
+@pytest.mark.parametrize("mass2, lam, gamma", [(1.0, 0.1, 1.0), (0.5, 0.3, 1.3),
+                                               (1.0, 1.0, 2.0)])
+def test_two_mode_spectrum_matches_sinc_dvr(mass2, lam, gamma):
+    # checks the D coupling, Gamma4's off-diagonal entries and the aliasing
+    # of offsets at N = 2 < 2K; the DVR grid is within about 2e-11 of one
+    # with twice the points, and nmax 38 within about 2e-10 of the DVR
+    p = ModelParams(mass2, lam, gamma)
+    ref = two_mode_dvr_levels(p, 4)
+    h = build_phi4_hamiltonian(p, D3, G43, FockBasis(2, 38))
+    got = np.array([e for e, _ in lanczos_lowest(h, 4)])
+    assert np.abs(got - ref).max() < 1e-8
 
 
 def test_free_reference_closed_forms():
@@ -365,29 +440,29 @@ def test_params_default_gamma():
 
 
 def test_lanczos_diagonal_and_closed_form():
-    import scipy.sparse as sp
-
-    b = FockBasis(1, 9)
-    diag = FockOperator(b, sp.csr_matrix(np.diag(np.arange(10.0))))
+    diag = operator_of(sp.csr_matrix(np.diag(np.arange(10.0))))
     out = lanczos_lowest(diag, 3)
     assert [round(e, 12) for e, _ in out] == [0.0, 1.0, 2.0]
     eps = 0.1
-    b2 = FockBasis(1, 1)
-    two = FockOperator(b2, sp.csr_matrix(np.array([[0.0, eps], [eps, 0.0]])))
+    two = operator_of(sp.csr_matrix(np.array([[0.0, eps], [eps, 0.0]])))
     out = lanczos_lowest(two, 2)
     assert abs(out[0][0] + eps) < 1e-14 and abs(out[1][0] - eps) < 1e-14
 
 
-def test_operator_takes_its_matrix_or_its_half_form():
-    b = FockBasis(1, 1)
-    m = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 0.0]]))
-    with pytest.raises(ShapeError):
-        FockOperator(b)
-    with pytest.raises(ShapeError):
-        FockOperator(b, m, half=FockOperator(b, m).half)
-    half = FockOperator(b, m).half
-    assert half.diagonal.tolist() == [1.0, 0.0] and half.data.tolist() == [2.0]
-    assert_csr_bitwise(FockOperator(b, half=half).matrix, m)
+def test_operator_matrix_and_entries_expand_its_half_form():
+    # rows 1 and 3 hold no diagonal entry, row 3 no entry at all
+    m = sp.csr_matrix(np.array([[1.0, 2.0, 0.0, 0.0],
+                                [2.0, 0.0, -3.0, 0.0],
+                                [0.0, -3.0, 0.5, 0.0],
+                                [0.0, 0.0, 0.0, 0.0]]))
+    op = operator_of(m)
+    assert op.half.diagonal.tolist() == [1.0, 0.0, 0.5, 0.0]
+    assert op.half.data.tolist() == [2.0, -3.0]
+    assert_csr_bitwise(op.matrix, m)
+    rows, cols, vals = op.entries()
+    assert rows.tolist() == [0, 0, 1, 1, 2, 2]
+    assert cols.tolist() == [0, 1, 0, 2, 1, 2]
+    assert vals.tolist() == [1.0, 2.0, 2.0, -3.0, -3.0, 0.5]
 
 
 def test_lanczos_sparse_path_deterministic():
@@ -414,8 +489,8 @@ def test_lanczos_arpack_no_convergence(monkeypatch):
         raise spla.ArpackNoConvergence("stalled", np.array([0.5]), np.zeros((200, 1)))
 
     monkeypatch.setattr(spla, "eigsh", stalled)
-    op = FockOperator(FockBasis(1, 199), sp.csr_matrix(np.diag(np.arange(200.0))))
-    assert op.matrix.shape[0] > 128  # iterative path
+    op = operator_of(sp.csr_matrix(np.diag(np.arange(200.0))))
+    assert op.basis.dimension > 128  # iterative path
     with pytest.raises(ConvergenceFailureError) as exc:
         lanczos_lowest(op, 3)
     assert exc.value.context == {"eigenvalues": [0.5], "count": 3}
@@ -423,14 +498,14 @@ def test_lanczos_arpack_no_convergence(monkeypatch):
 
 def test_lanczos_bound_is_largest_absolute_row_sum():
     # rows 1 and 3 are empty; the bound scales scipy's sequential row sums
-    # of |H|, the csr_matvec sums of abs(H) @ 1
+    # of |H|, the csr_matvec sums of abs(H) @ 1 (here on the dense path)
     r = -np.sqrt(2.0)
     m = sp.csr_matrix(np.array([[0.5, 0.0, r, 0.0],
                                 [0.0, 0.0, 0.0, 0.0],
                                 [r, 0.0, 1.0 / 3.0, 0.0],
                                 [0.0, 0.0, 0.0, 0.0]]))
     with pytest.raises(ConvergenceFailureError) as exc:
-        lanczos_lowest(FockOperator(FockBasis(1, 3), m), 2, tol=1e-30)
+        lanczos_lowest(operator_of(m), 2, tol=1e-30)
     assert bits(exc.value.context["bound"]) == bits(1e-30 * largest_row_sum(m))
 
 
@@ -439,11 +514,14 @@ def largest_row_sum(m):
     return float((abs(m) @ np.ones(m.shape[0])).max())
 
 
-def tridiagonal_with_empty_rows(dim, empty, seed):
-    """Symmetric tridiagonal matrix of wide-ranging values, with the rows
-    and columns in empty zeroed; at most three entries a row."""
+def symmetric_with_empty_rows(dim, empty, seed, band=None):
+    """Symmetric matrix of wide-ranging values, nonzero within band of the
+    diagonal (everywhere when band is None), with the rows and columns in
+    empty zeroed."""
     rng = np.random.default_rng(seed)
-    a = np.diag(rng.standard_normal(dim - 1) * 10.0 ** rng.uniform(-6, 6, dim - 1), 1)
+    a = np.triu(rng.standard_normal((dim, dim)) * 10.0 ** rng.uniform(-6, 6, (dim, dim)), 1)
+    if band is not None:
+        a = np.tril(a, band)
     a += a.T + np.diag(rng.standard_normal(dim))
     a[empty, :] = a[:, empty] = 0.0
     return sp.csr_matrix(a)
@@ -452,15 +530,31 @@ def tridiagonal_with_empty_rows(dim, empty, seed):
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 @pytest.mark.parametrize("empty", [[0, 3, 4, 8], [1, 2, 5], [6, 7, 8]])
 def test_lanczos_bound_chunks_keep_row_sums_whole(chunk, empty):
-    # entries 1-3 a row and chunks of 1-3 entries: chunks end before,
-    # after and between empty rows, and a row longer than the chunk is
-    # still summed whole
+    # upper rows of 0-3 entries and chunks of 1-3 entries: chunks end
+    # before, after and between empty rows, and a row longer than the
+    # chunk is still summed whole
     for seed in range(4):
-        m = tridiagonal_with_empty_rows(9, empty, seed)
-        with mock.patch.object(fock, "_BOUND_CHUNK", chunk), \
-                pytest.raises(ConvergenceFailureError) as exc:
-            lanczos_lowest(FockOperator(FockBasis(1, 8), m), 2, tol=1e-30)
-        assert bits(exc.value.context["bound"]) == bits(1e-30 * largest_row_sum(m))
+        m = symmetric_with_empty_rows(9, empty, seed, band=3)
+        with mock.patch.object(fock, "_BOUND_CHUNK", chunk):
+            assert bits(_largest_row_sum(half_of(m))) == bits(largest_row_sum(m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+       empty=st.lists(st.integers(0, 39), max_size=40))
+# summed along its rows pairwise, this matrix's largest sum moves
+@example(dim=40, seed=2, empty=[1, 5])
+def test_dense_bound_is_largest_row_sum(dim, seed, empty):
+    # the dense path's bound, the column sums of |H| added down each column
+    # in row order, equals _largest_row_sum's sequential row sums bit for
+    # bit; rows of up to 40 entries would show a pairwise sum along rows
+    empty = [row for row in empty if row < dim]
+    half = half_of(symmetric_with_empty_rows(dim, empty, seed))
+    # every residual fails, so the error carries the bound, here tol * 1.0
+    with mock.patch.object(np.linalg, "norm", return_value=np.full(1, np.inf)), \
+            pytest.raises(ConvergenceFailureError) as exc:
+        lanczos_lowest(FockOperator(FockBasis(1, dim - 1), half), 1, tol=1.0)
+    assert bits(exc.value.context["bound"]) == bits(_largest_row_sum(half) or 1.0)
 
 
 def test_lanczos_peak_memory_within_0_15_full_matrix():
@@ -656,7 +750,7 @@ def assert_half_bitwise(half, ref):
     assert (ref != ref.T).nnz == 0
     assert bits(half.diagonal) == bits(ref.diagonal())
     assert_csr_bitwise(half, sp.triu(ref, k=1, format="csr"))
-    assert_csr_bitwise(_full_csr(half), ref)
+    assert_csr_bitwise(full_csr(half), ref)
 
 
 @settings(max_examples=300, deadline=None)
@@ -692,7 +786,7 @@ def test_symmetric_csr_stores_no_exact_zero():
     assert got.data.tolist() == [0.25] and got.indices.tolist() == [2]
     assert got.indptr.tolist() == [0, 1, 1, 1, 1, 1]
     assert bits(got.diagonal) == bits(np.zeros(5))  # +0.0, the -0.0 too
-    full = _full_csr(got)
+    full = full_csr(got)
     assert full.nnz == 2
     assert full.toarray().tolist() == [[0, 0, 0.25, 0, 0], [0, 0, 0, 0, 0],
                                        [0.25, 0, 0, 0, 0], [0, 0, 0, 0, 0],
@@ -801,7 +895,7 @@ def test_mode_operator_bitwise_matches_all_states_reference(which):
     for modes, cutoff in ((1, 1), (1, 6), (3, 2), (4, 3)):
         basis = FockBasis(modes, cutoff)
         for mode in range(modes):
-            got = mode_operator(basis, mode, which, gamma=1.7).matrix
+            got = mode_operator(basis, mode, which, gamma=1.7)
             assert_csr_bitwise(got, mode_operator_reference(basis, mode, which, 1.7))
 
 
