@@ -29,7 +29,10 @@ print("two modes, mass^2=1: omega = (%.6f, %.6f), gamma = %.6f"
 
 h = build_phi4_hamiltonian(ModelParams(1.0, 0.0, gam), d3, None, FockBasis(2, 20))
 om2, e0 = free_reference_spectrum(ModelParams(1.0, 0.0, gam), d3, 2)
-evs = np.linalg.eigvalsh(h.matrix.toarray())
+rows, cols, vals = h.entries()
+dense = np.zeros((h.basis.dimension,) * 2)
+dense[rows, cols] = vals
+evs = np.linalg.eigvalsh(dense)
 ladder = sorted(e0 + i * om2[0] + j * om2[1]
                 for i in range(4) for j in range(4))
 print("free ladder agreement (6 levels): %.2e"

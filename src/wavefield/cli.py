@@ -457,10 +457,12 @@ def _dense_coo_text(mat):
 
 def _cmd_hamiltonian(args):
     params = ModelParams(args.mass2, args.coupling, args.gamma)
+    basis = FockBasis(args.modes, args.nmax)
     cache = _cache_dir(args)
     d_t, _ = _cached_tensor("d", args.order, args.scale, cache)
-    g4_t, _ = _cached_tensor("gamma4", args.order, args.scale, cache)
-    basis = FockBasis(args.modes, args.nmax)
+    g4_t = None  # zero coupling reads neither gamma4 nor its gamma3 partner
+    if args.coupling != 0.0:
+        g4_t, _ = _cached_tensor("gamma4", args.order, args.scale, cache)
     op = build_phi4_hamiltonian(params, d_t, g4_t, basis)
     pairs = lanczos_lowest(op, args.eigs)
     if args.format == "json":

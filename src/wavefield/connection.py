@@ -94,9 +94,9 @@ D_RESCALE_EXPONENT = 2
 
 FORMAT_VERSION = 1
 
-# the bordered fixed-point system of one table may take at most this many
-# bytes (gamma-4 at order 7 takes 490 MB, at order 8 1.19 GB); it is
-# solved in place, so the solve peaks near this
+# the bordered fixed-point system of one table, and fock's state grid, may
+# take at most this many bytes (gamma-4 at order 7 takes 490 MB, at order
+# 8 1.19 GB); a system is solved in place, so the solve peaks near this
 _MAX_SYSTEM_BYTES = 512 * 2**20
 
 # elements per row chunk of the refinement-map assembly

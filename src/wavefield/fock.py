@@ -32,10 +32,10 @@ coefficient is never applied.
 
 FockOperator holds only that half form.  One numpy pass expands it,
 copying every value, for the stored entries, the dense eigensolve and
-FockOperator.matrix.  Only ARPACK (dimension > 128) loads scipy: its CSR
-and CSC kernels multiply by the half form, adding each row's entries in
-ascending column from zero as scipy does over a full row, so every
-ARPACK iterate is the full matrix's bit for bit.
+FockOperator.matrix.  Only that matrix and ARPACK (dimension > 128) load
+scipy: ARPACK's CSR and CSC kernels multiply by the half form, adding
+each row's entries in ascending column from zero as scipy does over a
+full row, so every ARPACK iterate is the full matrix's bit for bit.
 
 The volume truncation wraps tensor offsets modulo the mode count.  The
 wrapped sums are well defined for any N >= 1; for N < 2K distinct
@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .connection import CoeffTensor, wrap_matrix, wrap_tensor_dense
+from .connection import _MAX_SYSTEM_BYTES, CoeffTensor, wrap_matrix, wrap_tensor_dense
 from .errors import (
     ConvergenceFailureError,
     IndexRangeError,
@@ -70,7 +70,6 @@ __all__ = [
     "ModelParams",
     "FockBasis",
     "FockOperator",
-    "mode_operator",
     "build_phi4_hamiltonian",
     "free_reference_spectrum",
     "lanczos_lowest",
@@ -115,7 +114,8 @@ def _occupations(modes, cutoff):
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Occupation-number basis, lexicographic with mode 0 fastest."""
+    """Occupation-number basis, lexicographic with mode 0 fastest.  A basis
+    whose int64 state grid would pass _MAX_SYSTEM_BYTES is refused."""
 
     modes: int
     cutoff: int
@@ -127,6 +127,11 @@ class FockBasis:
                 modes=self.modes,
                 cutoff=self.cutoff,
             )
+        nbytes = 8 * self.dimension
+        if nbytes > _MAX_SYSTEM_BYTES:
+            raise ShapeError("Fock state grid exceeds the memory limit",
+                             modes=self.modes, cutoff=self.cutoff,
+                             dimension=self.dimension, bytes=nbytes)
 
     @property
     def dimension(self):
@@ -169,7 +174,9 @@ class FockOperator:
 
     @property
     def matrix(self) -> scipy.sparse.csr_matrix:
-        """The full scipy CSR matrix, built on each access."""
+        """The full scipy CSR matrix, built on each access.  Outside the
+        tests only bench/spans.py reads it: the fock.assemble span counts
+        its shape and nnz."""
         import scipy.sparse as sp
 
         dim = self.basis.dimension
@@ -282,44 +289,6 @@ def _apply_term(basis, creators, annihilators):
         amp = amp * factor(j)
     shift = sum((cutoff + 1) ** j for j in creators) - sum((cutoff + 1) ** j for j in annihilators)
     return src, shift, amp
-
-
-def mode_operator(basis: FockBasis, mode: int, which: str,
-                  gamma: float = 1.0) -> scipy.sparse.csr_matrix:
-    """Single-mode ladder, field, or momentum matrix, as a scipy CSR matrix
-    (none of them is symmetric, so none has a half form).
-
-    which: annihilate | create | phi | pi_times_i, with
-    phi = (a + a^+)/sqrt(2 gamma) and pi_times_i the real antisymmetric
-    matrix sqrt(gamma/2) (a^+ - a) representing Pi/i.
-    """
-    import scipy.sparse as sp
-
-    if not 0 <= mode < basis.modes:
-        raise IndexRangeError("mode out of range", mode=mode, modes=basis.modes)
-    if gamma <= 0:
-        raise ShapeError("gamma must be positive", gamma=gamma)
-    dim = basis.dimension
-
-    def mat(creators, annihilators, coeff):
-        src, shift, amp = _apply_term(basis, creators, annihilators)
-        amp = np.broadcast_to(amp, src.shape).ravel()
-        src = src.ravel()
-        return sp.coo_matrix((coeff * amp, (src + shift, src)), shape=(dim, dim)).tocsr()
-
-    if which == "annihilate":
-        out = mat((), (mode,), 1.0)
-    elif which == "create":
-        out = mat((mode,), (), 1.0)
-    elif which == "phi":
-        c = 1.0 / np.sqrt(2.0 * gamma)
-        out = mat((), (mode,), c) + mat((mode,), (), c)
-    elif which == "pi_times_i":
-        c = np.sqrt(gamma / 2.0)
-        out = mat((mode,), (), c) + mat((), (mode,), -c)
-    else:
-        raise ShapeError("unknown operator name", which=which)
-    return out
 
 
 def _quadratic_terms(w_mat, mass_squared, gamma, modes):

@@ -23,6 +23,13 @@ import pytest
 import wavefield
 from wavefield import cli, connection
 from wavefield.cli import run
+from wavefield.connection import derivative_overlaps, gamma_tensor
+from wavefield.fock import (
+    FockBasis,
+    ModelParams,
+    build_phi4_hamiltonian,
+    lanczos_lowest,
+)
 
 
 @pytest.fixture()
@@ -454,6 +461,52 @@ def test_hamiltonian_refuses_nonfinite(flag, value, field, tmp_path, capsys,
     assert err.startswith(f"shape: {field} must be finite {field}={value}")
     assert err.count("\n") == 1
     assert not dst.exists() and not dump.exists() and not cachedir.exists()
+
+
+@pytest.mark.parametrize("coupling", ["0", "-0.0"])
+def test_zero_coupling_hamiltonian_fetches_only_d(coupling, capsys, cachedir):
+    # the order-8 gamma-4 system is refused, but a free run never reads it
+    rc, out, err = invoke(
+        ["hamiltonian", "--order", "8", "--modes", "2", "--nmax", "3",
+         "--mass2", "1.0", "--lambda", coupling, "--eigs", "2"], capsys)
+    assert rc == 0 and err == ""
+    assert out.startswith("index,eigenvalue,residual\n")
+    assert sorted(p.name for p in cachedir.iterdir()) == ["d-K8-s0-v1.tbl"]
+
+
+@pytest.mark.parametrize("modes,nmax", [(2, 6), (4, 3)])
+def test_zero_coupling_hamiltonian_matches_four_point_path(modes, nmax, tmp_path,
+                                                           capsys, cachedir):
+    # the bytes equal those of the same Hamiltonian assembled with the
+    # four-point table at hand, which zero coupling never reads
+    dump = tmp_path / "h.coo"
+    rc, out, _ = invoke(
+        ["hamiltonian", "--order", "3", "--modes", str(modes), "--nmax",
+         str(nmax), "--mass2", "1.0", "--lambda", "0", "--eigs", "3",
+         "--dump-matrix", str(dump)], capsys)
+    assert rc == 0
+    basis = FockBasis(modes, nmax)
+    op = build_phi4_hamiltonian(ModelParams(1.0, 0.0), derivative_overlaps(3),
+                                gamma_tensor(3, 4), basis)
+    pairs = lanczos_lowest(op, 3)
+    assert out == "".join(cli._csv("index,eigenvalue,residual",
+                                   range(len(pairs)), *zip(*pairs)))
+    assert dump.read_text() == "".join(cli._coo_text(basis.dimension,
+                                                     *op.entries()))
+
+
+def test_hamiltonian_oversized_basis_named(capsys, cachedir):
+    # 4^40 states: refused by the basis before its state grid exists, and
+    # before any table is built or cached
+    rc, out, err = invoke(
+        ["hamiltonian", "--order", "3", "--modes", "40", "--nmax", "3",
+         "--mass2", "1.0", "--lambda", "0.1", "--eigs", "2"], capsys)
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("shape: Fock state grid exceeds the memory limit "
+                          f"modes=40 cutoff=3 dimension={4**40} "
+                          f"bytes={8 * 4**40}")
+    assert not cachedir.exists()
 
 
 def test_hamiltonian_deterministic(tmp_path, cachedir):

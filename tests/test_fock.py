@@ -32,7 +32,6 @@ from wavefield.fock import (
     build_phi4_hamiltonian,
     free_reference_spectrum,
     lanczos_lowest,
-    mode_operator,
 )
 from wavefield.fock import (
     _Half,
@@ -176,6 +175,19 @@ def test_basis_enumeration_mode0_fastest():
     np.testing.assert_array_equal(occ[3], [0, 1])
     for i in range(9):
         assert b.index_of(occ[i]) == i
+
+
+def test_oversized_basis_refused_before_allocation():
+    # 4^40 states would take 9.7e24 bytes as the int64 state grid; the
+    # basis is refused at construction, which allocates nothing
+    with pytest.raises(ShapeError) as exc:
+        FockBasis(40, 3)
+    assert exc.value.context == {"modes": 40, "cutoff": 3,
+                                 "dimension": 4**40, "bytes": 8 * 4**40}
+    # the grid at exactly the bound is allowed, one state more is not
+    assert 8 * FockBasis(26, 1).dimension == fock._MAX_SYSTEM_BYTES
+    with pytest.raises(ShapeError):
+        FockBasis(27, 1)
 
 
 def test_annihilate_minimal():
@@ -870,6 +882,37 @@ def test_assembly_peak_memory_within_0_65_full_matrix():
         tracemalloc.stop()
     assert basis.dimension == 4096
     assert peak <= 0.65 * full_csr_bytes(h)
+
+
+def mode_operator(basis, mode, which, gamma=1.0):
+    """Single-mode ladder, field or momentum matrix as a scipy CSR matrix,
+    built on fock._apply_term, so the ladder tests check the code that applies
+    every Hamiltonian term.  None of them is symmetric, so none has a half
+    form.
+
+    which: annihilate | create | phi | pi_times_i, with
+    phi = (a + a^+)/sqrt(2 gamma) and pi_times_i the real antisymmetric
+    matrix sqrt(gamma/2) (a^+ - a) representing Pi/i.
+    """
+    if not 0 <= mode < basis.modes:
+        raise IndexRangeError("mode out of range", mode=mode, modes=basis.modes)
+    dim = basis.dimension
+
+    def mat(creators, annihilators, coeff):
+        src, shift, amp = fock._apply_term(basis, creators, annihilators)
+        amp = np.broadcast_to(amp, src.shape).ravel()
+        src = src.ravel()
+        return sp.coo_matrix((coeff * amp, (src + shift, src)), shape=(dim, dim)).tocsr()
+
+    if which == "annihilate":
+        return mat((), (mode,), 1.0)
+    if which == "create":
+        return mat((mode,), (), 1.0)
+    if which == "phi":
+        c = 1.0 / np.sqrt(2.0 * gamma)
+        return mat((), (mode,), c) + mat((mode,), (), c)
+    c = np.sqrt(gamma / 2.0)
+    return mat((mode,), (), c) + mat((), (mode,), -c)
 
 
 def mode_operator_reference(basis, mode, which, gamma):
