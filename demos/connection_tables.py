@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Connection coefficient tables and their quadrature cross-check.
 
-The fixed-point solves are exact up to solver noise; the independent
+The shipped fixed-point tables are exact up to solver noise; the independent
 cascade-quadrature oracle converges toward the table values as its
 level grows, at a rate set by the smoothness of the order-K scaling
 function.

@@ -34,7 +34,7 @@ dense = np.zeros((h.basis.dimension,) * 2)
 dense[rows, cols] = vals
 evs = np.linalg.eigvalsh(dense)
 ladder = sorted(e0 + i * om2[0] + j * om2[1]
-                for i in range(4) for j in range(4))
+                for i in range(6) for j in range(6))
 print("free ladder agreement (6 levels): %.2e"
       % np.abs(evs[:6] - np.array(ladder[:6])).max())
 

@@ -181,15 +181,15 @@ def _cached_tensor(kind: str, order: int, scale: int, cache: str):
     """Fetch a coefficient table through the on-disk cache.
 
     Cache key is (kind, order, scale, format-version); a hit is re-read
-    and re-validated, a miss is computed, validated and stored by
-    save_tensor, and returned.
+    and re-validated, a miss is the shipped scale-0 table carried to the
+    scale, validated and stored by save_tensor, and returned.
 
     The standalone invariants do not pin every entry of a four-point
     table (an edit to the central entry keeps it permutation symmetric),
     so gamma4 is checked against its partner, the cached scale-0 gamma3
     table, by the four-point partition rule on every fetch, hit or miss,
-    at every scale.  The partner is fetched after the gamma4 table is read
-    or solved, so an order the solver refuses caches nothing.
+    at every scale.  The partner is fetched after the gamma4 table is
+    read, so an order with no shipped table caches nothing.
     """
     os.makedirs(cache, exist_ok=True)
     path = os.path.join(cache, f"{kind}-K{order}-s{scale}-v{FORMAT_VERSION}.tbl")

@@ -6,16 +6,17 @@ scaling functions.  Compact support makes each tensor a finite table over
 integer offset tuples relative to the first index.  The tables are NOT
 computed by quadrature: substituting the refinement equation into the
 integral turns each table into the eigenvalue-1 fixed point of a finite
-linear map.  One engine builds every table: _bordered_system writes the
-m-factor refinement map A, less the identity, straight into one
-preallocated column-major array with the inhomogeneous normalization row
-below it; D's map is the m=2 map times 4 (the chain rule puts a factor 2
-on each differentiated factor).  _solve_bordered solves that bordered
-system by least squares, with LAPACK working on the array itself, so the
-solve peaks near one system, not two; the residual check re-applies the
-map's terms to the solution.  An order whose system would exceed
-_MAX_SYSTEM_BYTES (gamma-4 from order 8) is refused before anything is
-allocated.
+linear map (Beylkin, SIAM J. Numer. Anal. 29 (1992) 1716), constants of
+each order that Latto, Resnikoff & Tenenbaum (1991) published as tables.
+They ship the same way, as package data: one save_tensor file per kind
+and order in tables/, D at orders 3-9 and 11, gamma-3 at 1-12 and gamma-4
+at 1-7, read and validated by load_tensor on first use in a process,
+never at import.  An order with no file raises unsupported-order.
+tests/table_solver.py holds the dense bordered least-squares solver that
+wrote the files; it regenerates them and is the tests' oracle for them.
+The orders it cannot solve are the ones not shipped: D at 10 and 12 comes
+out even only to 1.0e-12 and 5.7e-12, and gamma-4 from order 8 needs a
+system above 1 GB.
 
 The order K names the scaling function: the tables, the oracle and
 resolve_d_exponent take K; only recursion_residual, which re-applies the
@@ -49,13 +50,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.linalg import lapack_lite
 
 from .errors import (
     AlreadyScaledError,
-    ConvergenceFailureError,
     CorruptTableError,
-    DegenerateFixedPointError,
     IndexRangeError,
     NonDifferentiableOrderError,
     ParseError,
@@ -94,13 +92,8 @@ D_RESCALE_EXPONENT = 2
 
 FORMAT_VERSION = 1
 
-# the bordered fixed-point system of one table, and fock's state grid, may
-# take at most this many bytes (gamma-4 at order 7 takes 490 MB, at order
-# 8 1.19 GB); a system is solved in place, so the solve peaks near this
-_MAX_SYSTEM_BYTES = 512 * 2**20
-
-# elements per row chunk of the refinement-map assembly
-_CHUNK = 1 << 16
+# the shipped scale-0 tables, one save_tensor file per kind and order
+_TABLE_DIR = os.path.join(os.path.dirname(__file__), "tables")
 
 # Aitken extrapolation of the oracle is trusted only where the ratios of
 # successive level differences agree to this fraction (among the tables
@@ -147,203 +140,36 @@ class CoeffTensor:
         return sorted(self.entries.items())
 
 
-def _admissible_offsets(radius, m):
-    """All offset tuples with every |n_i| <= radius and every pairwise
-    |n_i - n_j| <= radius (supports of all m factors must meet)."""
-    rng = range(-radius, radius + 1)
-    out = []
-    for tup in itertools.product(rng, repeat=m - 1):
-        ok = all(abs(a - b) <= radius for a, b in itertools.combinations(tup, 2))
-        if ok:
-            out.append(tup)
-    return out
-
-
-def _map_terms(base, shift, lut, l1_step, weights):
-    """Yield the refinement map as (rows, cols, w), a row chunk and an l_1
-    at a time: row rows[i] adds w[j] times x at column cols[i, j].
-
-    Row r's children for one l_1 sit at flat offset base[r] + shift -
-    l_1 * l1_step in the tuple -> row lookup table lut; a child outside
-    the offset set reads -1 there and stays in cols as -1.  weights[l_1]
-    holds the weight of every shift for that l_1.  For one l_1 the
-    children of a row are distinct, so no (row, col) pair repeats within
-    one yield, and the chunks keep every temporary below _CHUNK elements.
-    """
-    nt = len(base)
-    step = max(1, _CHUNK // len(shift))
-    for lo in range(0, nt, step):
-        rows = np.arange(lo, min(lo + step, nt))
-        child = base[rows, None] + shift
-        for l1, w in enumerate(weights):
-            yield rows, lut[child - l1 * l1_step], w
-
-
-def _bordered_system(kind, order):
-    """The bordered fixed-point system of one table kind, built in place.
-
-    Returns B, an (nt+1) x nt column-major array holding A - I above the
-    normalization row, the right-hand side (zeros, then the normalization
-    value), the offset tuples in row order and a function giving
-    max |B x - rhs| without reading B.  Row n of the refinement map A is
-    w sum_{l1..lm} h_{l1}..h_{lm} x at the child tuple (2 n_i + l_{i+1} - l_1),
-    with w = 2^{(m-2)/2} for gamma-m and w = 4 for D, the m=2 map (the
-    chain rule puts a factor 2 on each differentiated factor; a power of
-    two, so folding it into w equals scaling the summed map).  D's
-    normalization row is n^2 with value -2, gamma-m's the full sum with
-    value 1.
-
-    _map_terms gives the entries, so no temporary grows with nt^2; each
-    l_1 adds at most once to any entry, in ascending l_1.  The residual
-    applies the same terms to x, so it holds after LAPACK has overwritten
-    B.  Raises unsupported-order before allocating when B would exceed
-    _MAX_SYSTEM_BYTES.
-    """
-    m = _KINDS[kind]
-    radius = 2 * order - 2
-    offsets = _admissible_offsets(radius, m)
-    nt = len(offsets)
-    nbytes = (nt + 1) * nt * 8
-    if nbytes > _MAX_SYSTEM_BYTES:
-        raise UnsupportedOrderError(
-            "bordered fixed-point system exceeds the memory limit",
-            kind=kind, order=order, unknowns=nt, bytes=nbytes,
-        )
-    h = make_filters(order).h
-    taps, width = len(h), m - 1
-    pref = 4.0 if kind == "derivative-D" else 2.0 ** ((m - 2) / 2.0)
-
-    # every child component 2 n_i + l - l_1 lies within +-reach
-    off_arr = np.array(offsets, dtype=np.int64)
-    reach = 2 * radius + taps - 1
-    side = 2 * reach + 1
-    strides = side ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    lut = np.full(side**width, -1, dtype=np.int64)
-    lut[(off_arr + reach) @ strides] = np.arange(nt)
-    base = (2 * off_arr + reach) @ strides
-
-    lgrids = np.meshgrid(*([np.arange(taps)] * width), indexing="ij")
-    lcombo = np.stack([g.ravel() for g in lgrids], axis=1)
-    hprod = np.prod(h[lcombo], axis=1)
-    shift = lcombo @ strides
-    l1_step = int(strides.sum())
-    weights = [pref * h[l1] * hprod for l1 in range(taps)]
-
-    def terms():
-        return _map_terms(base, shift, lut, l1_step, weights)
-
-    # column-major: entry (row, col) sits at col * (nt + 1) + row
-    b = np.zeros((nt + 1, nt), order="F")
-    flat = b.T.reshape(-1)
-    for rows, cols, w in terms():
-        keep = cols >= 0
-        rows = np.broadcast_to(rows[:, None], cols.shape)[keep]
-        flat[cols[keep] * (nt + 1) + rows] += np.broadcast_to(w, cols.shape)[keep]
-    flat[: nt * (nt + 1) : nt + 2] -= 1.0
-    rhs = np.zeros(nt + 1)
-    if kind == "derivative-D":
-        b[nt] = np.array(offsets, dtype=float)[:, 0] ** 2
-        rhs[nt] = -2.0
-    else:
-        b[nt] = 1.0
-        rhs[nt] = 1.0
-    norm = b[nt].copy()
-
-    def residual(x):
-        ax = np.zeros(nt)
-        xz = np.append(x, 0.0)  # a child outside the set (-1) reads 0
-        for rows, cols, w in terms():
-            ax[rows] += xz[cols] @ w
-        return max(float(np.abs(ax - x).max()), abs(float(norm @ x) - rhs[nt]))
-
-    return b, rhs, offsets, residual
-
-
-def _lstsq_in_place(b, rhs, what):
-    """x and the singular values of min |B x - rhs|, solved on B itself.
-
-    LAPACK's dgelsd through numpy.linalg.lapack_lite, with the arguments
-    np.linalg.lstsq passes to the same routine (lda = m, ldb = max(m, n),
-    rcond = eps max(m, n), one workspace query), so both results carry
-    lstsq's bits; but a column-major B is solved where it lies, where
-    lstsq copies it first.  B is overwritten; rhs is not.  A solve that
-    LAPACK reports as failed raises convergence-failure.
-    """
-    m, n = b.shape
-    ldb = max(m, n)
-    # lapack_lite checks dtype and C order but no size: every buffer is
-    # sized here; the C-contiguous transpose of a column-major B is
-    # LAPACK's A, lda = m
-    a = np.require(b, dtype=float, requirements=("F", "A", "W")).T
-    sol = np.zeros(ldb)
-    sol[:m] = rhs
-    sv = np.zeros(min(m, n))
-    rcond = np.finfo(float).eps * ldb
-    # lapack_lite accepts iwork only as C int, while the ILP64 LAPACK in
-    # numpy's wheels writes 64-bit integers to it: the buffer holds twice
-    # the length asked for, and the query's answer is read as int64 (the
-    # same value from a 32-bit LAPACK, which leaves the high half zero)
-    work, iwork = np.zeros(1), np.zeros(2, dtype=np.intc)
-    lapack_lite.dgelsd(m, n, 1, a, m, sol, ldb, sv, rcond, 0, work, -1, iwork, 0)
-    lwork, liwork = int(work[0]), int(iwork.view(np.int64)[0])
-    work, iwork = np.zeros(lwork), np.zeros(2 * liwork, dtype=np.intc)
-    info = lapack_lite.dgelsd(m, n, 1, a, m, sol, ldb, sv, rcond, 0,
-                              work, lwork, iwork, 0)["info"]
-    # info > 0: the SVD did not converge; a NaN in B can also come back
-    # as a nested routine's negative info (DLASCL's, at n = 2), so every
-    # nonzero info is a failed solve, as in lstsq
-    if info != 0:
-        raise ConvergenceFailureError(
-            "least-squares SVD did not converge", system=what, info=info
-        )
-    return sol[:n], sv
-
-
-def _solve_bordered(b, rhs, what, residual):
-    """Least-squares solution of the bordered system B x = rhs, in place.
-
-    Least squares keeps the solve robust near degeneracy; an eigenvalue-1
-    multiplicity above one leaves the bordered matrix rank-deficient,
-    which shows up as a vanishing smallest singular value.  The solve
-    overwrites B, so residual(x) reports max |B x - rhs| without it.
-    """
-    x, sv = _lstsq_in_place(b, rhs, what)
-    if sv[-1] < 1e-8 * max(1.0, sv[0]):
-        raise DegenerateFixedPointError(
-            "eigenvalue-1 fixed point is not unique",
-            system=what,
-            smallest_singular_value=float(sv[-1]),
-        )
-    resid = residual(x)
-    if resid > 1e-10:
-        raise DegenerateFixedPointError(
-            "bordered fixed-point system is inconsistent",
-            system=what,
-            residual=float(resid),
-        )
-    return x
+def _table_path(kind, order):
+    """Where the shipped scale-0 table of one kind and order lies."""
+    return os.path.join(_TABLE_DIR, f"{kind}-K{order}.tbl")
 
 
 @lru_cache(maxsize=48)
-def _solved_table(kind, order):
-    """Scale-0 table of one kind: the fixed point of its refinement map."""
-    b, rhs, offsets, residual = _bordered_system(kind, order)
-    x = _solve_bordered(b, rhs, kind, residual)
-    entries = {tup: float(v) for tup, v in zip(offsets, x)}
-    return CoeffTensor(kind, order, 0, entries)
+def _shipped_table(kind, order):
+    """Scale-0 table of one kind: the shipped fixed point of its refinement
+    map, read and validated by load_tensor on first use in a process.  An
+    order with no shipped table raises unsupported-order."""
+    try:
+        return load_tensor(_table_path(kind, order))
+    except FileNotFoundError:
+        raise UnsupportedOrderError(
+            "no connection table is shipped for this order",
+            kind=kind, order=order,
+        ) from None
 
 
 def gamma_tensor(order: int, m: int) -> CoeffTensor:
     """Scale-0 m-point overlap table Gamma_{0, n2..nm} of the given order.
 
-    m=2 is orthonormality and returns the Kronecker delta without solving.
+    m=2 is orthonormality and returns the Kronecker delta without a table.
     """
     make_filters(order)  # validates the order
     if m not in (2, 3, 4):
         raise IndexRangeError("gamma arity must be 2, 3 or 4", m=m)
     if m == 2:
         return CoeffTensor("gamma-2", order, 0, {(0,): 1.0})
-    return _solved_table(f"gamma-{m}", order)
+    return _shipped_table(f"gamma-{m}", order)
 
 
 def derivative_overlaps(order: int) -> CoeffTensor:
@@ -353,7 +179,7 @@ def derivative_overlaps(order: int) -> CoeffTensor:
         raise NonDifferentiableOrderError(
             "derivative overlaps need order >= 3", order=order
         )
-    return _solved_table("derivative-D", order)
+    return _shipped_table("derivative-D", order)
 
 
 def _offset_cube(t: CoeffTensor, pad: int):

@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .connection import _MAX_SYSTEM_BYTES, CoeffTensor, wrap_matrix, wrap_tensor_dense
+from .connection import CoeffTensor, wrap_matrix, wrap_tensor_dense
 from .errors import (
     ConvergenceFailureError,
     IndexRangeError,
@@ -65,6 +65,9 @@ if TYPE_CHECKING:
     import scipy.sparse
 
 _START_SEED = 7  # seeds the iterative eigensolver's start vector
+
+# a basis's int64 state grid may take at most this many bytes
+_MAX_SYSTEM_BYTES = 512 * 2**20
 
 __all__ = [
     "ModelParams",

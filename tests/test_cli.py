@@ -343,28 +343,44 @@ def test_cold_gamma4_partition_rule_refuses(capsys, cachedir, monkeypatch, scale
     assert not list(cachedir.glob("gamma4-*.tbl"))
 
 
-def test_coeffs_refused_table_never_cached(capsys, cachedir):
-    # the K=10 D solve is even only to 1.0e-12, above the 1e-12 bound;
-    # save_tensor refuses it, so every run fails the same way
+@pytest.mark.parametrize("name", sorted(os.listdir(connection._TABLE_DIR)))
+def test_cold_coeffs_prints_the_shipped_file(capsys, cachedir, name):
+    # a cold scale-0 table is the shipped file, byte for byte
+    kind, order = name.removesuffix(".tbl").split("-K")
+    kind = {"derivative-D": "d", "gamma-3": "gamma3", "gamma-4": "gamma4"}[kind]
+    rc, out, _ = invoke(["coeffs", "--order", order, "--kind", kind], capsys)
+    assert rc == 0
+    assert out == (pathlib.Path(connection._TABLE_DIR) / name).read_text()
+
+
+def assert_refused_uncached(kind, K, capsys, cachedir):
+    """Every run of a cold coeffs at an order with no shipped table fails
+    the same way, fast and in one line, and caches nothing."""
     for _ in range(2):
-        rc, _, err = invoke(["coeffs", "--order", "10", "--kind", "d"], capsys)
-        assert rc == 1
-        assert err.startswith("corrupt-table:")
-    assert not list(cachedir.glob("d-K10-*.tbl"))
+        start = time.perf_counter()
+        rc, out, err = invoke(["coeffs", "--order", str(K), "--kind", kind],
+                              capsys)
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1 and out == ""
+        assert err.startswith("unsupported-order:")
+        # the error's context reaches stderr on the same line
+        assert err.count("\n") == 1
+        assert f"order={K}" in err
+    assert not list(cachedir.glob("*.tbl"))
+
+
+def test_coeffs_refused_table_never_cached(capsys, cachedir):
+    # the dense solve of D at orders 10 and 12 is even only to 1.0e-12
+    # and 5.7e-12, above the 1e-12 bound, so neither table is shipped
+    for K in (10, 12):
+        assert_refused_uncached("d", K, capsys, cachedir)
 
 
 def test_coeffs_order_limit_caches_nothing(capsys, cachedir):
-    # the order-8 gamma4 system would take 1.19 GB; it is refused before
-    # anything is allocated, and before the gamma3 partner is fetched
-    start = time.perf_counter()
-    rc, out, err = invoke(["coeffs", "--order", "8", "--kind", "gamma4"], capsys)
-    assert time.perf_counter() - start < 1.0
-    assert rc == 1 and out == ""
-    assert err.startswith("unsupported-order:")
-    # the error's context reaches stderr on the same line
-    assert err.count("\n") == 1
-    assert "unknowns=12209 bytes=1192575120" in err
-    assert not list(cachedir.glob("*.tbl"))
+    # the dense gamma4 system takes 1.19 GB from order 8, so no table is
+    # shipped there; the refusal comes before the gamma3 partner is fetched
+    for K in (8, 12):
+        assert_refused_uncached("gamma4", K, capsys, cachedir)
 
 
 def test_coeffs_verify_oracle(capsys, cachedir):
@@ -1121,6 +1137,8 @@ BLAS_THREAD_RUNS = [
      "--direction", "forward", "--output", "pyramid.txt"],
     ["dwt", "--order", "5", "--levels", "11", "--input", "pyramid.txt",
      "--direction", "inverse", "--output", "back.csv"],
+    ["coeffs", "--order", "5", "--kind", "gamma3", "--output", "gamma3.tbl"],
+    ["coeffs", "--order", "5", "--kind", "gamma4", "--output", "gamma4.tbl"],
     ["hamiltonian", "--order", "3", "--modes", "4", "--nmax", "3",
      "--mass2", "1", "--lambda", "0.1", "--eigs", "4",
      "--dump-matrix", "h256.coo", "--output", "hamiltonian.csv"],
@@ -1156,11 +1174,12 @@ FLOW_LOGS = ("flow-block.log", "flow-diag.log", "flow125-diag.log",
 def test_outputs_independent_of_blas_threads(tmp_path):
     # the analysis step, the eigensolver, the flow's right-hand sides and
     # the kernel probes' pairings are where BLAS could enter; one and two
-    # threads must give the same bytes.  Both runs read one table cache,
-    # because a cold four-point table is still a dense least-squares
-    # solve whose last bits move with the thread count.  The flow logs' drift column
-    # comes from eigvalsh and is the one column left out; the lambda and
-    # off-norm columns must agree
+    # threads must give the same bytes.  Each run starts from a cold table
+    # cache of its own, so the cold K=5 gamma tables would differ if they
+    # were solved on each run (a dense solve's last bits move with the
+    # thread count).  The flow logs' drift column comes from eigvalsh and
+    # is the one column left out; the lambda and off-norm columns must
+    # agree
     vector = tmp_path / "v.csv"
     vector.write_text("\n".join(
         "%.17g" % v for v in np.random.default_rng(14).normal(size=2**14)))
@@ -1174,7 +1193,7 @@ def test_outputs_independent_of_blas_threads(tmp_path):
         work.mkdir()
         env = dict(src_env(), OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads,
-                   WAVEFIELD_CACHE=str(tmp_path / "cache"))
+                   WAVEFIELD_CACHE=str(tmp_path / f"cache-{threads}"))
         proc = subprocess.run([sys.executable, "-c", code, argv], cwd=work,
                               env=env, capture_output=True, text=True,
                               timeout=60)
@@ -1183,6 +1202,7 @@ def test_outputs_independent_of_blas_threads(tmp_path):
                         if p.is_file()})
     assert sorted(outputs[0]) == sorted([
         "back.csv", "filters.csv", "pyramid.txt", "scalfun.csv",
+        "gamma3.tbl", "gamma4.tbl",
         "hamiltonian.csv", "h256.coo", "flow-block.txt", "flow-diag.txt",
         "hamiltonian125.csv", "h125.coo", "flow125-diag.txt",
         "flow125-block37.txt", "flow125-block100.txt",

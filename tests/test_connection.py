@@ -11,15 +11,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wavefield
-from wavefield.connection import (
+from table_solver import (
     _MAX_SYSTEM_BYTES,
     _admissible_offsets,
     _bordered_system,
     _lstsq_in_place,
     _solve_bordered,
-    _solved_table,
+    solve_table,
 )
 from wavefield.connection import (
+    _TABLE_DIR,
+    _table_path,
     CoeffTensor,
     aitken_limit,
     derivative_overlaps,
@@ -582,7 +584,7 @@ def test_bordered_solve_peaks_near_two_systems():
     nt = len(_admissible_offsets(6, 4))
     tracemalloc.start()
     try:
-        _solved_table.__wrapped__("gamma-4", 4)
+        solve_table("gamma-4", 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -598,14 +600,15 @@ def test_cold_gamma4_solve_grows_peak_rss_by_under_1_6_systems():
     # this solve, add about 0.15 times
     code = (
         "import resource\n"
-        "from wavefield.connection import gamma_tensor\n"
-        "gamma_tensor(4, 3)\n"
+        "from table_solver import solve_table\n"
+        "solve_table('gamma-3', 4)\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "gamma_tensor(4, 4)\n"
+        "solve_table('gamma-4', 4)\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
     )
     src_dir = pathlib.Path(wavefield.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src_dir), OPENBLAS_NUM_THREADS="1",
+    path = os.pathsep.join([str(src_dir), os.path.dirname(__file__)])
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
@@ -616,15 +619,67 @@ def test_cold_gamma4_solve_grows_peak_rss_by_under_1_6_systems():
 
 
 def test_order_limit_refuses_oversized_system():
-    # gamma-4 at order 8 would need 12209 unknowns and a 1.19 GB system
+    # gamma-4 at order 8 would need 12209 unknowns and a 1.19 GB system;
+    # the solver refuses it before allocating
     with pytest.raises(UnsupportedOrderError) as exc:
-        gamma_tensor(8, 4)
+        _bordered_system("gamma-4", 8)
     ctx = exc.value.context
     assert (ctx["kind"], ctx["order"], ctx["unknowns"]) == ("gamma-4", 8, 12209)
     assert ctx["bytes"] == 12210 * 12209 * 8 > _MAX_SYSTEM_BYTES
     # order 7, the largest gamma-4 admitted, fits
     nt = len(_admissible_offsets(12, 4))
     assert (nt + 1) * nt * 8 <= _MAX_SYSTEM_BYTES
+
+
+# every scale-0 table the dense solver admits: the shipped set
+SHIPPED = ([("derivative-D", K) for K in (3, 4, 5, 6, 7, 8, 9, 11)]
+           + [("gamma-3", K) for K in range(1, 13)]
+           + [("gamma-4", K) for K in range(1, 8)])
+REFUSED = ([("derivative-D", K) for K in (10, 12)]
+           + [("gamma-4", K) for K in range(8, 13)])
+
+
+def test_shipped_tables_are_the_admitted_set():
+    assert sorted(os.listdir(_TABLE_DIR)) == sorted(
+        os.path.basename(_table_path(kind, K)) for kind, K in SHIPPED)
+
+
+@pytest.mark.parametrize("kind,K", REFUSED)
+def test_solver_refuses_every_unshipped_order(kind, K):
+    # the orders not shipped are the ones the dense solve cannot give:
+    # D at 10 and 12 fails its evenness bound, gamma-4 from 8 its size;
+    # the library refuses them all alike
+    if kind == "derivative-D":
+        with pytest.raises(CorruptTableError, match="not even"):
+            validate_tensor(solve_table(kind, K))
+    else:
+        with pytest.raises(UnsupportedOrderError):
+            _bordered_system(kind, K)
+    with pytest.raises(UnsupportedOrderError) as exc:
+        derivative_overlaps(K) if kind == "derivative-D" else gamma_tensor(K, 4)
+    assert exc.value.context == {"kind": kind, "order": K}
+
+
+@pytest.mark.parametrize("kind,K", SHIPPED)
+def test_shipped_table_is_valid_fixed_point(kind, K):
+    # load_tensor validates; a gamma-4 table is also checked against its
+    # gamma-3 partner, and each is a fixed point of its refinement map
+    t = load_tensor(_table_path(kind, K))
+    assert (t.kind, t.order, t.scale) == (kind, K, 0)
+    if kind == "gamma-4":
+        validate_tensor(t, load_tensor(_table_path("gamma-3", K)))
+    assert recursion_residual(t, make_filters(K)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind,K", [(kind, K) for kind, K in SHIPPED if K <= 5])
+def test_solver_rederives_shipped_table(kind, K):
+    # the dense solve, with its degeneracy and residual checks, gives the
+    # shipped table back to 1e-13, not bit for bit: dgelsd's last bits
+    # move with the BLAS thread count (by up to 3.8e-15 between 1 and 2)
+    want = solve_table(kind, K)
+    got = load_tensor(_table_path(kind, K))
+    assert list(got.entries) == list(want.entries)
+    assert max(abs(got.entries[tup] - v) for tup, v in want.entries.items()) <= 1e-13
 
 
 @pytest.mark.parametrize("kind,K,k,offsets", [
