@@ -32,7 +32,6 @@ import argparse
 import codecs
 import hashlib
 import json
-import os
 import re
 import sys
 import time
@@ -43,14 +42,11 @@ import numpy as np
 
 from . import __version__
 from .connection import (
-    FORMAT_VERSION,
     derivative_overlaps,
     gamma_tensor,
-    load_tensor,
     oracle_deviation,
     rescale_tensor,
-    save_tensor,
-    validate_tensor,
+    tensor_text,
 )
 from .diagnostics import (
     KernelProbe,
@@ -167,48 +163,14 @@ def _line_chunks(path: str, digest=None):
         yield first, rest.splitlines()
 
 
-def _cache_dir(args) -> str:
-    if args.cache:
-        return args.cache
-    env = os.environ.get("WAVEFIELD_CACHE")
-    if env:
-        return env
-    base = os.environ.get("XDG_CACHE_HOME", os.path.expanduser("~/.cache"))
-    return os.path.join(base, "wavefield")
-
-
-def _cached_tensor(kind: str, order: int, scale: int, cache: str):
-    """Fetch a coefficient table through the on-disk cache.
-
-    Cache key is (kind, order, scale, format-version); a hit is re-read
-    and re-validated, a miss is the shipped scale-0 table carried to the
-    scale, validated and stored by save_tensor, and returned.
-
-    The standalone invariants do not pin every entry of a four-point
-    table (an edit to the central entry keeps it permutation symmetric),
-    so gamma4 is checked against its partner, the cached scale-0 gamma3
-    table, by the four-point partition rule on every fetch, hit or miss,
-    at every scale.  The partner is fetched after the gamma4 table is
-    read, so an order with no shipped table caches nothing.
-    """
-    os.makedirs(cache, exist_ok=True)
-    path = os.path.join(cache, f"{kind}-K{order}-s{scale}-v{FORMAT_VERSION}.tbl")
-    hit = os.path.exists(path)
-    if hit:
-        t = load_tensor(path)
+def _table(kind: str, order: int, scale: int):
+    """The shipped scale-0 table of a kind ('d', 'gamma3' or 'gamma4') and
+    order, carried to the scale."""
+    if kind == "d":
+        t = derivative_overlaps(order)
     else:
-        if kind == "d":
-            t = derivative_overlaps(order)
-        else:
-            t = gamma_tensor(order, 3 if kind == "gamma3" else 4)
-        if scale:
-            t = rescale_tensor(t, scale)
-    g3 = _cached_tensor("gamma3", order, 0, cache)[0] if kind == "gamma4" else None
-    if not hit:
-        save_tensor(t, path, g3)
-    elif g3 is not None:
-        validate_tensor(t, g3)
-    return t, path
+        t = gamma_tensor(order, 3 if kind == "gamma3" else 4)
+    return rescale_tensor(t, scale) if scale else t
 
 
 # ---------------------------------------------------------------- filters
@@ -421,8 +383,7 @@ def _cmd_dwt(args):
 # ---------------------------------------------------------------- coeffs
 
 def _cmd_coeffs(args):
-    t, cache_path = _cached_tensor(args.kind, args.order, args.scale,
-                                   _cache_dir(args))
+    t = _table(args.kind, args.order, args.scale)
     if args.verify_oracle is not None:
         level = args.verify_oracle
         dev = oracle_deviation(t, level)
@@ -436,8 +397,7 @@ def _cmd_coeffs(args):
         return text, {}, {}
     # without verification the table itself is the output, in its
     # canonical container format
-    with open(cache_path, encoding="utf-8") as fh:
-        return fh.read(), {}, {}
+    return tensor_text(t), {}, {}
 
 
 # ---------------------------------------------------------------- hamiltonian
@@ -458,11 +418,9 @@ def _dense_coo_text(mat):
 def _cmd_hamiltonian(args):
     params = ModelParams(args.mass2, args.coupling, args.gamma)
     basis = FockBasis(args.modes, args.nmax)
-    cache = _cache_dir(args)
-    d_t, _ = _cached_tensor("d", args.order, args.scale, cache)
-    g4_t = None  # zero coupling reads neither gamma4 nor its gamma3 partner
-    if args.coupling != 0.0:
-        g4_t, _ = _cached_tensor("gamma4", args.order, args.scale, cache)
+    d_t = _table("d", args.order, args.scale)
+    # zero coupling reads neither gamma4 nor its gamma3 partner
+    g4_t = _table("gamma4", args.order, args.scale) if args.coupling else None
     op = build_phi4_hamiltonian(params, d_t, g4_t, basis)
     pairs = lanczos_lowest(op, args.eigs)
     if args.format == "json":
@@ -650,8 +608,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "instead of stdout")
     common.add_argument("--manifest", help="append a JSON-line run record "
                         "to this file")
-    common.add_argument("--cache", help="coefficient cache directory "
-                        "(default: $WAVEFIELD_CACHE or the user cache dir)")
+    # accepted and read by nothing: the tables ship with the package, and
+    # the benchmark's jobs still pass --cache
+    common.add_argument("--cache", help=argparse.SUPPRESS)
 
     p = argparse.ArgumentParser(
         prog="wavefield",
@@ -682,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_dwt)
 
     sp = sub.add_parser("coeffs", parents=[common],
-                        help="connection coefficient tables, cached")
+                        help="connection coefficient tables")
     sp.add_argument("--order", type=int, required=True)
     sp.add_argument("--kind", choices=("d", "gamma3", "gamma4"),
                     required=True)

@@ -29,6 +29,8 @@ form (extrapolated_oracle) reaches the accuracy that the plain sum at the
 same level cannot.  validate_tensor checks every rule at every scale, one
 permutation rule for every kind (D's evenness is its n -> -n case) and the
 gamma-3/gamma-4 sum rules, on write (save_tensor) and read (load_tensor).
+A shipped gamma-4 is read against its gamma-3 partner: only the partition
+rule sum_{n4} gamma-4 = gamma-3 pins entries such as (0,0,0).
 
 Normalizations:
   D:        sum_n n^2 D_{0n} = -2   (twice-differentiated quadratic
@@ -75,6 +77,7 @@ __all__ = [
     "extrapolated_oracle",
     "resolve_d_exponent",
     "validate_tensor",
+    "tensor_text",
     "save_tensor",
     "load_tensor",
     "wrap_matrix",
@@ -148,10 +151,12 @@ def _table_path(kind, order):
 @lru_cache(maxsize=48)
 def _shipped_table(kind, order):
     """Scale-0 table of one kind: the shipped fixed point of its refinement
-    map, read and validated by load_tensor on first use in a process.  An
-    order with no shipped table raises unsupported-order."""
+    map, read and validated by load_tensor on first use in a process, a
+    gamma-4 table against its shipped gamma-3 partner.  An order with no
+    shipped table raises unsupported-order."""
+    partner = _shipped_table("gamma-3", order) if kind == "gamma-4" else None
     try:
-        return load_tensor(_table_path(kind, order))
+        return load_tensor(_table_path(kind, order), partner)
     except FileNotFoundError:
         raise UnsupportedOrderError(
             "no connection table is shipped for this order",
@@ -239,11 +244,18 @@ def rescale_tensor(t: CoeffTensor, k: int) -> CoeffTensor:
     """Carry a scale-0 table to scale k.
 
     gamma-m scales by 2^{k(m-2)/2}; D scales by 2^{k * D_RESCALE_EXPONENT}.
+    A scale that carries an entry past the float range raises index.
     """
     if t.scale != 0:
         raise AlreadyScaledError("tensor is not at scale 0", scale=t.scale)
-    fac = _scale_factor(t, k)
+    try:
+        fac = _scale_factor(t, k)
+    except OverflowError:
+        fac = np.inf
     entries = {tup: v * fac for tup, v in t.entries.items()}
+    if not np.isfinite(list(entries.values())).all():
+        raise IndexRangeError("scale carries the table past the float range",
+                              kind=t.kind, scale=k)
     return CoeffTensor(t.kind, t.order, k, entries)
 
 
@@ -491,13 +503,9 @@ def validate_tensor(t: CoeffTensor, gamma3: CoeffTensor | None = None):
             )
 
 
-def save_tensor(t: CoeffTensor, path, gamma3: CoeffTensor | None = None):
-    """Validate t, then write a versioned text table atomically (temp + rename).
-
-    gamma3 is passed on to validate_tensor, which then also checks a
-    gamma-4 table against the four-point partition rule.
-    """
-    validate_tensor(t, gamma3)
+def tensor_text(t: CoeffTensor) -> str:
+    """t in the versioned container format that save_tensor writes and
+    load_tensor reads: a header, then one 'offsets value' line per entry."""
     lines = [
         f"wavefield-tensor {FORMAT_VERSION}",
         f"kind {t.kind}",
@@ -508,12 +516,21 @@ def save_tensor(t: CoeffTensor, path, gamma3: CoeffTensor | None = None):
     ]
     for tup, v in t.sorted_items():
         lines.append(" ".join(str(n) for n in tup) + " " + format(v, ".17g"))
-    payload = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def save_tensor(t: CoeffTensor, path, gamma3: CoeffTensor | None = None):
+    """Validate t, then write its tensor_text atomically (temp + rename).
+
+    gamma3 is passed on to validate_tensor, which then also checks a
+    gamma-4 table against the four-point partition rule.
+    """
+    validate_tensor(t, gamma3)
     path = os.fspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tensor-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
+            fh.write(tensor_text(t))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -528,12 +545,13 @@ def _parse_header_line(line, key, lineno):
     return parts[1]
 
 
-def load_tensor(path) -> CoeffTensor:
+def load_tensor(path, gamma3: CoeffTensor | None = None) -> CoeffTensor:
     """Read a table written by save_tensor and re-validate its invariants.
 
     Structural problems (bad header, counts, offsets, metadata that
     contradicts itself) raise a parse error; value-level invariant
-    violations raise a corrupt-table error.
+    violations raise a corrupt-table error.  gamma3 is passed on to
+    validate_tensor, as save_tensor does.
     """
     with open(path) as fh:
         raw = fh.read().splitlines()
@@ -584,7 +602,7 @@ def load_tensor(path) -> CoeffTensor:
             raise ParseError("duplicate offset", line=lineno, offset=tup)
         entries[tup] = val
     t = CoeffTensor(kind, order, scale, entries)
-    validate_tensor(t)
+    validate_tensor(t, gamma3)
     return t
 
 

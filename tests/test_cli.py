@@ -24,19 +24,13 @@ import wavefield
 from wavefield import cli, connection
 from wavefield.cli import run
 from wavefield.connection import derivative_overlaps, gamma_tensor
+from wavefield.errors import CorruptTableError
 from wavefield.fock import (
     FockBasis,
     ModelParams,
     build_phi4_hamiltonian,
     lanczos_lowest,
 )
-
-
-@pytest.fixture()
-def cachedir(tmp_path, monkeypatch):
-    d = tmp_path / "cache"
-    monkeypatch.setenv("WAVEFIELD_CACHE", str(d))
-    return d
 
 
 def invoke(args, capsys):
@@ -47,7 +41,7 @@ def invoke(args, capsys):
 
 # ------------------------------------------------------------- filters
 
-def test_filters_csv(capsys, cachedir):
+def test_filters_csv(capsys):
     rc, out, _ = invoke(["filters", "--order", "2"], capsys)
     assert rc == 0
     lines = out.splitlines()
@@ -59,7 +53,7 @@ def test_filters_csv(capsys, cachedir):
     assert np.abs(np.array(h) - closed).max() < 1e-14
 
 
-def test_filters_json(capsys, cachedir):
+def test_filters_json(capsys):
     rc, out, _ = invoke(["filters", "--order", "2", "--format", "json"],
                         capsys)
     assert rc == 0
@@ -71,7 +65,7 @@ def test_filters_json(capsys, cachedir):
     assert np.abs(np.array(g) - np.array(doc["g"])).max() == 0.0
 
 
-def test_scalfun_rows(capsys, cachedir):
+def test_scalfun_rows(capsys):
     rc, out, _ = invoke(["scalfun", "--order", "2", "--level", "3"], capsys)
     assert rc == 0
     lines = out.splitlines()
@@ -84,7 +78,7 @@ def test_scalfun_rows(capsys, cachedir):
     assert abs(vals[:-1].sum() / 8 - 1.0) < 1e-10
 
 
-def test_scalfun_level_capped(capsys, cachedir):
+def test_scalfun_level_capped(capsys):
     # refused before the cascade allocates; the level-16 cap is the oracle's
     rc, out, err = invoke(["scalfun", "--order", "3", "--level", "17"], capsys)
     assert rc == 1 and out == ""
@@ -93,7 +87,7 @@ def test_scalfun_level_capped(capsys, cachedir):
 
 # ------------------------------------------------------------- dwt
 
-def test_dwt_haar_forward(tmp_path, capsys, cachedir):
+def test_dwt_haar_forward(tmp_path, capsys):
     src = tmp_path / "v.csv"
     src.write_text("1\n1\n1\n1\n")
     rc, out, _ = invoke(
@@ -108,7 +102,7 @@ def test_dwt_haar_forward(tmp_path, capsys, cachedir):
     assert np.abs(np.array(vals) - [rt2, rt2, 0.0, 0.0]).max() < 1e-15
 
 
-def test_dwt_round_trip_files(tmp_path, capsys, cachedir):
+def test_dwt_round_trip_files(tmp_path, capsys):
     rng = np.random.default_rng(5)
     vals = rng.normal(size=16)
     src = tmp_path / "v.csv"
@@ -125,7 +119,7 @@ def test_dwt_round_trip_files(tmp_path, capsys, cachedir):
     assert np.abs(back - vals).max() < 1e-12
 
 
-def test_dwt_inverse_flag_mismatch(tmp_path, capsys, cachedir):
+def test_dwt_inverse_flag_mismatch(tmp_path, capsys):
     src = tmp_path / "v.csv"
     src.write_text("1\n2\n3\n4\n5\n6\n7\n8\n")
     pyr = tmp_path / "p.txt"
@@ -138,7 +132,7 @@ def test_dwt_inverse_flag_mismatch(tmp_path, capsys, cachedir):
     assert err.startswith("parse:")
 
 
-def test_dwt_malformed_input(tmp_path, capsys, cachedir):
+def test_dwt_malformed_input(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0\ntwo\n3.0\n")
     rc, _, err = invoke(
@@ -148,8 +142,7 @@ def test_dwt_malformed_input(tmp_path, capsys, cachedir):
     assert err.startswith("parse:")
 
 
-def test_dwt_forward_reads_crlf_blank_lines_and_padding(tmp_path, capsys,
-                                                        cachedir):
+def test_dwt_forward_reads_crlf_blank_lines_and_padding(tmp_path, capsys):
     plain, messy = tmp_path / "plain.csv", tmp_path / "messy.csv"
     plain.write_text("1\n2\n3\n4\n")
     messy.write_bytes(b"\r\n 1\r\n\r\n2\t\r\n  \r\n3\r\n4\r\n\r\n")
@@ -180,8 +173,7 @@ PYRAMID_OK = ["# wavefield-pyramid 1", "# order 1 levels 1 length 4",
     # two values on one line are one non-numeric line
     (4, "1 1", "line=4"),
 ])
-def test_dwt_inverse_malformed_pyramid(line, text, where, tmp_path, capsys,
-                                       cachedir):
+def test_dwt_inverse_malformed_pyramid(line, text, where, tmp_path, capsys):
     lines = list(PYRAMID_OK)
     lines[line - 1] = text
     src = tmp_path / "p.txt"
@@ -194,7 +186,7 @@ def test_dwt_inverse_malformed_pyramid(line, text, where, tmp_path, capsys,
     assert err.rstrip().endswith(where)
 
 
-def test_dwt_inverse_short_block(tmp_path, capsys, cachedir):
+def test_dwt_inverse_short_block(tmp_path, capsys):
     src = tmp_path / "p.txt"
     src.write_text("\n".join(PYRAMID_OK[:-1]) + "\n")
     rc, _, err = invoke(
@@ -205,7 +197,7 @@ def test_dwt_inverse_short_block(tmp_path, capsys, cachedir):
     assert "line=6 length=2 values=1" in err
 
 
-def test_dwt_forward_refuses_nonfinite(tmp_path, capsys, cachedir):
+def test_dwt_forward_refuses_nonfinite(tmp_path, capsys):
     src = tmp_path / "v.csv"
     src.write_text("1\n\nnan\n")
     rc, out, err = invoke(
@@ -222,8 +214,7 @@ def test_dwt_forward_refuses_nonfinite(tmp_path, capsys, cachedir):
     ("1\r\n\r\n  2\t\r\n3\r\n4 5\r\n", "non-numeric value in input", 5),
     ("1\n2\n3\n-inf", "non-finite value in input", 4),
 ])
-def test_dwt_forward_names_bad_line(text, message, line, tmp_path, capsys,
-                                    cachedir):
+def test_dwt_forward_names_bad_line(text, message, line, tmp_path, capsys):
     src = tmp_path / "v.csv"
     src.write_bytes(text.encode())
     rc, out, err = invoke(
@@ -237,7 +228,7 @@ def test_dwt_forward_names_bad_line(text, message, line, tmp_path, capsys,
 # a byte that is no UTF-8 is refused as a parse error naming its line,
 # whether it sits in the first piece a reader reads or far past it
 @pytest.mark.parametrize("before", [2, 40000])
-def test_dwt_forward_refuses_non_utf8(before, tmp_path, capsys, cachedir):
+def test_dwt_forward_refuses_non_utf8(before, tmp_path, capsys):
     src = tmp_path / "v.csv"
     src.write_bytes(b"1\r\n" * before + b"2\xff\n" + b"3\n" * 5)
     rc, out, err = invoke(
@@ -248,7 +239,7 @@ def test_dwt_forward_refuses_non_utf8(before, tmp_path, capsys, cachedir):
                    f"line={before + 1}\n")
 
 
-def test_dwt_inverse_refuses_non_utf8(tmp_path, capsys, cachedir):
+def test_dwt_inverse_refuses_non_utf8(tmp_path, capsys):
     lines = [s.encode() for s in PYRAMID_OK]
     lines[6] = b"0\xff"
     src = tmp_path / "p.txt"
@@ -262,7 +253,34 @@ def test_dwt_inverse_refuses_non_utf8(tmp_path, capsys, cachedir):
 
 # ------------------------------------------------------------- coeffs
 
-def test_coeffs_table_and_cache_hit(capsys, cachedir):
+@pytest.fixture()
+def cold_tables():
+    """The shipped tables unread in this process, at the start of a test
+    and after it."""
+    connection._shipped_table.cache_clear()
+    yield
+    connection._shipped_table.cache_clear()
+
+
+@pytest.fixture()
+def shipped_copy(tmp_path, monkeypatch, cold_tables):
+    """A copy of the shipped tables that a test may edit, read in place of
+    the package's own while the test runs."""
+    d = tmp_path / "tables"
+    shutil.copytree(connection._TABLE_DIR, d)
+    monkeypatch.setattr(connection, "_TABLE_DIR", str(d))
+    return d
+
+
+def edit_table(path, old, new):
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+
+
+def test_coeffs_table_and_cache_hit(capsys, cold_tables):
+    # the second run takes the table the first one read, and prints the
+    # same bytes
     rc, first, _ = invoke(["coeffs", "--order", "3", "--kind", "d"], capsys)
     assert rc == 0
     assert first.splitlines()[0] == "wavefield-tensor 1"
@@ -270,42 +288,49 @@ def test_coeffs_table_and_cache_hit(capsys, cachedir):
     # central value 295/56
     row0 = [ln for ln in first.splitlines() if ln.startswith("0 ")][0]
     assert abs(float(row0.split()[1]) - 295.0 / 56.0) < 1e-12
-    assert (cachedir / "d-K3-s0-v1.tbl").exists()
     rc, second, _ = invoke(["coeffs", "--order", "3", "--kind", "d"], capsys)
     assert rc == 0 and second == first
 
 
-def test_coeffs_corrupt_cache(capsys, cachedir):
-    assert run(["coeffs", "--order", "3", "--kind", "d",
-                "--output", "/dev/null"]) == 0
-    path = cachedir / "d-K3-s0-v1.tbl"
-    body = path.read_text()
-    path.write_text(body.replace("5.2678571428571015", "5.3678571428571015"))
+def test_coeffs_corrupt_cache(capsys, shipped_copy):
+    edit_table(shipped_copy / "derivative-D-K3.tbl",
+               "\n0 5.2678571428571015\n", "\n0 5.3678571428571015\n")
     rc, _, err = invoke(["coeffs", "--order", "3", "--kind", "d"], capsys)
     assert rc == 1
     assert err.startswith("corrupt-table:")
 
 
+# the (0,0,0) entry is permutation invariant, so only the partition rule
+# against the gamma3 partner can flag this edit
+G4_CENTRE = ("\n0 0 0 0.9528539710188727\n", "\n0 0 0 9.9\n")
+
+
 @pytest.mark.parametrize("scale", [0, 1])
-def test_coeffs_symmetric_edit_caught(capsys, cachedir, scale):
-    # the (0,0,0) entry is permutation invariant, so only the partition
-    # rule against the cached gamma3 partner can flag this edit
-    argv = ["coeffs", "--order", "3", "--kind", "gamma4", "--scale", str(scale)]
-    assert run(argv + ["--output", "/dev/null"]) == 0
-    path = cachedir / f"gamma4-K3-s{scale}-v1.tbl"
-    assert (cachedir / "gamma3-K3-s0-v1.tbl").exists()
-    lines = path.read_text().splitlines()
-    k = next(i for i, ln in enumerate(lines) if ln.startswith("0 0 0 "))
-    lines[k] = "0 0 0 9.9"
-    path.write_text("\n".join(lines) + "\n")
-    rc, _, err = invoke(argv, capsys)
-    assert rc == 1
-    assert err.startswith("corrupt-table:")
+def test_coeffs_symmetric_edit_caught(capsys, shipped_copy, scale):
+    edit_table(shipped_copy / "gamma-4-K3.tbl", *G4_CENTRE)
+    rc, out, err = invoke(["coeffs", "--order", "3", "--kind", "gamma4",
+                           "--scale", str(scale)], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("corrupt-table: four-point partition rule violated")
 
 
-def test_cold_gamma4_validated_once(cachedir, monkeypatch):
-    # a cold miss checks the table, partition rule included, only inside
-    # save_tensor, and only at the requested scale
+@pytest.mark.parametrize("scale", [0, 1])
+def test_cold_gamma4_partition_rule_refuses(shipped_copy, scale):
+    # the library refuses the edited table, and the rule catches the edit
+    # at every scale; without the partner the file reads as valid
+    path = shipped_copy / "gamma-4-K3.tbl"
+    edit_table(path, *G4_CENTRE)
+    with pytest.raises(CorruptTableError, match="partition"):
+        gamma_tensor(3, 4)
+    t = connection.load_tensor(path)
+    with pytest.raises(CorruptTableError, match="partition"):
+        connection.validate_tensor(connection.rescale_tensor(t, scale),
+                                   gamma_tensor(3, 3))
+
+
+def test_cold_gamma4_validated_once(monkeypatch, cold_tables):
+    # each shipped table is validated once per process, gamma4 with its
+    # partner; neither a second run nor a rescaled table validates again
     seen = []
     real = connection.validate_tensor
 
@@ -314,38 +339,17 @@ def test_cold_gamma4_validated_once(cachedir, monkeypatch):
         return real(t, gamma3)
 
     monkeypatch.setattr(connection, "validate_tensor", counting)
-    monkeypatch.setattr(cli, "validate_tensor", counting)
     for scale in (0, 1):
-        seen.clear()
-        assert run(["coeffs", "--order", "3", "--kind", "gamma4", "--scale",
-                    str(scale), "--output", "/dev/null"]) == 0
-        g4 = [call for call in seen if call[0] == "gamma-4"]
-        assert g4 == [("gamma-4", scale, True)]
-
-
-@pytest.mark.parametrize("scale", [0, 1])
-def test_cold_gamma4_partition_rule_refuses(capsys, cachedir, monkeypatch, scale):
-    # (0,0,0) keeps permutation symmetry, so only the partition rule sees it
-    real = cli.gamma_tensor
-
-    def tampered(order, m):
-        t = real(order, m)
-        if m == 4:
-            t = connection.CoeffTensor(t.kind, t.order, t.scale,
-                                       {**t.entries, (0, 0, 0): 9.9})
-        return t
-
-    monkeypatch.setattr(cli, "gamma_tensor", tampered)
-    rc, _, err = invoke(["coeffs", "--order", "3", "--kind", "gamma4",
-                         "--scale", str(scale)], capsys)
-    assert rc == 1
-    assert err.startswith("corrupt-table:")
-    assert not list(cachedir.glob("gamma4-*.tbl"))
+        assert run(["hamiltonian", "--order", "3", "--modes", "2", "--nmax",
+                    "3", "--mass2", "1", "--lambda", "0.1", "--eigs", "2",
+                    "--scale", str(scale), "--output", "/dev/null"]) == 0
+    assert sorted(seen) == [("derivative-D", 0, False), ("gamma-3", 0, False),
+                            ("gamma-4", 0, True)]
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(connection._TABLE_DIR)))
-def test_cold_coeffs_prints_the_shipped_file(capsys, cachedir, name):
-    # a cold scale-0 table is the shipped file, byte for byte
+def test_cold_coeffs_prints_the_shipped_file(capsys, name):
+    # a scale-0 table is the shipped file, byte for byte
     kind, order = name.removesuffix(".tbl").split("-K")
     kind = {"derivative-D": "d", "gamma-3": "gamma3", "gamma-4": "gamma4"}[kind]
     rc, out, _ = invoke(["coeffs", "--order", order, "--kind", kind], capsys)
@@ -353,9 +357,9 @@ def test_cold_coeffs_prints_the_shipped_file(capsys, cachedir, name):
     assert out == (pathlib.Path(connection._TABLE_DIR) / name).read_text()
 
 
-def assert_refused_uncached(kind, K, capsys, cachedir):
-    """Every run of a cold coeffs at an order with no shipped table fails
-    the same way, fast and in one line, and caches nothing."""
+def assert_refused_unshipped(kind, K, capsys):
+    """Every run of a coeffs at an order with no shipped table fails the
+    same way, fast and in one line."""
     for _ in range(2):
         start = time.perf_counter()
         rc, out, err = invoke(["coeffs", "--order", str(K), "--kind", kind],
@@ -366,24 +370,23 @@ def assert_refused_uncached(kind, K, capsys, cachedir):
         # the error's context reaches stderr on the same line
         assert err.count("\n") == 1
         assert f"order={K}" in err
-    assert not list(cachedir.glob("*.tbl"))
 
 
-def test_coeffs_refused_table_never_cached(capsys, cachedir):
+def test_coeffs_refused_table_never_cached(capsys):
     # the dense solve of D at orders 10 and 12 is even only to 1.0e-12
     # and 5.7e-12, above the 1e-12 bound, so neither table is shipped
     for K in (10, 12):
-        assert_refused_uncached("d", K, capsys, cachedir)
+        assert_refused_unshipped("d", K, capsys)
 
 
-def test_coeffs_order_limit_caches_nothing(capsys, cachedir):
+def test_coeffs_order_limit_caches_nothing(capsys):
     # the dense gamma4 system takes 1.19 GB from order 8, so no table is
-    # shipped there; the refusal comes before the gamma3 partner is fetched
+    # shipped there
     for K in (8, 12):
-        assert_refused_uncached("gamma4", K, capsys, cachedir)
+        assert_refused_unshipped("gamma4", K, capsys)
 
 
-def test_coeffs_verify_oracle(capsys, cachedir):
+def test_coeffs_verify_oracle(capsys):
     rc, out, _ = invoke(
         ["coeffs", "--order", "3", "--kind", "gamma3",
          "--verify-oracle", "8"], capsys)
@@ -395,7 +398,7 @@ def test_coeffs_verify_oracle(capsys, cachedir):
     assert 0 < dev < 1e-5
 
 
-def test_coeffs_rescaled_verify(capsys, cachedir):
+def test_coeffs_rescaled_verify(capsys):
     rc, out, _ = invoke(
         ["coeffs", "--order", "3", "--kind", "gamma4", "--scale", "1",
          "--verify-oracle", "8", "--format", "json"], capsys)
@@ -407,7 +410,7 @@ def test_coeffs_rescaled_verify(capsys, cachedir):
 
 # ------------------------------------------------------------- hamiltonian
 
-def test_hamiltonian_output(tmp_path, capsys, cachedir):
+def test_hamiltonian_output(tmp_path, capsys):
     dump = tmp_path / "h.coo"
     rc, out, _ = invoke(
         ["hamiltonian", "--order", "3", "--modes", "2", "--nmax", "6",
@@ -431,7 +434,7 @@ def test_hamiltonian_output(tmp_path, capsys, cachedir):
     assert mat[0, 0] == 0.0
 
 
-def test_hamiltonian_rejects_low_order(capsys, cachedir):
+def test_hamiltonian_rejects_low_order(capsys):
     rc, _, err = invoke(
         ["hamiltonian", "--order", "2", "--modes", "2", "--nmax", "4",
          "--mass2", "1.0", "--lambda", "0.1", "--eigs", "2"], capsys)
@@ -439,8 +442,7 @@ def test_hamiltonian_rejects_low_order(capsys, cachedir):
     assert err.startswith("non-differentiable-order:")
 
 
-def test_hamiltonian_convergence_failure_reports_context(capsys, cachedir,
-                                                         monkeypatch):
+def test_hamiltonian_convergence_failure_reports_context(capsys, monkeypatch):
     import scipy.sparse.linalg as spla
 
     def stalled(*args, **kwargs):
@@ -465,8 +467,8 @@ def test_hamiltonian_convergence_failure_reports_context(capsys, cachedir,
     ("--gamma", "inf", "gamma"),
 ])
 def test_hamiltonian_refuses_nonfinite(flag, value, field, tmp_path, capsys,
-                                       cachedir):
-    # refused before any table is built or cached
+                                       cold_tables):
+    # refused before any table is read
     flags = {"--mass2": "1.0", "--lambda": "0.1", flag: value}
     dst, dump = tmp_path / "h.csv", tmp_path / "h.coo"
     rc, out, err = invoke(
@@ -476,23 +478,33 @@ def test_hamiltonian_refuses_nonfinite(flag, value, field, tmp_path, capsys,
     assert rc == 1 and out == ""
     assert err.startswith(f"shape: {field} must be finite {field}={value}")
     assert err.count("\n") == 1
-    assert not dst.exists() and not dump.exists() and not cachedir.exists()
+    assert not dst.exists() and not dump.exists()
+    assert connection._shipped_table.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("coupling", ["0", "-0.0"])
-def test_zero_coupling_hamiltonian_fetches_only_d(coupling, capsys, cachedir):
-    # the order-8 gamma-4 system is refused, but a free run never reads it
+def test_zero_coupling_hamiltonian_fetches_only_d(coupling, capsys, monkeypatch,
+                                                  cold_tables):
+    # no gamma-4 table is shipped at order 8, but a free run never reads it
+    read = []
+    real = connection.load_tensor
+
+    def counting(path, gamma3=None):
+        read.append(os.path.basename(path))
+        return real(path, gamma3)
+
+    monkeypatch.setattr(connection, "load_tensor", counting)
     rc, out, err = invoke(
         ["hamiltonian", "--order", "8", "--modes", "2", "--nmax", "3",
          "--mass2", "1.0", "--lambda", coupling, "--eigs", "2"], capsys)
     assert rc == 0 and err == ""
     assert out.startswith("index,eigenvalue,residual\n")
-    assert sorted(p.name for p in cachedir.iterdir()) == ["d-K8-s0-v1.tbl"]
+    assert read == ["derivative-D-K8.tbl"]
 
 
 @pytest.mark.parametrize("modes,nmax", [(2, 6), (4, 3)])
 def test_zero_coupling_hamiltonian_matches_four_point_path(modes, nmax, tmp_path,
-                                                           capsys, cachedir):
+                                                           capsys):
     # the bytes equal those of the same Hamiltonian assembled with the
     # four-point table at hand, which zero coupling never reads
     dump = tmp_path / "h.coo"
@@ -511,9 +523,9 @@ def test_zero_coupling_hamiltonian_matches_four_point_path(modes, nmax, tmp_path
                                                      *op.entries()))
 
 
-def test_hamiltonian_oversized_basis_named(capsys, cachedir):
+def test_hamiltonian_oversized_basis_named(capsys, cold_tables):
     # 4^40 states: refused by the basis before its state grid exists, and
-    # before any table is built or cached
+    # before any table is read
     rc, out, err = invoke(
         ["hamiltonian", "--order", "3", "--modes", "40", "--nmax", "3",
          "--mass2", "1.0", "--lambda", "0.1", "--eigs", "2"], capsys)
@@ -522,10 +534,10 @@ def test_hamiltonian_oversized_basis_named(capsys, cachedir):
     assert err.startswith("shape: Fock state grid exceeds the memory limit "
                           f"modes=40 cutoff=3 dimension={4**40} "
                           f"bytes={8 * 4**40}")
-    assert not cachedir.exists()
+    assert connection._shipped_table.cache_info().currsize == 0
 
 
-def test_hamiltonian_deterministic(tmp_path, cachedir):
+def test_hamiltonian_deterministic(tmp_path):
     cold, warm = cold_and_warm_bytes(
         ["hamiltonian", "--order", "3", "--modes", "2", "--nmax", "8",
          "--mass2", "1.0", "--lambda", "0.25", "--eigs", "3"], tmp_path)
@@ -542,7 +554,7 @@ def _write_coo(path, mat):
         + "\n".join("%d %d %.17g" % t for t in nz))
 
 
-def test_flow_diagonalizes(tmp_path, capsys, cachedir):
+def test_flow_diagonalizes(tmp_path, capsys):
     rng = np.random.default_rng(11)
     a = rng.normal(size=(6, 6))
     h = (a + a.T) / 2
@@ -574,7 +586,7 @@ def test_flow_diagonalizes(tmp_path, capsys, cachedir):
 
 
 @pytest.mark.parametrize("end", ["nan", "inf"])
-def test_flow_refuses_nonfinite_end(end, tmp_path, capsys, cachedir):
+def test_flow_refuses_nonfinite_end(end, tmp_path, capsys):
     src, dst, log = (tmp_path / name for name in ("h.coo", "f.coo", "t.csv"))
     _write_coo(src, np.array([[1.0, 0.5], [0.5, 2.0]]))
     rc, out, err = invoke(
@@ -585,7 +597,7 @@ def test_flow_refuses_nonfinite_end(end, tmp_path, capsys, cachedir):
     assert not dst.exists() and not log.exists()
 
 
-def test_flow_block_requires_partition(tmp_path, capsys, cachedir):
+def test_flow_block_requires_partition(tmp_path, capsys):
     src = tmp_path / "h.coo"
     _write_coo(src, np.eye(4))
     rc, _, err = invoke(
@@ -595,7 +607,7 @@ def test_flow_block_requires_partition(tmp_path, capsys, cachedir):
     assert err.startswith("shape:")
 
 
-def test_flow_rejects_asymmetric(tmp_path, capsys, cachedir):
+def test_flow_rejects_asymmetric(tmp_path, capsys):
     src = tmp_path / "h.coo"
     src.write_text("2 1\n0 1 0.5")
     rc, _, err = invoke(
@@ -605,7 +617,7 @@ def test_flow_rejects_asymmetric(tmp_path, capsys, cachedir):
     assert err.startswith("shape:")
 
 
-def test_flow_bad_header(tmp_path, capsys, cachedir):
+def test_flow_bad_header(tmp_path, capsys):
     src = tmp_path / "h.coo"
     src.write_text("2 5\n0 0 1.0")
     rc, _, err = invoke(
@@ -625,7 +637,7 @@ def test_flow_bad_header(tmp_path, capsys, cachedir):
     # two finite entries whose sum overflows
     ("1 2\n0 0 1e308\n0 0 1e308\n", "shape: flow matrix must be finite"),
 ])
-def test_flow_malformed_matrix(text, prefix, tmp_path, capsys, cachedir):
+def test_flow_malformed_matrix(text, prefix, tmp_path, capsys):
     src = tmp_path / "h.coo"
     src.write_text(text)
     rc, out, err = invoke(
@@ -649,7 +661,7 @@ def test_flow_malformed_matrix(text, prefix, tmp_path, capsys, cachedir):
     ("2 3\n0 5 1\n1 x 1\n0 0 1\n", "matrix index out of range", 2),
     ("2 3\n0 0 1\n1 x 1\n0 5 1\n", "matrix entries are 'row col value'", 3),
 ])
-def test_flow_names_bad_line(text, message, line, tmp_path, capsys, cachedir):
+def test_flow_names_bad_line(text, message, line, tmp_path, capsys):
     src = tmp_path / "h.coo"
     src.write_text(text)
     rc, out, err = invoke(
@@ -660,7 +672,7 @@ def test_flow_names_bad_line(text, message, line, tmp_path, capsys, cachedir):
     assert err.rstrip().endswith(f"line={line}")
 
 
-def test_flow_refuses_non_utf8(tmp_path, capsys, cachedir):
+def test_flow_refuses_non_utf8(tmp_path, capsys):
     src = tmp_path / "h.coo"
     src.write_bytes(b"2 2\n0 0 1\n1 1 \xff\n")
     rc, out, err = invoke(
@@ -695,8 +707,7 @@ FAR = 20000
     (f"2 {FAR + 1}\n" + "0 0 1\n" * FAR + "1 1 -inf\n",
      "non-finite value in input", FAR + 2),
 ])
-def test_flow_names_bad_line_far_in(text, message, line, tmp_path, capsys,
-                                    cachedir):
+def test_flow_names_bad_line_far_in(text, message, line, tmp_path, capsys):
     src = tmp_path / "h.coo"
     src.write_bytes(text.encode())
     rc, out, err = invoke(
@@ -707,7 +718,7 @@ def test_flow_names_bad_line_far_in(text, message, line, tmp_path, capsys,
                    + (f" line={line}" if line else "") + "\n")
 
 
-def test_flow_refuses_non_utf8_far_in(tmp_path, capsys, cachedir):
+def test_flow_refuses_non_utf8_far_in(tmp_path, capsys):
     src = tmp_path / "h.coo"
     src.write_bytes(f"2 {FAR + 1}\n".encode() + b"0 0 1\n" * FAR + b"1 1 \xff\n")
     rc, out, err = invoke(
@@ -717,8 +728,7 @@ def test_flow_refuses_non_utf8_far_in(tmp_path, capsys, cachedir):
     assert err == f"parse: input is not UTF-8 text path={src} line={FAR + 2}\n"
 
 
-def test_flow_count_beyond_the_file_allocates_nothing(tmp_path, capsys,
-                                                     cachedir):
+def test_flow_count_beyond_the_file_allocates_nothing(tmp_path, capsys):
     # the entry arrays grow only as entry lines are read, so a header's
     # count alone allocates nothing
     src = tmp_path / "h.coo"
@@ -731,7 +741,7 @@ def test_flow_count_beyond_the_file_allocates_nothing(tmp_path, capsys,
                    f"path={src}\n")
 
 
-def test_flow_cap_checked_before_allocation(tmp_path, capsys, cachedir):
+def test_flow_cap_checked_before_allocation(tmp_path, capsys):
     # a dense 10^8 x 10^8 matrix cannot be allocated; the header is refused
     # before anything is
     src = tmp_path / "h.coo"
@@ -745,7 +755,7 @@ def test_flow_cap_checked_before_allocation(tmp_path, capsys, cachedir):
 
 # ------------------------------------------------------------- diagnose
 
-def test_diagnose_partition(capsys, cachedir):
+def test_diagnose_partition(capsys):
     rc, out, _ = invoke(
         ["diagnose", "--order", "3", "--scale", "2",
          "--probe", "partition"], capsys)
@@ -756,7 +766,7 @@ def test_diagnose_partition(capsys, cachedir):
     assert max(float(ln.split(",")[1]) for ln in lines[1:]) < 1e-10
 
 
-def test_diagnose_projection_skips_windowed_scales(capsys, cachedir):
+def test_diagnose_projection_skips_windowed_scales(capsys):
     # the default gaussian probe leaks into the seam buffer below k=2
     # at order 3, so those rows are absent rather than wrong
     rc, out, _ = invoke(
@@ -769,7 +779,7 @@ def test_diagnose_projection_skips_windowed_scales(capsys, cachedir):
     assert vals[1] < vals[0]
 
 
-def test_diagnose_all_scales_windowed(capsys, cachedir):
+def test_diagnose_all_scales_windowed(capsys):
     rc, _, err = invoke(
         ["diagnose", "--order", "3", "--scale", "1",
          "--probe", "projection", "--function", "gauss:2,1"], capsys)
@@ -782,7 +792,7 @@ def test_diagnose_all_scales_windowed(capsys, cachedir):
     # needs a level-17 grid
     ("13", "grid level must be at most 16"),
 ])
-def test_diagnose_refused_scale(capsys, cachedir, scale, message):
+def test_diagnose_refused_scale(capsys, scale, message):
     # the requested scale's probe is built before the sweep, so the run
     # fails with KernelProbe's own error before any row is computed
     rc, out, err = invoke(["diagnose", "--order", "3", "--scale", scale,
@@ -791,7 +801,7 @@ def test_diagnose_refused_scale(capsys, cachedir, scale, message):
     assert err.startswith("index: " + message)
 
 
-def test_diagnose_poly_commutator(capsys, cachedir):
+def test_diagnose_poly_commutator(capsys):
     rc, out, _ = invoke(
         ["diagnose", "--order", "3", "--scale", "1", "--probe", "commutator",
          "--function", "poly:2"], capsys)
@@ -803,8 +813,7 @@ def test_diagnose_poly_commutator(capsys, cachedir):
 
 @pytest.mark.parametrize("function", ["gauss:nan,1", "gauss:12,nan",
                                       "gauss:inf,1", "gauss:12,-inf"])
-def test_diagnose_refuses_nonfinite_gaussian(function, tmp_path, capsys,
-                                             cachedir):
+def test_diagnose_refuses_nonfinite_gaussian(function, tmp_path, capsys):
     dst = tmp_path / "d.csv"
     rc, out, err = invoke(
         ["diagnose", "--order", "3", "--scale", "1", "--probe", "projection",
@@ -815,7 +824,7 @@ def test_diagnose_refuses_nonfinite_gaussian(function, tmp_path, capsys,
     assert not dst.exists()
 
 
-def test_diagnose_bad_function_usage_error(capsys, cachedir):
+def test_diagnose_bad_function_usage_error(capsys):
     rc, _, err = invoke(
         ["diagnose", "--order", "3", "--scale", "1", "--probe", "projection",
          "--function", "spline:3"], capsys)
@@ -828,7 +837,7 @@ def csv_numbers(text):
     return [[float(v) for v in ln.split(",")] for ln in text.splitlines()[1:]]
 
 
-def test_json_numbers_equal_csv(capsys, cachedir):
+def test_json_numbers_equal_csv(capsys):
     # both formats print the same float64 values, exactly
     def both(argv):
         docs = []
@@ -860,19 +869,19 @@ def test_json_numbers_equal_csv(capsys, cachedir):
 
 # ------------------------------------------------------------- plumbing
 
-def test_usage_errors_exit_two(capsys, cachedir):
+def test_usage_errors_exit_two(capsys):
     assert invoke(["filters"], capsys)[0] == 2
     assert invoke(["bogus"], capsys)[0] == 2
     assert invoke([], capsys)[0] == 2
 
 
-def test_computation_error_names_stderr(capsys, cachedir):
+def test_computation_error_names_stderr(capsys):
     rc, _, err = invoke(["filters", "--order", "40"], capsys)
     assert rc == 1
     assert err.startswith("unsupported-order:")
 
 
-def test_missing_input_file(capsys, cachedir, tmp_path):
+def test_missing_input_file(capsys, tmp_path):
     rc, _, err = invoke(
         ["dwt", "--order", "1", "--levels", "1",
          "--input", str(tmp_path / "nope.csv"), "--direction", "forward"],
@@ -881,7 +890,7 @@ def test_missing_input_file(capsys, cachedir, tmp_path):
     assert err.startswith("parse:")
 
 
-def test_manifest_records(tmp_path, capsys, cachedir):
+def test_manifest_records(tmp_path, capsys):
     mani = tmp_path / "runs.jsonl"
     out1 = tmp_path / "f2.csv"
     out2 = tmp_path / "f3.csv"
@@ -900,7 +909,7 @@ def test_manifest_records(tmp_path, capsys, cachedir):
     assert recs[1]["parameters"]["order"] == 3
 
 
-def test_manifest_tracks_inputs(tmp_path, capsys, cachedir):
+def test_manifest_tracks_inputs(tmp_path, capsys):
     src = tmp_path / "v.csv"
     src.write_text("1\n1\n1\n1\n")
     mani = tmp_path / "runs.jsonl"
@@ -915,7 +924,7 @@ def test_manifest_tracks_inputs(tmp_path, capsys, cachedir):
         out.encode()).hexdigest()
 
 
-def test_manifest_hashes_input_bytes(tmp_path, capsys, cachedir):
+def test_manifest_hashes_input_bytes(tmp_path, capsys):
     # the digest is of the file as stored, not of the text read from it in
     # universal newline mode, which reads '1\r\n' as '1\n'
     src = tmp_path / "v.csv"
@@ -950,9 +959,8 @@ PIPED = [
 
 
 def run_module(argv, tmp_path, **kw):
-    env = dict(src_env(), WAVEFIELD_CACHE=str(tmp_path / "cache"))
     return subprocess.run([sys.executable, "-m", "wavefield.cli", *argv],
-                          cwd=tmp_path, env=env, capture_output=True,
+                          cwd=tmp_path, env=src_env(), capture_output=True,
                           timeout=30, **kw)
 
 
@@ -993,7 +1001,7 @@ def test_manifest_digests_piped_input(argv, data, tmp_path):
     assert rec["inputs"] == {"/dev/stdin": hashlib.sha256(data).hexdigest()}
 
 
-def test_manifest_runs_open_their_input_once(tmp_path, capsys, cachedir,
+def test_manifest_runs_open_their_input_once(tmp_path, capsys,
                                             monkeypatch):
     opened = []
 
@@ -1021,7 +1029,7 @@ def test_manifest_runs_open_their_input_once(tmp_path, capsys, cachedir,
     assert [list(r["inputs"]) for r in recs] == [["v.csv"], ["p.txt"], ["h.coo"]]
 
 
-def test_runs_without_a_manifest_digest_nothing(tmp_path, capsys, cachedir,
+def test_runs_without_a_manifest_digest_nothing(tmp_path, capsys,
                                                 monkeypatch):
     # outputs and inputs are hashed for the manifest alone
     made = []
@@ -1039,25 +1047,40 @@ def test_runs_without_a_manifest_digest_nothing(tmp_path, capsys, cachedir,
     assert made == []
 
 
-def test_cache_flag_overrides_env(tmp_path, capsys, cachedir):
-    other = tmp_path / "other-cache"
-    rc = run(["coeffs", "--order", "3", "--kind", "d",
-              "--cache", str(other), "--output", "/dev/null"])
-    assert rc == 0
-    assert (other / "d-K3-s0-v1.tbl").exists()
-    assert not (cachedir / "d-K3-s0-v1.tbl").exists()
+def test_runs_write_nothing_but_their_outputs(tmp_path):
+    # the tables are read from the package: no run writes under the home
+    # directory or a cache directory, and --cache DIR is read by nothing
+    home, cache, work = (tmp_path / d for d in ("home", "cache", "work"))
+    for d in (home, cache, work):
+        d.mkdir()
+    runs = [["coeffs", "--order", "3", "--kind", "gamma4", "--scale", "1",
+             "--output", "g4.tbl"],
+            ["hamiltonian", "--order", "3", "--modes", "3", "--nmax", "4",
+             "--mass2", "1", "--lambda", "0.1", "--eigs", "2",
+             "--output", "h.csv", "--dump-matrix", "h.coo"]]
+    argv = json.dumps([args + ["--cache", str(cache)] for args in runs])
+    code = ("import json, sys; from wavefield.cli import run; "
+            "sys.exit(max([run(a) for a in json.loads(sys.argv[1])]))")
+    env = dict(src_env(), HOME=str(home), XDG_CACHE_HOME=str(home / ".cache"),
+               WAVEFIELD_CACHE=str(home / "wavefield"))
+    proc = subprocess.run([sys.executable, "-c", code, argv], cwd=work,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert list(home.iterdir()) == [] and list(cache.iterdir()) == []
+    assert sorted(p.name for p in work.iterdir()) == ["g4.tbl", "h.coo",
+                                                      "h.csv"]
 
 
 # ------------------------------------------------------------- determinism
 
 def cold_and_warm_bytes(argv, tmp_path):
-    """Primary output of argv run against an empty table cache, then again
-    against the cache the first run filled."""
-    cache = tmp_path / "pin-cache"
+    """Primary output of argv run twice in one process: first with no table
+    read yet, then on the tables the first run read."""
+    connection._shipped_table.cache_clear()
     outs = []
     for run_name in ("cold", "warm"):
         dst = tmp_path / f"pin-{run_name}.out"
-        assert run(argv + ["--cache", str(cache), "--output", str(dst)]) == 0
+        assert run(argv + ["--output", str(dst)]) == 0
         outs.append(dst.read_bytes())
     return outs
 
@@ -1093,9 +1116,9 @@ PINNED = {
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_subcommand_deterministic(name, tmp_path, cachedir):
+def test_subcommand_deterministic(name, tmp_path):
     # every subcommand but hamiltonian (pinned above) gives the same bytes
-    # whether or not its tables come from the cache
+    # whether or not its tables were read before in the process
     rng = np.random.default_rng(3)
     vector = tmp_path / "v.csv"
     vector.write_text("\n".join("%.17g" % v for v in rng.normal(size=16)))
@@ -1174,10 +1197,9 @@ FLOW_LOGS = ("flow-block.log", "flow-diag.log", "flow125-diag.log",
 def test_outputs_independent_of_blas_threads(tmp_path):
     # the analysis step, the eigensolver, the flow's right-hand sides and
     # the kernel probes' pairings are where BLAS could enter; one and two
-    # threads must give the same bytes.  Each run starts from a cold table
-    # cache of its own, so the cold K=5 gamma tables would differ if they
-    # were solved on each run (a dense solve's last bits move with the
-    # thread count).  The flow logs' drift column comes from eigvalsh and
+    # threads must give the same bytes.  Each thread count runs in a fresh
+    # process, so the K=5 gamma tables would differ if they were solved
+    # on each run (a dense solve's last bits move with the thread count).  The flow logs' drift column comes from eigvalsh and
     # is the one column left out; the lambda and off-norm columns must
     # agree
     vector = tmp_path / "v.csv"
@@ -1192,8 +1214,7 @@ def test_outputs_independent_of_blas_threads(tmp_path):
         work = tmp_path / f"threads-{threads}"
         work.mkdir()
         env = dict(src_env(), OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads,
-                   WAVEFIELD_CACHE=str(tmp_path / f"cache-{threads}"))
+                   OMP_NUM_THREADS=threads)
         proc = subprocess.run([sys.executable, "-c", code, argv], cwd=work,
                               env=env, capture_output=True, text=True,
                               timeout=60)
@@ -1261,9 +1282,8 @@ def test_runs_without_a_hamiltonian_leave_scipy_and_mpmath_out(tmp_path):
         "                      'scipy.integrate', 'mpmath') if m in sys.modules]\n"
         "sys.exit(', '.join(loaded) + ' imported' if loaded else 0)\n"
     )
-    env = dict(src_env(), WAVEFIELD_CACHE=str(tmp_path / "cache"))
     proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
 
 
@@ -1290,9 +1310,8 @@ def test_hamiltonian_loads_scipy_only_for_arpack(tmp_path):
         "    sys.exit('failed at dimension 256')\n"
         "sys.exit(0 if 'scipy.sparse.linalg' in sys.modules else 'no ARPACK')\n"
     )
-    env = dict(src_env(), WAVEFIELD_CACHE=str(tmp_path / "cache"))
     proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
 
 

@@ -321,6 +321,17 @@ def test_rescale_rejects_scaled_input():
         rescale_tensor(t, 1)
 
 
+@pytest.mark.parametrize("kind,last", [("d", 510), (4, 1023)])
+def test_rescale_refuses_scales_past_float_range(kind, last):
+    # 4^511 times D's central 5.27 overflows, and from 2^1024 on the
+    # factor itself does
+    t = derivative_overlaps(3) if kind == "d" else gamma_tensor(3, kind)
+    assert rescale_tensor(t, last).scale == last
+    for k in (last + 1, 3000):
+        with pytest.raises(IndexRangeError, match="float range"):
+            rescale_tensor(t, k)
+
+
 @pytest.mark.parametrize("K,k,bound", [(3, 1, 1e-9), (3, 2, 1e-9)])
 def test_rescaled_gamma_matches_scaled_oracle(K, k, bound):
     t = rescale_tensor(gamma_tensor(K, 3), k)
@@ -662,12 +673,13 @@ def test_solver_refuses_every_unshipped_order(kind, K):
 
 @pytest.mark.parametrize("kind,K", SHIPPED)
 def test_shipped_table_is_valid_fixed_point(kind, K):
-    # load_tensor validates; a gamma-4 table is also checked against its
-    # gamma-3 partner, and each is a fixed point of its refinement map
-    t = load_tensor(_table_path(kind, K))
-    assert (t.kind, t.order, t.scale) == (kind, K, 0)
+    # load_tensor validates, a gamma-4 table against its gamma-3 partner,
+    # and each is a fixed point of its refinement map
+    partner = None
     if kind == "gamma-4":
-        validate_tensor(t, load_tensor(_table_path("gamma-3", K)))
+        partner = load_tensor(_table_path("gamma-3", K))
+    t = load_tensor(_table_path(kind, K), partner)
+    assert (t.kind, t.order, t.scale) == (kind, K, 0)
     assert recursion_residual(t, make_filters(K)) <= 1e-12
 
 
