@@ -244,7 +244,8 @@ def rescale_tensor(t: CoeffTensor, k: int) -> CoeffTensor:
     """Carry a scale-0 table to scale k.
 
     gamma-m scales by 2^{k(m-2)/2}; D scales by 2^{k * D_RESCALE_EXPONENT}.
-    A scale that carries an entry past the float range raises index.
+    A scale that carries a nonzero entry past the float range, above the
+    largest float or below the smallest normal one, raises index.
     """
     if t.scale != 0:
         raise AlreadyScaledError("tensor is not at scale 0", scale=t.scale)
@@ -253,7 +254,10 @@ def rescale_tensor(t: CoeffTensor, k: int) -> CoeffTensor:
     except OverflowError:
         fac = np.inf
     entries = {tup: v * fac for tup, v in t.entries.items()}
-    if not np.isfinite(list(entries.values())).all():
+    scaled = np.abs(list(entries.values()))
+    nonzero = np.array(list(t.entries.values())) != 0
+    if not (np.isfinite(scaled).all()
+            and (scaled[nonzero] >= np.finfo(float).tiny).all()):
         raise IndexRangeError("scale carries the table past the float range",
                               kind=t.kind, scale=k)
     return CoeffTensor(t.kind, t.order, k, entries)

@@ -386,6 +386,24 @@ def test_coeffs_order_limit_caches_nothing(capsys):
         assert_refused_unshipped("gamma4", K, capsys)
 
 
+@pytest.mark.parametrize("kind,scale,rc", [
+    ("d", "-500", 0), ("d", "-520", 1), ("d", "-1100", 1),
+    ("gamma4", "-520", 0), ("gamma4", "-1100", 1),
+])
+def test_coeffs_refuses_scales_that_underflow(capsys, kind, scale, rc):
+    # a scale that carries a nonzero entry below the smallest normal
+    # float exits 1 with index, not with a table of zeros
+    got, out, err = invoke(["coeffs", "--order", "3", "--kind", kind,
+                            "--scale", scale], capsys)
+    assert got == rc
+    if rc:
+        assert out == ""
+        assert err.startswith("index: scale carries the table past the float range")
+        assert f"scale={scale}" in err
+    else:
+        assert out.startswith("wavefield-tensor 1\nkind")
+
+
 def test_coeffs_verify_oracle(capsys):
     rc, out, _ = invoke(
         ["coeffs", "--order", "3", "--kind", "gamma3",
