@@ -5,7 +5,8 @@ Submodules:
     scaling      scaling function / wavelet values on dyadic grids, moments
     transform    periodic fast wavelet transform (analysis/synthesis/pyramid,
                  the stage matrix)
-    connection   overlap tensors D and Gamma from fixed-point systems
+    connection   overlap tensors D and Gamma, shipped as package tables;
+                 rescaling, validation, the quadrature oracle
     fock         truncated normal-ordered phi^4 Hamiltonian and spectra
     flow         two-scale splitting and SRG (Wegner) flow on matrices
     diagnostics  kernel-level checks: partition of unity, projection error,
@@ -37,7 +38,6 @@ from .connection import (  # noqa: F401
     load_tensor,
     quadrature_oracle,
     rescale_tensor,
-    save_tensor,
     validate_tensor,
 )
 from .fock import (  # noqa: F401
@@ -71,7 +71,7 @@ __all__ = [
     "scaling_samples", "wavelet_samples",
     "CoeffPyramid", "CoeffVector", "max_levels", "multilevel", "stage_matrix",
     "CoeffTensor", "derivative_overlaps", "gamma_tensor", "load_tensor",
-    "quadrature_oracle", "rescale_tensor", "save_tensor", "validate_tensor",
+    "quadrature_oracle", "rescale_tensor", "validate_tensor",
     "FockBasis", "FockOperator", "ModelParams",
     "build_phi4_hamiltonian", "free_reference_spectrum", "lanczos_lowest",
     "FlowState", "SplitTensors", "StepControl",

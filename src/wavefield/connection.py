@@ -8,7 +8,7 @@ computed by quadrature: substituting the refinement equation into the
 integral turns each table into the eigenvalue-1 fixed point of a finite
 linear map (Beylkin, SIAM J. Numer. Anal. 29 (1992) 1716), constants of
 each order that Latto, Resnikoff & Tenenbaum (1991) published as tables.
-They ship the same way, as package data: one save_tensor file per kind
+They ship the same way, as package data: one tensor_text file per kind
 and order in tables/, D at orders 3-9 and 11, gamma-3 at 1-12 and gamma-4
 at 1-7, read and validated by load_tensor on first use in a process,
 never at import.  An order with no file raises unsupported-order.
@@ -18,19 +18,18 @@ The orders it cannot solve are the ones not shipped: D at 10 and 12 comes
 out even only to 1.0e-12 and 5.7e-12, and gamma-4 from order 8 needs a
 system above 1 GB.
 
-The order K names the scaling function: the tables, the oracle and
-resolve_d_exponent take K; only recursion_residual, which re-applies the
-map with the taps it is given, takes a FilterPair.
+The order K names the scaling function: the tables and the oracle take
+K; only recursion_residual, which re-applies the map with the taps it is
+given, takes a FilterPair.
 
 A plain-quadrature oracle on refined dyadic samples of the table's own
 order provides the independent cross-check: oracle_deviation reports the
-raw level-L deviation, and for the rough low orders its Aitken-extrapolated
-form (extrapolated_oracle) reaches the accuracy that the plain sum at the
-same level cannot.  validate_tensor checks every rule at every scale, one
-permutation rule for every kind (D's evenness is its n -> -n case) and the
-gamma-3/gamma-4 sum rules, on write (save_tensor) and read (load_tensor).
-A shipped gamma-4 is read against its gamma-3 partner: only the partition
-rule sum_{n4} gamma-4 = gamma-3 pins entries such as (0,0,0).
+raw level-L deviation (tests/oracles.py extrapolates it for the rough
+low orders).  validate_tensor checks every rule at every scale, one
+permutation rule for every kind (D's evenness is its n -> -n case) and
+the gamma-3/gamma-4 sum rules, on every read (load_tensor).  A shipped
+gamma-4 is read against its gamma-3 partner: only the partition rule
+sum_{n4} gamma-4 = gamma-3 pins entries such as (0,0,0).
 
 Normalizations:
   D:        sum_n n^2 D_{0n} = -2   (twice-differentiated quadratic
@@ -39,15 +38,13 @@ Normalizations:
             every factor but the first)
 
 Scaling to scale k multiplies gamma-m by 2^{k(m-2)/2}.  For D the change
-of variables gives 2^{2k}; resolve_d_exponent() rechecks that exponent
-against a scale-1 oracle rather than trusting the derivation.
+of variables gives 2^{2k}, an exponent the tests recheck against a
+scale-1 oracle rather than trusting the derivation.
 """
-
 from __future__ import annotations
 
 import itertools
 import os
-import tempfile
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -73,12 +70,8 @@ __all__ = [
     "recursion_residual",
     "quadrature_oracle",
     "oracle_deviation",
-    "aitken_limit",
-    "extrapolated_oracle",
-    "resolve_d_exponent",
     "validate_tensor",
     "tensor_text",
-    "save_tensor",
     "load_tensor",
     "wrap_matrix",
     "wrap_tensor_dense",
@@ -89,25 +82,14 @@ __all__ = [
 _KINDS = {"derivative-D": 2, "gamma-2": 2, "gamma-3": 3, "gamma-4": 4}
 
 # per-unit-scale exponent for D; derived from the change of variables and
-# settled against the scale-1 oracle (resolve_d_exponent), which rejects
-# the alternative reading 2^k by three orders of magnitude
+# settled against a scale-1 oracle in the tests, which rejects the
+# alternative reading 2^k by three orders of magnitude
 D_RESCALE_EXPONENT = 2
 
 FORMAT_VERSION = 1
 
-# the shipped scale-0 tables, one save_tensor file per kind and order
+# the shipped scale-0 tables, one tensor_text file per kind and order
 _TABLE_DIR = os.path.join(os.path.dirname(__file__), "tables")
-
-# Aitken extrapolation of the oracle is trusted only where the ratios of
-# successive level differences agree to this fraction (among the tables
-# whose raw sums miss the criterion-06 tolerances the largest drift is 7%,
-# for gamma-4 at order 2)
-RATIO_AGREEMENT = 0.25
-
-# level differences at most this large, relative to max(1, |sum|), are
-# rounding noise: their ratios say nothing about convergence
-ROUNDING_FLOOR = 64 * np.finfo(float).eps
-
 
 @dataclass(frozen=True)
 class CoeffTensor:
@@ -283,9 +265,8 @@ def _oracle_samples(order, level, derivative):
     return d
 
 
-def quadrature_oracle(order: int, factors, level: int, scale: int = 0,
-                      weight_power: int = 0) -> float:
-    """Riemann-sum value of int x^p prod_i f_i(x - n_i) dx, f_i the scaling
+def quadrature_oracle(order: int, factors, level: int, scale: int = 0) -> float:
+    """Riemann-sum value of int prod_i f_i(x - n_i) dx, f_i the scaling
     function of the given order (or its derivative) sampled at the level.
 
     factors: sequence of (translation, derivative_order) with derivative
@@ -298,7 +279,7 @@ def quadrature_oracle(order: int, factors, level: int, scale: int = 0,
 
     scale k multiplies the scale-0 integral by 2^{k[(m-2)/2 + sum o_i]}
     (substitution u = 2^k x with one 2^{k/2} per factor and 2^k per
-    derivative).  The x^p weight is supported at scale 0 only.
+    derivative).
     """
     factors = [(int(n), int(d)) for n, d in factors]
     if not 1 <= len(factors) <= 4:
@@ -312,8 +293,6 @@ def quadrature_oracle(order: int, factors, level: int, scale: int = 0,
         raise NonDifferentiableOrderError(
             "derivative factors need order >= 3", order=order
         )
-    if weight_power and scale != 0:
-        raise ShapeError("polynomial weight is only defined at scale 0")
 
     s = _oracle_samples(order, level, False)
     ds = _oracle_samples(order, level, True) if any(d for _, d in factors) else None
@@ -328,42 +307,10 @@ def quadrature_oracle(order: int, factors, level: int, scale: int = 0,
         for n, d in factors:
             src = ds if d else s
             acc = acc * src[lo - n * g : hi - n * g]
-        if weight_power:
-            acc = acc * (np.arange(lo, hi) / g) ** weight_power
         total = acc.sum() / g
     m = len(factors)
     der = sum(d for _, d in factors)
     return float(total * 2.0 ** (scale * ((m - 2) / 2.0 + der)))
-
-
-def aitken_limit(sums):
-    """Aitken delta-squared limit of oracle sums at four successive levels.
-
-    sums has shape (4, ...): raw sums at levels L-3..L for any number of
-    entries.  With successive differences d1, d2, d3 and ratios
-    r1 = d2/d1, r2 = d3/d2, an entry is extrapolated from its last three
-    levels, S_L - d3^2 / (d3 - d2), only when
-
-      * 0 < r2 < 1 (monotone geometric convergence),
-      * |r1 - r2| <= RATIO_AGREEMENT * r2 (the ratio is stable), and
-      * |d2| and |d3| exceed ROUNDING_FLOOR * max(1, |S_L|) (the
-        differences are not rounding noise).
-
-    Every other entry keeps its raw level-L sum.  Returns the limits and a
-    boolean mask of the entries that fell back.
-    """
-    s = np.asarray(sums, dtype=float)
-    if s.shape[:1] != (4,):
-        raise ShapeError("need sums at exactly four levels", shape=s.shape)
-    d1, d2, d3 = np.diff(s, axis=0)
-    floor = ROUNDING_FLOOR * np.maximum(1.0, np.abs(s[3]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r1, r2 = d2 / d1, d3 / d2
-        ok = ((np.abs(d2) > floor) & (np.abs(d3) > floor)
-              & (r2 > 0) & (r2 < 1)
-              & (np.abs(r1 - r2) <= RATIO_AGREEMENT * r2))
-        limit = s[3] - d3 * d3 / (d3 - d2)
-    return np.where(ok, limit, s[3]), ~ok
 
 
 def _oracle_factors(t: CoeffTensor, offsets):
@@ -385,66 +332,12 @@ def _oracle_sums(t: CoeffTensor, offsets, level, scale):
 def oracle_deviation(t: CoeffTensor, level: int) -> float:
     """Largest deviation of the table from its plain level-L oracle sums.
 
-    The raw Riemann-sum check, at the table's own order and scale; for the
-    rough low orders see extrapolated_oracle.
+    The raw Riemann-sum check, at the table's own order and scale.
     """
     offsets = sorted(t.entries)
     vals = np.array([t.entries[tup] for tup in offsets])
     sums = _oracle_sums(t, offsets, level, t.scale)
     return float(np.abs(sums - vals).max(initial=0.0))
-
-
-def extrapolated_oracle(t: CoeffTensor, level: int) -> dict:
-    """Oracle deviation of a table, raw and Aitken-extrapolated.
-
-    Each entry's quadrature_oracle sum, on the filters of the table's own
-    order and at its own scale, is taken at levels level-3..level
-    and passed through aitken_limit, which extrapolates only a stable
-    geometric sequence and otherwise keeps the raw level-L sum (a
-    fallback).  Built on quadrature_oracle alone, so it stays independent
-    of the fixed-point solver.  Returns the largest raw level-L deviation
-    ('raw', the oracle_deviation figure), the largest extrapolated
-    deviation ('extrapolated'), the number of fallback entries
-    ('fallbacks') and of entries ('entries').
-    """
-    if not 4 <= level <= MAX_LEVEL:
-        raise IndexRangeError(f"extrapolated oracle level must lie in "
-                              f"4..{MAX_LEVEL}", level=level)
-    offsets = sorted(t.entries)
-    vals = np.array([t.entries[tup] for tup in offsets])
-    sums = np.array([
-        _oracle_sums(t, offsets, lev, t.scale)
-        for lev in range(level - 3, level + 1)
-    ]).reshape(4, len(offsets))
-    limits, fell_back = aitken_limit(sums)
-    return {
-        "raw": float(np.abs(sums[3] - vals).max(initial=0.0)),
-        "extrapolated": float(np.abs(limits - vals).max(initial=0.0)),
-        "fallbacks": int(fell_back.sum()),
-        "entries": len(offsets),
-    }
-
-
-def resolve_d_exponent(order: int, level: int = 12) -> dict:
-    """Settle the per-scale exponent of D by direct scale-1 comparison.
-
-    Candidate exponents 1 and 2 differ by a factor 2 at k=1, far above
-    the finite-difference error of the oracle, so the comparison is
-    unambiguous.  Returns the winning exponent and both deviations.
-    """
-    t = derivative_overlaps(order)
-    offsets = [tup for tup in sorted(t.entries) if tup[0] >= 0]
-    vals = np.array([t.entries[tup] for tup in offsets])
-    oracle = _oracle_sums(t, offsets, level, 1)
-    devs = {expo: float(np.abs(vals * 2.0**expo - oracle).max())
-            for expo in (1, 2)}
-    winner = min(devs, key=devs.get)
-    return {
-        "exponent": winner,
-        "deviation": devs[winner],
-        "rejected_exponent": max(devs, key=devs.get),
-        "rejected_deviation": max(devs.values()),
-    }
 
 
 def validate_tensor(t: CoeffTensor, gamma3: CoeffTensor | None = None):
@@ -508,7 +401,7 @@ def validate_tensor(t: CoeffTensor, gamma3: CoeffTensor | None = None):
 
 
 def tensor_text(t: CoeffTensor) -> str:
-    """t in the versioned container format that save_tensor writes and
+    """t in the versioned container format of the shipped tables, which
     load_tensor reads: a header, then one 'offsets value' line per entry."""
     lines = [
         f"wavefield-tensor {FORMAT_VERSION}",
@@ -523,25 +416,6 @@ def tensor_text(t: CoeffTensor) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_tensor(t: CoeffTensor, path, gamma3: CoeffTensor | None = None):
-    """Validate t, then write its tensor_text atomically (temp + rename).
-
-    gamma3 is passed on to validate_tensor, which then also checks a
-    gamma-4 table against the four-point partition rule.
-    """
-    validate_tensor(t, gamma3)
-    path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tensor-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(tensor_text(t))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _parse_header_line(line, key, lineno):
     parts = line.split()
     if len(parts) != 2 or parts[0] != key:
@@ -550,12 +424,13 @@ def _parse_header_line(line, key, lineno):
 
 
 def load_tensor(path, gamma3: CoeffTensor | None = None) -> CoeffTensor:
-    """Read a table written by save_tensor and re-validate its invariants.
+    """Read a table in the tensor_text format and re-validate its invariants.
 
     Structural problems (bad header, counts, offsets, metadata that
     contradicts itself) raise a parse error; value-level invariant
     violations raise a corrupt-table error.  gamma3 is passed on to
-    validate_tensor, as save_tensor does.
+    validate_tensor, which then also checks a gamma-4 table against the
+    four-point partition rule.
     """
     with open(path) as fh:
         raw = fh.read().splitlines()

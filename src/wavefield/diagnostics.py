@@ -13,7 +13,9 @@ the window is complete; nothing wraps).  Test functions must stay
 2(2K-1) scale-k lattice units away from the window ends: inside that
 margin the coefficient quadrature is truncated, so error norms and
 pairings are evaluated on the interior only, and gaussian probes whose
-tails reach the margin are rejected outright.
+tails reach the margin are rejected outright.  A probe whose samples or
+result leave the float range, such as a high-degree polynomial, raises
+index.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ __all__ = [
     "project",
     "kernel_projection_error",
     "commutator_residual",
-    "kernel_matrix",
 ]
 
 WINDOW = 24.0
@@ -186,12 +187,28 @@ def project(probe: KernelProbe, f) -> np.ndarray:
     return recon
 
 
+def _label(f):
+    return getattr(f, "label", "grid array")
+
+
+def _finite(probe, label, value, *samples):
+    """value, unless it or any sample array holds an inf or a nan, which
+    raises index: the probe went past the float range at this scale."""
+    if not (np.isfinite(value) and all(np.isfinite(x).all() for x in samples)):
+        raise IndexRangeError("probe goes past the float range",
+                              function=label, scale=probe.scale)
+    return value
+
+
 def kernel_projection_error(probe: KernelProbe, f) -> float:
-    """Interior L2 norm of P_k f - f."""
-    fx = _probe_values(probe, f)
-    diff = project(probe, fx) - fx
-    mask = _interior(probe)
-    return float(np.sqrt((diff[mask] ** 2).sum() * probe.spacing))
+    """Interior L2 norm of P_k f - f.  Samples or a norm past the float
+    range raise index."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx = _probe_values(probe, f)
+        diff = project(probe, fx) - fx
+        mask = _interior(probe)
+        err = float(np.sqrt((diff[mask] ** 2).sum() * probe.spacing))
+    return _finite(probe, _label(f), err, fx)
 
 
 def commutator_residual(probe: KernelProbe, f, g) -> float:
@@ -200,16 +217,20 @@ def commutator_residual(probe: KernelProbe, f, g) -> float:
     This is the truncation error of the equal-time pairing: the smeared
     commutator carries K^k where the canonical one carries the delta.
     Both pairings are numpy sums of products, not BLAS dots, so the
-    residual does not depend on the BLAS thread count.
+    residual does not depend on the BLAS thread count.  Samples or a
+    pairing past the float range raise index.
     """
-    fx = _probe_values(probe, f)
-    gx = _probe_values(probe, g)
-    pg = project(probe, gx)
-    mask = _interior(probe)
-    dx = probe.spacing
-    kern = float((fx[mask] * pg[mask]).sum() * dx)
-    direct = float((fx[mask] * gx[mask]).sum() * dx)
-    return abs(kern - direct)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx = _probe_values(probe, f)
+        gx = _probe_values(probe, g)
+        pg = project(probe, gx)
+        mask = _interior(probe)
+        dx = probe.spacing
+        kern = float((fx[mask] * pg[mask]).sum() * dx)
+        direct = float((fx[mask] * gx[mask]).sum() * dx)
+        res = abs(kern - direct)
+    label = ",".join(dict.fromkeys((_label(f), _label(g))))
+    return _finite(probe, label, res, fx, gx)
 
 
 def wavelet_grid(probe: KernelProbe, shift: int) -> np.ndarray:
@@ -227,18 +248,3 @@ def wavelet_grid(probe: KernelProbe, shift: int) -> np.ndarray:
     out[i0 : i0 + len(seg)] = seg
     return out
 
-
-def kernel_matrix(probe: KernelProbe) -> np.ndarray:
-    """Dense K^k(x_i, x_j) on the grid; small grids only.
-
-    Accumulated as a sum of outer products v v^T, so the result is
-    symmetric entry for entry, not just within roundoff.
-    """
-    ngrid = int(WINDOW) << probe.grid_level
-    if ngrid > 4096:
-        raise ShapeError("kernel matrix needs a coarse grid",
-                         grid=ngrid, cap=4096)
-    mat = np.zeros((ngrid, ngrid))
-    for a, b, seg in _translates(probe):
-        mat[a:b, a:b] += np.outer(seg, seg)
-    return mat

@@ -2,7 +2,10 @@
 
 Every failure mode that callers are expected to handle carries a stable
 kebab-case ``name`` used by the command line driver when reporting on
-stderr (exit code 1). Anything else a module raises is a plain bug.
+stderr (exit code 1), followed by the error's context dict as key=value
+pairs. Anything else a module raises is a plain bug. Each type here is
+raised by the package; one that only a test oracle or the table
+generator raises is defined beside it in tests/.
 """
 
 
@@ -32,20 +35,12 @@ class InsufficientResolutionError(WavefieldError):
     name = "insufficient-resolution"
 
 
-class InsufficientVanishingMomentsError(WavefieldError):
-    name = "insufficient-vanishing-moments"
-
-
 class ShapeError(WavefieldError):
     name = "shape"
 
 
 class DepthError(WavefieldError):
     name = "depth"
-
-
-class DegenerateFixedPointError(WavefieldError):
-    name = "degenerate-fixed-point"
 
 
 class AlreadyScaledError(WavefieldError):

@@ -76,7 +76,6 @@ __all__ = [
     "build_phi4_hamiltonian",
     "free_reference_spectrum",
     "lanczos_lowest",
-    "block_leakage_counts",
 ]
 
 
@@ -104,17 +103,6 @@ class ModelParams:
             raise ShapeError("gamma must be positive", gamma=g)
 
 
-@lru_cache(maxsize=16)
-def _occupations(modes, cutoff):
-    dim = (cutoff + 1) ** modes
-    idx = np.arange(dim, dtype=np.int64)
-    occ = np.empty((dim, modes), dtype=np.int64)
-    for j in range(modes):
-        occ[:, j] = (idx // (cutoff + 1) ** j) % (cutoff + 1)
-    occ.setflags(write=False)
-    return occ
-
-
 @dataclass(frozen=True)
 class FockBasis:
     """Occupation-number basis, lexicographic with mode 0 fastest.  A basis
@@ -139,20 +127,6 @@ class FockBasis:
     @property
     def dimension(self):
         return (self.cutoff + 1) ** self.modes
-
-    @property
-    def strides(self):
-        return (self.cutoff + 1) ** np.arange(self.modes, dtype=np.int64)
-
-    def occupations(self):
-        """(dimension, modes) table; row i is the occupation vector of i."""
-        return _occupations(self.modes, self.cutoff)
-
-    def index_of(self, occ):
-        occ = np.asarray(occ, dtype=np.int64)
-        if occ.shape != (self.modes,) or occ.min() < 0 or occ.max() > self.cutoff:
-            raise IndexRangeError("occupation vector out of range")
-        return int(occ @ self.strides)
 
 
 class _Half(NamedTuple):
@@ -653,34 +627,3 @@ def lanczos_lowest(op: FockOperator, count: int, tol: float = 1e-10):
         )
     return [(float(e), float(r)) for e, r in zip(evals, resid)]
 
-
-def block_leakage_counts(op: FockOperator, tol: float = 0.0):
-    """Diagnostics for the truncation edge.
-
-    parity_violations: entries connecting states of different total
-    occupation parity (must be zero: every Hamiltonian monomial carries
-    an even ladder count).
-    off_block: entries connecting different total occupations.
-    edge: the subset of off_block entries where an endpoint touches the
-    cutoff, i.e. the states where the truncated ladder algebra fails.
-
-    tol filters entries by magnitude; the default counts everything,
-    including the ~1e-15 couplings inherited from tensor-table rounding.
-    The counts read the half form: a diagonal entry adds to none of them,
-    and each upper entry counts twice, once for its mirror.
-    """
-    _, data, indices, indptr = op.half
-    occ = op.basis.occupations()
-    totals = occ.sum(axis=1)
-    keep = np.abs(data) > tol
-    r, c = _rows_of(indptr)[keep], indices[keep]
-    parity_violations = int(np.sum((totals[r] - totals[c]) % 2 != 0))
-    off = totals[r] != totals[c]
-    at_edge = (occ[r].max(axis=1) == op.basis.cutoff) | (
-        occ[c].max(axis=1) == op.basis.cutoff
-    )
-    return {
-        "parity_violations": 2 * parity_violations,
-        "off_block": 2 * int(off.sum()),
-        "edge": 2 * int((off & at_edge).sum()),
-    }

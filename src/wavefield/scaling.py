@@ -15,8 +15,7 @@ previously computed values.
 
 All evaluation is dyadic-exact; there is no interpolation to generic reals.
 Moments <x^m> satisfy a closed recursion obtained by substituting the
-scaling equation, and polynomial-reproduction coefficients c_n(m) expand
-x^m = sum_n c_n(m) s(x - n) pointwise for m < K.
+scaling equation.
 
 The order K names the scaling function: each function takes K (or samples
 that carry it) and looks up its taps itself; a FilterPair goes only to the
@@ -33,7 +32,6 @@ from .errors import (
     DegenerateRefinementError,
     IndexRangeError,
     InsufficientResolutionError,
-    InsufficientVanishingMomentsError,
     NonDifferentiableOrderError,
 )
 from .filters import make_filters
@@ -181,22 +179,3 @@ def moments(K, m):
         M.append(np.sqrt(2.0) / (2.0 ** (q + 1) - 2.0) * acc)
     return M[m]
 
-
-def reproduction_coeffs(K, m, n_range):
-    """Coefficients c_n(m) with sum_n c_n(m) s(x - n) = x^m pointwise.
-
-    c_n(m) = integral x^m s(x - n) dx = sum_p C(m, p) n^{m-p} <x^p>.
-    Requires m < K (vanishing moments of the wavelet side).
-    """
-    make_filters(K)  # validates the order
-    if m < 0:
-        raise IndexRangeError("reproduced degree must be nonnegative", m=m)
-    if m >= K:
-        raise InsufficientVanishingMomentsError(
-            f"degree {m} not reproducible at order {K}; need m < K"
-        )
-    mom = [moments(K, p) for p in range(m + 1)]
-    out = []
-    for n in n_range:
-        out.append(sum(comb(m, p) * float(n) ** (m - p) * mom[p] for p in range(m + 1)))
-    return np.array(out)

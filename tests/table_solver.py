@@ -30,6 +30,8 @@ whose bordered system alone is 490 MB; the run peaks near 1.1 GB of RSS.
 from __future__ import annotations
 
 import itertools
+import os
+import tempfile
 
 import numpy as np
 
@@ -37,19 +39,24 @@ from wavefield.connection import (
     _KINDS,
     CoeffTensor,
     _table_path,
-    save_tensor,
+    tensor_text,
+    validate_tensor,
 )
 from wavefield.errors import (
     ConvergenceFailureError,
     CorruptTableError,
-    DegenerateFixedPointError,
     UnsupportedOrderError,
+    WavefieldError,
 )
 from wavefield.filters import K_MAX, make_filters
 
 # the bordered fixed-point system of one table may take at most this many
 # bytes (gamma-4 at order 7 takes 490 MB, at order 8 1.19 GB)
 _MAX_SYSTEM_BYTES = 512 * 2**20
+
+
+class DegenerateFixedPointError(WavefieldError):
+    name = "degenerate-fixed-point"
 
 
 def _admissible_offsets(radius, m):
@@ -166,6 +173,25 @@ def solve_table(kind, order):
     x = _solve_bordered(b, rhs, kind)
     entries = {tup: float(v) for tup, v in zip(offsets, x)}
     return CoeffTensor(kind, order, 0, entries)
+
+
+def save_tensor(t, path, gamma3=None):
+    """Validate t, then write its tensor_text atomically (temp + rename).
+
+    gamma3 is passed on to validate_tensor, which then also checks a
+    gamma-4 table against the four-point partition rule.
+    """
+    validate_tensor(t, gamma3)
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tensor-")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(tensor_text(t))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def main():

@@ -16,14 +16,13 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from oracles import extrapolated_oracle, reproduction_coeffs, resolve_d_exponent
 from wavefield.connection import (
     derivative_overlaps,
-    extrapolated_oracle,
     gamma_tensor,
     oracle_deviation,
     recursion_residual,
     rescale_tensor,
-    resolve_d_exponent,
     wrap_matrix,
     wrap_tensor_dense,
 )
@@ -48,11 +47,7 @@ from wavefield.fock import (
     free_reference_spectrum,
     lanczos_lowest,
 )
-from wavefield.scaling import (
-    integer_values,
-    reproduction_coeffs,
-    scaling_samples,
-)
+from wavefield.scaling import integer_values, scaling_samples
 from wavefield.transform import (
     CoeffVector,
     max_levels,

@@ -829,6 +829,31 @@ def test_diagnose_poly_commutator(capsys):
     assert max(vals) < 1e-8
 
 
+@pytest.mark.parametrize("probe", ["projection", "commutator"])
+def test_diagnose_large_finite_probe(probe, capsys):
+    rc, out, err = invoke(
+        ["diagnose", "--order", "3", "--scale", "1", "--probe", probe,
+         "--function", "poly:112"], capsys)
+    assert rc == 0 and err == ""
+    vals = [float(ln.split(",")[1]) for ln in out.splitlines()[1:]]
+    assert len(vals) == 2 and np.isfinite(vals).all()
+
+
+@pytest.mark.parametrize("probe", ["projection", "commutator"])
+@pytest.mark.parametrize("degree,scale", [
+    (120, 1),  # the scale-1 sums overflow
+    (224, 0),  # the samples themselves overflow, at the first row
+])
+def test_diagnose_refuses_probe_past_float_range(probe, degree, scale, capsys):
+    # such a sweep printed inf or nan and exited 0
+    rc, out, err = invoke(
+        ["diagnose", "--order", "3", "--scale", "1", "--probe", probe,
+         "--function", f"poly:{degree}"], capsys)
+    assert rc == 1 and out == ""
+    assert err == ("index: probe goes past the float range "
+                   f"function=poly:{degree} scale={scale}\n")
+
+
 @pytest.mark.parametrize("function", ["gauss:nan,1", "gauss:12,nan",
                                       "gauss:inf,1", "gauss:12,-inf"])
 def test_diagnose_refuses_nonfinite_gaussian(function, tmp_path, capsys):

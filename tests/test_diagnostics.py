@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from wavefield.diagnostics import (
+    WINDOW,
     KernelProbe,
+    _translates,
     commutator_residual,
     gaussian_probe,
-    kernel_matrix,
     kernel_projection_error,
     partition_check,
     polynomial_probe,
@@ -21,6 +22,19 @@ from wavefield.errors import (
     UnsupportedOrderError,
     WindowingError,
 )
+
+
+def kernel_matrix(probe):
+    """Dense K^k(x_i, x_j) on the grid, the reference for project.
+
+    Accumulated as a sum of outer products v v^T, so the result is
+    symmetric entry for entry, not just within roundoff.
+    """
+    ngrid = int(WINDOW) << probe.grid_level
+    mat = np.zeros((ngrid, ngrid))
+    for a, b, seg in _translates(probe):
+        mat[a:b, a:b] += np.outer(seg, seg)
+    return mat
 
 
 class TestProbeValidation:
@@ -169,6 +183,27 @@ class TestKernelMatrix:
         via_matrix = (mat * probe.spacing) @ fx
         assert np.abs(via_matrix - project(probe, fx)).max() < 1e-12
 
-    def test_grid_cap(self):
-        with pytest.raises(ShapeError):
-            kernel_matrix(KernelProbe(2, 0, 10))
+
+class TestFloatRange:
+    # x^d on the window [0, 24) overflows from d = 224; at order 3 and
+    # scale 1, d = 120 overflows the projection norm and the pairing
+    @pytest.mark.parametrize("degree", [120, 224])
+    def test_result_or_samples_past_float_range(self, degree):
+        probe, f = KernelProbe(3, 1, 12), polynomial_probe(degree)
+        with pytest.raises(IndexRangeError) as exc:
+            kernel_projection_error(probe, f)
+        assert exc.value.context == {"function": f"poly:{degree}", "scale": 1}
+        with pytest.raises(IndexRangeError) as exc:
+            commutator_residual(probe, f, f)
+        assert exc.value.context == {"function": f"poly:{degree}", "scale": 1}
+
+    def test_nonfinite_grid_array(self):
+        probe = KernelProbe(3, 1, 12)
+        fx = np.zeros(len(probe.grid()))
+        fx[-1] = np.inf  # in the margin, outside every interior sum
+        with pytest.raises(IndexRangeError) as exc:
+            kernel_projection_error(probe, fx)
+        assert exc.value.context == {"function": "grid array", "scale": 1}
+        with pytest.raises(IndexRangeError) as exc:
+            commutator_residual(probe, polynomial_probe(1), fx)
+        assert exc.value.context == {"function": "poly:1,grid array", "scale": 1}

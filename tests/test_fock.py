@@ -28,7 +28,6 @@ from wavefield.fock import (
     FockBasis,
     FockOperator,
     ModelParams,
-    block_leakage_counts,
     build_phi4_hamiltonian,
     free_reference_spectrum,
     lanczos_lowest,
@@ -40,11 +39,20 @@ from wavefield.fock import (
     _largest_row_sum,
     _quadratic_terms,
     _quartic_terms,
+    _rows_of,
+    _state_grid,
     _symmetric_csr,
 )
 
 D3 = derivative_overlaps(3)
 G43 = gamma_tensor(3, 4)
+
+
+def occupations(basis):
+    """(dimension, modes) table; row i is the occupation vector of basis
+    state i, mode 0 fastest."""
+    shape = (basis.cutoff + 1,) * basis.modes
+    return np.stack(np.unravel_index(np.arange(basis.dimension), shape)[::-1], axis=1)
 
 
 def dense(op):
@@ -92,7 +100,7 @@ def quartic_reference(t_dense, coupling, gamma, modes, terms):
 
 def apply_reference(basis, creators, annihilators):
     """All-states masked ladder action, the reference for _apply_term."""
-    occ = basis.occupations()
+    occ = occupations(basis)
     dim = occ.shape[0]
     amp = np.ones(dim)
     work = occ.astype(np.int64).copy()
@@ -105,8 +113,8 @@ def apply_reference(basis, creators, annihilators):
     valid = amp != 0.0
     for j in set(creators):
         valid &= work[:, j] <= basis.cutoff
-    strides = basis.strides
-    shift = int(sum(strides[j] for j in creators) - sum(strides[j] for j in annihilators))
+    base = basis.cutoff + 1
+    shift = sum(base**j for j in creators) - sum(base**j for j in annihilators)
     src = np.nonzero(valid)[0]
     return src, src + shift, amp[valid]
 
@@ -169,12 +177,14 @@ def scaled_tables(K, k):
 
 def test_basis_enumeration_mode0_fastest():
     b = FockBasis(2, 2)
-    occ = b.occupations()
+    occ = occupations(b)
     assert occ.shape == (9, 2)
     np.testing.assert_array_equal(occ[1], [1, 0])
     np.testing.assert_array_equal(occ[3], [0, 1])
+    # the state grid that assembly reads holds the same layout
+    grid = _state_grid(2, 2)
     for i in range(9):
-        assert b.index_of(occ[i]) == i
+        assert grid[tuple(occ[i][::-1])] == i
 
 
 def test_oversized_basis_refused_before_allocation():
@@ -608,6 +618,24 @@ def test_first_order_coupling_slope():
     first_order = g0 @ ((dense(h1) - dense(h0)) @ g0)
     measured = np.linalg.eigvalsh(dense(h1))[0] - w0[0]
     assert abs(measured - first_order) < 0.01 * abs(first_order)
+
+
+def block_leakage_counts(op, tol=0.0):
+    """Entries connecting states of different total occupation parity,
+    which every Hamiltonian monomial's even ladder count forbids, and of
+    different total occupation.  tol filters entries by magnitude; the
+    default counts everything, including the ~1e-15 couplings inherited
+    from tensor-table rounding.  The counts read the half form: a diagonal
+    entry adds to none of them, and each upper entry counts twice, once
+    for its mirror."""
+    _, data, indices, indptr = op.half
+    totals = occupations(op.basis).sum(axis=1)
+    keep = np.abs(data) > tol
+    r, c = _rows_of(indptr)[keep], indices[keep]
+    return {
+        "parity_violations": 2 * int(np.sum((totals[r] - totals[c]) % 2 != 0)),
+        "off_block": 2 * int(np.sum(totals[r] != totals[c])),
+    }
 
 
 def test_parity_and_block_diagnostics():

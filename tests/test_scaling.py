@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import InsufficientVanishingMomentsError, reproduction_coeffs
 from wavefield.errors import (
     DegenerateRefinementError,
     IndexRangeError,
-    InsufficientVanishingMomentsError,
     NonDifferentiableOrderError,
 )
 from wavefield.filters import make_filters
@@ -20,7 +20,6 @@ from wavefield.scaling import (
     integer_values,
     moments,
     refine,
-    reproduction_coeffs,
     scaling_samples,
     wavelet_samples,
 )

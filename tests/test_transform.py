@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import reproduction_coeffs
 from wavefield import transform
 from wavefield.errors import DepthError, ShapeError
 from wavefield.filters import K_MAX, make_filters
-from wavefield.scaling import reproduction_coeffs
 from wavefield.transform import (
     CoeffPyramid,
     CoeffVector,
