@@ -36,7 +36,6 @@ from .connection import (  # noqa: F401
     derivative_overlaps,
     gamma_tensor,
     load_tensor,
-    quadrature_oracle,
     rescale_tensor,
     validate_tensor,
 )
@@ -71,7 +70,7 @@ __all__ = [
     "scaling_samples", "wavelet_samples",
     "CoeffPyramid", "CoeffVector", "max_levels", "multilevel", "stage_matrix",
     "CoeffTensor", "derivative_overlaps", "gamma_tensor", "load_tensor",
-    "quadrature_oracle", "rescale_tensor", "validate_tensor",
+    "rescale_tensor", "validate_tensor",
     "FockBasis", "FockOperator", "ModelParams",
     "build_phi4_hamiltonian", "free_reference_spectrum", "lanczos_lowest",
     "FlowState", "SplitTensors", "StepControl",

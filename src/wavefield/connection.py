@@ -18,18 +18,23 @@ The orders it cannot solve are the ones not shipped: D at 10 and 12 comes
 out even only to 1.0e-12 and 5.7e-12, and gamma-4 from order 8 needs a
 system above 1 GB.
 
-The order K names the scaling function: the tables and the oracle take
-K; only recursion_residual, which re-applies the map with the taps it is
-given, takes a FilterPair.
+The order K names the scaling function: the tables take K and the
+oracle reads the table's; only recursion_residual, which re-applies the
+map with the taps it is given, takes a FilterPair.
 
 A plain-quadrature oracle on refined dyadic samples of the table's own
 order provides the independent cross-check: oracle_deviation reports the
 raw level-L deviation (tests/oracles.py extrapolates it for the rough
-low orders).  validate_tensor checks every rule at every scale, one
-permutation rule for every kind (D's evenness is its n -> -n case) and
-the gamma-3/gamma-4 sum rules, on every read (load_tensor).  A shipped
-gamma-4 is read against its gamma-3 partner: only the partition rule
-sum_{n4} gamma-4 = gamma-3 pins entries such as (0,0,0).
+low orders, and holds the per-entry oracle whose sums it matches bit for
+bit).  The oracle shares prefix products between neighbouring entries,
+one multiply and one sum per entry; the residual forms every weight and
+child shift at once and gathers blocks of tap combinations.
+
+validate_tensor checks every rule at every scale, one permutation rule
+for every kind (D's evenness is its n -> -n case) and the gamma-3/gamma-4
+sum rules, on every read (load_tensor).  A shipped gamma-4 is read
+against its gamma-3 partner: only the partition rule sum_{n4} gamma-4 =
+gamma-3 pins entries such as (0,0,0).
 
 Normalizations:
   D:        sum_n n^2 D_{0n} = -2   (twice-differentiated quadratic
@@ -68,7 +73,6 @@ __all__ = [
     "derivative_overlaps",
     "rescale_tensor",
     "recursion_residual",
-    "quadrature_oracle",
     "oracle_deviation",
     "validate_tensor",
     "tensor_text",
@@ -87,6 +91,10 @@ _KINDS = {"derivative-D": 2, "gamma-2": 2, "gamma-3": 3, "gamma-4": 4}
 D_RESCALE_EXPONENT = 2
 
 FORMAT_VERSION = 1
+
+# most child values recursion_residual gathers at once: 128 KiB per
+# temporary, about the per-combination arrays of a large gamma-4 table
+_RESIDUAL_BLOCK = 2**14
 
 # the shipped scale-0 tables, one tensor_text file per kind and order
 _TABLE_DIR = os.path.join(os.path.dirname(__file__), "tables")
@@ -187,12 +195,15 @@ def recursion_residual(t: CoeffTensor, fp: FilterPair) -> float:
     """Max deviation when the refinement map is applied to the table.
 
     A correct table is an exact fixed point; the residual is solver noise.
-    The table is placed on a zero-padded dense offset cube, and each tap
+    The table is placed on a zero-padded dense offset cube.  Each tap
     combination (l_1..l_m) adds w_l * x at the child offsets
-    2 n_i + l_{i+1} - l_1 of every entry at once, with w_l =
+    2 n_i + l_{i+1} - l_1 of every entry, with w_l =
     2^{(m-2)/2} h_{l_1}..h_{l_m} for gamma-m and 4 h_{l_1} h_{l_2} for D.
-    This is an independent re-application of the map, not the matrix the
-    solver assembled.
+    All weights and child shifts are formed at once; the children are
+    gathered in blocks of combinations of at most _RESIDUAL_BLOCK values,
+    and each block is added in product order, so the sums are those of a
+    loop over the combinations, bit for bit.  This is an independent
+    re-application of the map, not the matrix the solver assembled.
     """
     if fp.order != t.order:
         raise ShapeError("tensor/filter order mismatch", tensor=t.order, filter=fp.order)
@@ -203,16 +214,20 @@ def recursion_residual(t: CoeffTensor, fp: FilterPair) -> float:
     flat = cube.ravel()
     strides = cube.shape[0] ** np.arange(m - 2, -1, -1, dtype=np.int64)
     base = (2 * offs + reach) @ strides
-    acc = np.zeros(len(vals))
-    pref = 2.0 ** ((m - 2) / 2.0)
-    for c in itertools.product(range(taps), repeat=m):
-        if t.kind == "derivative-D":
-            w = 4.0 * h[c[0]] * h[c[1]]
-        else:
-            w = pref * float(np.prod(h[list(c)]))
-        shift = (np.array(c[1:]) - c[0]) @ strides
-        acc += w * flat[base + shift]
-    return float(np.abs(acc - vals).max())
+    # a trailing copy of the first entry keeps every block two entries
+    # wide: numpy sums a single column pairwise, not row after row
+    base = np.append(base, base[0])
+    combos = np.indices((taps,) * m).reshape(m, -1).T  # product order
+    pref = 4.0 if t.kind == "derivative-D" else 2.0 ** ((m - 2) / 2.0)
+    weights = pref * np.prod(h[combos], axis=1)
+    shifts = (combos[:, 1:] - combos[:, :1]) @ strides
+    step = max(1, _RESIDUAL_BLOCK // len(base))
+    acc = np.zeros(len(base))
+    for lo in range(0, len(weights), step):
+        rows = weights[lo:lo + step, None] * flat[base + shifts[lo:lo + step, None]]
+        rows[0] += acc
+        acc = np.add.reduce(rows, axis=0)  # row after row, in order
+    return float(np.abs(acc[:-1] - vals).max())
 
 
 def _scale_factor(t: CoeffTensor, k: int) -> float:
@@ -265,68 +280,50 @@ def _oracle_samples(order, level, derivative):
     return d
 
 
-def quadrature_oracle(order: int, factors, level: int, scale: int = 0) -> float:
-    """Riemann-sum value of int prod_i f_i(x - n_i) dx, f_i the scaling
-    function of the given order (or its derivative) sampled at the level.
+def _oracle_sums(t: CoeffTensor, offsets, level, scale):
+    """Level-L plain-quadrature values of t's integrands at the offsets.
 
-    factors: sequence of (translation, derivative_order) with derivative
-    order 0 or 1; at most 4 factors.  Derivative factors use a centered
-    finite difference of the refined samples, which keeps this path
-    independent of the fixed-point solver AND of the derivative-value
-    eigenproblem.  The plain scaled sum equals the trapezoid value for
-    orders >= 2 (endpoint samples vanish) and is exact for the order-1
-    indicator, where a literal trapezoid rule is not.
+    Each is the Riemann sum of prod_i f(x - n_i) over the common support,
+    n_1 = 0, f the level-L cascade samples of t's own order (gamma-m) or
+    their centered finite difference (D, which keeps this path independent
+    of the fixed-point solver AND of the derivative-value eigenproblem),
+    times 2^{k[(m-2)/2 + derivatives]} at scale k (substitution u = 2^k x).
+    The plain scaled sum equals the trapezoid value for orders >= 2
+    (endpoint samples vanish) and is exact for the order-1 indicator.
 
-    scale k multiplies the scale-0 integral by 2^{k[(m-2)/2 + sum o_i]}
-    (substitution u = 2^k x with one 2^{k/2} per factor and 2^k per
-    derivative).
+    The offsets are walked depth first with a stack of prefix products,
+    the product of the first j factors on their common window, each kept
+    in one of m-1 reused buffers while the next offset shares its prefix:
+    a gamma-4 entry costs one multiply and one sum.  Each sample is still
+    formed as ((f_1 f_2) f_3) f_4 and summed over a contiguous array of
+    its entry's window, so each value matches a per-entry sum bit for bit.
     """
-    factors = [(int(n), int(d)) for n, d in factors]
-    if not 1 <= len(factors) <= 4:
-        raise ShapeError("oracle supports 1..4 factors", count=len(factors))
     if level > MAX_LEVEL or level < 1:
         raise IndexRangeError(f"oracle level must lie in 1..{MAX_LEVEL}",
                               level=level)
-    if any(d not in (0, 1) for _, d in factors):
-        raise ShapeError("only first derivatives are supported")
-    if any(d == 1 for _, d in factors) and order < 3:
-        raise NonDifferentiableOrderError(
-            "derivative factors need order >= 3", order=order
-        )
-
-    s = _oracle_samples(order, level, False)
-    ds = _oracle_samples(order, level, True) if any(d for _, d in factors) else None
-    g = 2**level
-    n1 = len(s)
-    lo = max([0] + [n * g for n, _ in factors])
-    hi = min([n1] + [n1 + n * g for n, _ in factors])
-    if hi <= lo:
-        total = 0.0
-    else:
-        acc = np.ones(hi - lo)
-        for n, d in factors:
-            src = ds if d else s
-            acc = acc * src[lo - n * g : hi - n * g]
-        total = acc.sum() / g
-    m = len(factors)
-    der = sum(d for _, d in factors)
-    return float(total * 2.0 ** (scale * ((m - 2) / 2.0 + der)))
-
-
-def _oracle_factors(t: CoeffTensor, offsets):
-    """quadrature_oracle factors of the integrand behind entry offsets."""
-    if t.kind == "derivative-D":
-        return [(0, 1), (offsets[0], 1)]
-    return [(0, 0)] + [(n, 0) for n in offsets]
-
-
-def _oracle_sums(t: CoeffTensor, offsets, level, scale):
-    """Level-L quadrature_oracle sums of t's integrands at the given offsets,
-    on the filters of t's own order."""
-    return np.array([
-        quadrature_oracle(t.order, _oracle_factors(t, tup), level, scale)
-        for tup in offsets
-    ])
+    der = 2 if t.kind == "derivative-D" else 0
+    s = _oracle_samples(t.order, level, bool(der))
+    g, n1, m = 2**level, len(s), t.arity
+    bufs = [np.empty(n1) for _ in range(m - 1)]
+    prods, wins, prev = [s], [0], ()
+    sums = np.empty(len(offsets))
+    for i, tup in enumerate(offsets):
+        j = 0
+        while j < len(prev) and prev[j] == tup[j]:
+            j += 1
+        del prods[j + 1:], wins[j + 1:]
+        for depth in range(j, m - 1):
+            n = tup[depth] * g
+            lo = max(wins[-1], n)
+            hi = max(lo, min(wins[-1] + len(prods[-1]), n1 + n))
+            out = bufs[depth][:hi - lo]
+            np.multiply(prods[-1][lo - wins[-1]:hi - wins[-1]],
+                        s[lo - n:hi - n], out=out)
+            prods.append(out)
+            wins.append(lo)
+        sums[i] = prods[-1].sum()
+        prev = tup
+    return sums / g * 2.0 ** (scale * ((m - 2) / 2.0 + der))
 
 
 def oracle_deviation(t: CoeffTensor, level: int) -> float:

@@ -176,9 +176,17 @@ def project(probe: KernelProbe, f) -> np.ndarray:
     """Grid samples of P_k f with level-j quadrature coefficients.
 
     Each coefficient is a numpy sum of products, not a BLAS dot, so the
-    samples do not depend on the BLAS thread count.
+    samples do not depend on the BLAS thread count.  Samples of f or of
+    P_k f past the float range raise index.
     """
-    fx = _probe_values(probe, f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx = _probe_values(probe, f)
+        recon = _projection(probe, fx)
+    return _finite(probe, _label(f), recon, fx)
+
+
+def _projection(probe, fx):
+    """P_k of the grid samples fx; project without the range check."""
     dx = probe.spacing
     recon = np.zeros_like(fx)
     for a, b, seg in _translates(probe):
@@ -194,7 +202,7 @@ def _label(f):
 def _finite(probe, label, value, *samples):
     """value, unless it or any sample array holds an inf or a nan, which
     raises index: the probe went past the float range at this scale."""
-    if not (np.isfinite(value) and all(np.isfinite(x).all() for x in samples)):
+    if not all(np.isfinite(x).all() for x in (value, *samples)):
         raise IndexRangeError("probe goes past the float range",
                               function=label, scale=probe.scale)
     return value
@@ -205,7 +213,7 @@ def kernel_projection_error(probe: KernelProbe, f) -> float:
     range raise index."""
     with np.errstate(over="ignore", invalid="ignore"):
         fx = _probe_values(probe, f)
-        diff = project(probe, fx) - fx
+        diff = _projection(probe, fx) - fx
         mask = _interior(probe)
         err = float(np.sqrt((diff[mask] ** 2).sum() * probe.spacing))
     return _finite(probe, _label(f), err, fx)
@@ -223,7 +231,7 @@ def commutator_residual(probe: KernelProbe, f, g) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         fx = _probe_values(probe, f)
         gx = _probe_values(probe, g)
-        pg = project(probe, gx)
+        pg = _projection(probe, gx)
         mask = _interior(probe)
         dx = probe.spacing
         kern = float((fx[mask] * pg[mask]).sum() * dx)

@@ -3,6 +3,9 @@
 None of them is read by a run of wavefield, the benchmark or a demo;
 each stays independent of the code it checks.
 
+  * quadrature_oracle and per_entry_sums: the plain-quadrature oracle one
+    table entry at a time, a fresh product per factor, the reference that
+    connection's prefix-product oracle sums must match bit for bit.
   * aitken_limit and extrapolated_oracle: the Aitken-extrapolated form of
     the plain-quadrature oracle, which reaches for the rough low orders the
     accuracy that the plain level-L sum cannot (criterion 06).  Built on
@@ -19,8 +22,13 @@ from math import comb
 
 import numpy as np
 
-from wavefield.connection import _oracle_sums, derivative_overlaps
-from wavefield.errors import IndexRangeError, ShapeError, WavefieldError
+from wavefield.connection import _oracle_samples, _oracle_sums, derivative_overlaps
+from wavefield.errors import (
+    IndexRangeError,
+    NonDifferentiableOrderError,
+    ShapeError,
+    WavefieldError,
+)
 from wavefield.filters import make_filters
 from wavefield.scaling import MAX_LEVEL, moments
 
@@ -37,6 +45,65 @@ ROUNDING_FLOOR = 64 * np.finfo(float).eps
 
 class InsufficientVanishingMomentsError(WavefieldError):
     name = "insufficient-vanishing-moments"
+
+
+def quadrature_oracle(order, factors, level, scale=0):
+    """Riemann-sum value of int prod_i f_i(x - n_i) dx, f_i the scaling
+    function of the given order (or its derivative) sampled at the level.
+
+    factors: sequence of (translation, derivative_order) with derivative
+    order 0 or 1; at most 4 factors.  Derivative factors use a centered
+    finite difference of the refined samples, which keeps this path
+    independent of the fixed-point solver AND of the derivative-value
+    eigenproblem.  The plain scaled sum equals the trapezoid value for
+    orders >= 2 (endpoint samples vanish) and is exact for the order-1
+    indicator, where a literal trapezoid rule is not.
+
+    scale k multiplies the scale-0 integral by 2^{k[(m-2)/2 + sum o_i]}
+    (substitution u = 2^k x with one 2^{k/2} per factor and 2^k per
+    derivative).
+    """
+    factors = [(int(n), int(d)) for n, d in factors]
+    if not 1 <= len(factors) <= 4:
+        raise ShapeError("oracle supports 1..4 factors", count=len(factors))
+    if level > MAX_LEVEL or level < 1:
+        raise IndexRangeError(f"oracle level must lie in 1..{MAX_LEVEL}",
+                              level=level)
+    if any(d not in (0, 1) for _, d in factors):
+        raise ShapeError("only first derivatives are supported")
+    if any(d == 1 for _, d in factors) and order < 3:
+        raise NonDifferentiableOrderError(
+            "derivative factors need order >= 3", order=order
+        )
+
+    s = _oracle_samples(order, level, False)
+    ds = _oracle_samples(order, level, True) if any(d for _, d in factors) else None
+    g = 2**level
+    n1 = len(s)
+    lo = max([0] + [n * g for n, _ in factors])
+    hi = min([n1] + [n1 + n * g for n, _ in factors])
+    if hi <= lo:
+        total = 0.0
+    else:
+        acc = np.ones(hi - lo)
+        for n, d in factors:
+            src = ds if d else s
+            acc = acc * src[lo - n * g : hi - n * g]
+        total = acc.sum() / g
+    m = len(factors)
+    der = sum(d for _, d in factors)
+    return float(total * 2.0 ** (scale * ((m - 2) / 2.0 + der)))
+
+
+def per_entry_sums(t, offsets, level, scale):
+    """quadrature_oracle of t's integrand at each offset tuple, one entry
+    at a time: the reference for connection's oracle sums."""
+    derivative = t.kind == "derivative-D"
+    return np.array([
+        quadrature_oracle(t.order, [(0, derivative)]
+                          + [(n, derivative) for n in tup], level, scale)
+        for tup in offsets
+    ])
 
 
 def aitken_limit(sums):
@@ -72,7 +139,7 @@ def aitken_limit(sums):
 def extrapolated_oracle(t, level):
     """Oracle deviation of a table, raw and Aitken-extrapolated.
 
-    Each entry's quadrature_oracle sum, on the filters of the table's own
+    Each entry's plain-quadrature sum, on the filters of the table's own
     order and at its own scale, is taken at levels level-3..level
     and passed through aitken_limit, which extrapolates only a stable
     geometric sequence and otherwise keeps the raw level-L sum (a

@@ -416,6 +416,15 @@ def test_coeffs_verify_oracle(capsys):
     assert 0 < dev < 1e-5
 
 
+@pytest.mark.parametrize("level", [0, 17])
+def test_coeffs_verify_oracle_refuses_level(level, capsys):
+    rc, out, err = invoke(
+        ["coeffs", "--order", "4", "--kind", "gamma3",
+         "--verify-oracle", str(level)], capsys)
+    assert rc == 1 and out == ""
+    assert err == f"index: oracle level must lie in 1..16 level={level}\n"
+
+
 def test_coeffs_rescaled_verify(capsys):
     rc, out, _ = invoke(
         ["coeffs", "--order", "3", "--kind", "gamma4", "--scale", "1",

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wavefield
-from oracles import aitken_limit, extrapolated_oracle, resolve_d_exponent
+from oracles import (
+    aitken_limit,
+    extrapolated_oracle,
+    per_entry_sums,
+    quadrature_oracle,
+    resolve_d_exponent,
+)
 from table_solver import (
     _MAX_SYSTEM_BYTES,
     DegenerateFixedPointError,
@@ -22,13 +28,13 @@ from table_solver import (
 )
 from wavefield.connection import (
     _TABLE_DIR,
+    _oracle_sums,
     _table_path,
     CoeffTensor,
     derivative_overlaps,
     gamma_tensor,
     load_tensor,
     oracle_deviation,
-    quadrature_oracle,
     recursion_residual,
     rescale_tensor,
     validate_tensor,
@@ -68,6 +74,27 @@ def residual_loop(t, fp):
     return worst
 
 
+def residual_by_combination(t, fp):
+    """Combination-by-combination refinement map: each tap combination adds
+    its weighted children of every entry at once, in product order.  Bit
+    for bit the entry-by-entry loop, and fast enough for the large tables."""
+    h, taps, m = fp.h, len(fp.h), t.arity
+    offs = np.array(list(t.entries), dtype=np.int64).reshape(-1, m - 1)
+    vals = np.array(list(t.entries.values()))
+    reach = 2 * int(np.abs(offs).max(initial=0)) + taps - 1
+    cube = np.zeros((2 * reach + 1,) * (m - 1))
+    cube[tuple((offs + reach).T)] = vals
+    strides = cube.shape[0] ** np.arange(m - 2, -1, -1, dtype=np.int64)
+    base = (2 * offs + reach) @ strides
+    acc = np.zeros(len(vals))
+    pref = 2.0 ** ((m - 2) / 2.0)
+    for c in itertools.product(range(taps), repeat=m):
+        w = (4.0 * h[c[0]] * h[c[1]] if t.kind == "derivative-D"
+             else pref * float(np.prod(h[list(c)])))
+        acc += w * cube.ravel()[base + (np.array(c[1:]) - c[0]) @ strides]
+    return float(np.abs(acc - vals).max())
+
+
 def perm_loop(t):
     """Entry-by-entry permutation walk, the reference for validate_tensor's
     permutation rule: max mismatch of each entry against its rebased
@@ -92,6 +119,14 @@ def shifted(t, offsets, delta):
     entries = dict(t.entries)
     entries[offsets] += delta
     return CoeffTensor(t.kind, t.order, t.scale, entries)
+
+
+# every scale-0 table the dense solver admits: the shipped set
+SHIPPED = ([("derivative-D", K) for K in (3, 4, 5, 6, 7, 8, 9, 11)]
+           + [("gamma-3", K) for K in range(1, 13)]
+           + [("gamma-4", K) for K in range(1, 8)])
+REFUSED = ([("derivative-D", K) for K in (10, 12)]
+           + [("gamma-4", K) for K in range(8, 13)])
 
 
 def test_haar_four_point_is_trivial():
@@ -151,12 +186,26 @@ def test_gamma_against_quadrature(K, m, bound):
     assert oracle_deviation(gamma_tensor(K, m), 12) < bound
 
 
-@pytest.mark.parametrize("K,m", [(3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (3, 4)])
+@pytest.mark.parametrize("K,m", [(3, 2), (4, 2), (8, 2), (2, 3), (3, 3), (12, 3),
+                                 (2, 4), (3, 4), (5, 4)])
 def test_residual_matches_loop_reference(K, m):
-    # m = 2 stands for the derivative table D
+    # m = 2 stands for the derivative table D.  Same products, same
+    # summation order: bit-equal.  The entry-by-entry loop takes minutes
+    # past a million (entry, combination) pairs; there the combination
+    # loop, bit-equal to it on the smaller tables, is the reference
     fp = make_filters(K)
     t = derivative_overlaps(K) if m == 2 else gamma_tensor(K, m)
-    # same products, same summation order: bit-equal
+    want = residual_by_combination(t, fp)
+    assert recursion_residual(t, fp) == want
+    if len(t.entries) * len(fp.h) ** m <= 10**6:
+        assert want == residual_loop(t, fp)
+
+
+def test_residual_of_single_entry_table_adds_in_order():
+    # a one-entry table is one column of child values: numpy would sum a
+    # lone column pairwise, the map adds the 4K^2 combinations in order
+    fp = make_filters(4)
+    t = gamma_tensor(4, 2)
     assert recursion_residual(t, fp) == residual_loop(t, fp)
 
 
@@ -253,6 +302,33 @@ def test_derivative_against_quadrature(K, bound):
     # the finite-difference oracle at level 14 is limited by the Holder
     # exponent of s'; measured 1.79e-3 (K=3), 3.98e-6 (K=4), 1.19e-7 (K=5)
     assert oracle_deviation(derivative_overlaps(K), 14) < bound
+
+
+@pytest.mark.parametrize("kind,K", SHIPPED)
+def test_oracle_sums_match_per_entry_reference(kind, K):
+    # prefix products on shared windows: each sample is formed and each
+    # sum taken as in the per-entry oracle, so the values agree bit for bit
+    t = load_tensor(_table_path(kind, K))
+    offsets = sorted(t.entries)
+    for scale in (0, 3):
+        got = _oracle_sums(t, offsets, 8, scale)
+        assert got.tobytes() == per_entry_sums(t, offsets, 8, scale).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["derivative-D", "gamma-3", "gamma-4"]),
+       level=st.integers(1, 12), scale=st.integers(-3, 3), data=st.data())
+def test_oracle_sums_match_per_entry_on_any_offsets(kind, level, scale, data):
+    # any offsets in any order, repeats and empty windows (|n| > 2K - 2)
+    # included, on plain (gamma) and finite-difference (D) samples
+    K = data.draw(st.integers(3 if kind == "derivative-D" else 1, 7), label="K")
+    width = 1 if kind == "derivative-D" else int(kind[-1]) - 1
+    n = st.integers(-2 * K - 1, 2 * K + 1)
+    offsets = data.draw(st.lists(st.tuples(*[n] * width), max_size=12),
+                        label="offsets")
+    t = CoeffTensor(kind, K, 0, {})
+    got = _oracle_sums(t, offsets, level, scale)
+    assert got.tobytes() == per_entry_sums(t, offsets, level, scale).tobytes()
 
 
 def test_oracle_indicator_norm():
@@ -566,14 +642,6 @@ def test_order_limit_refuses_oversized_system():
     # order 7, the largest gamma-4 admitted, fits
     nt = len(_admissible_offsets(12, 4))
     assert (nt + 1) * nt * 8 <= _MAX_SYSTEM_BYTES
-
-
-# every scale-0 table the dense solver admits: the shipped set
-SHIPPED = ([("derivative-D", K) for K in (3, 4, 5, 6, 7, 8, 9, 11)]
-           + [("gamma-3", K) for K in range(1, 13)]
-           + [("gamma-4", K) for K in range(1, 8)])
-REFUSED = ([("derivative-D", K) for K in (10, 12)]
-           + [("gamma-4", K) for K in range(8, 13)])
 
 
 def test_shipped_tables_are_the_admitted_set():

@@ -197,6 +197,20 @@ class TestFloatRange:
             commutator_residual(probe, f, f)
         assert exc.value.context == {"function": f"poly:{degree}", "scale": 1}
 
+    def test_projection_past_float_range(self):
+        # project handed back nan samples with a RuntimeWarning; x^120
+        # stays in range through the projection, only its norm overflows
+        probe = KernelProbe(3, 1, 12)
+        with pytest.raises(IndexRangeError) as exc:
+            project(probe, polynomial_probe(224))
+        assert exc.value.context == {"function": "poly:224", "scale": 1}
+        fx = np.zeros(len(probe.grid()))
+        fx[-1] = np.inf
+        with pytest.raises(IndexRangeError) as exc:
+            project(probe, fx)
+        assert exc.value.context == {"function": "grid array", "scale": 1}
+        assert np.isfinite(project(probe, polynomial_probe(120))).all()
+
     def test_nonfinite_grid_array(self):
         probe = KernelProbe(3, 1, 12)
         fx = np.zeros(len(probe.grid()))
